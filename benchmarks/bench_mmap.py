@@ -1,9 +1,10 @@
 """Memory-mapped columnar postings: open-time, residency, probe work.
 
-Compares the three index substrates on the same join — the in-memory
+Compares the three index backends on the same join — the in-memory
 ``ScoredInvertedIndex``, the zero-copy mapped columns
-(``index_backend='mmap'``), and the varbyte streaming-decode fallback
-(``DiskProbeJoin``) — and measures what the mapped format exists for:
+(``index_backend='mmap'``), and the mapped varbyte skip blocks
+(``index_backend='mmap-varbyte'``) — and measures what the mapped
+format exists for:
 opening a persisted index is O(directory) (milliseconds regardless of
 posting volume) and serving faults in only the postings a query stream
 actually touches, not the file.
@@ -16,7 +17,6 @@ import time
 from harness import citation_words, run_join
 from repro import JaccardPredicate, OverlapPredicate
 from repro.core.service import SimilarityIndex
-from repro.storage.disk_index import DiskProbeJoin
 from repro.storage.mmap_index import MappedInvertedIndex
 
 N = 2000
@@ -40,18 +40,19 @@ def test_substrates_probe_work_and_wall(benchmark, report):
     predicate = OverlapPredicate(THRESHOLD)
 
     def run():
-        memory = run_join("probe-count-optmerge", data, predicate)
-        mapped = run_join(
-            "probe-count-optmerge", data, predicate, index_backend="mmap"
-        )
-        disk = DiskProbeJoin().join(data, predicate)
-        return memory, mapped, disk
+        return [
+            run_join(
+                "probe-count-optmerge", data, predicate, index_backend=backend
+            )
+            for backend in ("memory", "mmap", "mmap-varbyte")
+        ]
 
-    memory, mapped, disk = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert mapped.pair_set() == memory.pair_set() == disk.pair_set()
-    assert sorted((p.rid_a, p.rid_b, p.similarity) for p in mapped.pairs) == sorted(
-        (p.rid_a, p.rid_b, p.similarity) for p in memory.pairs
-    )
+    memory, mapped, varbyte = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    def tuples(result):
+        return sorted((p.rid_a, p.rid_b, p.similarity) for p in result.pairs)
+
+    assert tuples(mapped) == tuples(memory) == tuples(varbyte)
     report(
         "mmap: probe work by index substrate",
         "in-memory ScoredInvertedIndex",
@@ -68,13 +69,14 @@ def test_substrates_probe_work_and_wall(benchmark, report):
     )
     report(
         "mmap: probe work by index substrate",
-        "disk varbyte (streaming decode)",
-        work=disk.counters.total_work(),
-        pairs=len(disk.pairs),
-        seconds=disk.elapsed_seconds,
+        "mapped varbyte blocks",
+        work=varbyte.counters.total_work(),
+        pairs=len(varbyte.pairs),
+        seconds=varbyte.elapsed_seconds,
     )
     # The mapped columns feed the identical merge: same counted work.
     assert mapped.counters.total_work() == memory.counters.total_work()
+    assert varbyte.counters.total_work() == memory.counters.total_work()
 
 
 def test_open_time_and_residency(benchmark, report, tmp_path):

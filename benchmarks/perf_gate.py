@@ -3,10 +3,10 @@
 Runs a pinned matrix of (dataset, predicate, algorithm) cases covering
 every hot path the micro-optimization work touches — the MergeOpt heap
 (``heap_merge``), the two-pass probe, the prefix-filter candidate scan,
-and the compressed-postings decode loop — and records each case's
-``work`` counter (heap pops + list touches + searches + generated and
-verified pairs) plus wall-clock into ``BENCH_serial.json`` at the repo
-root.
+and the compressed-postings decode loop (``index_backend=
+'mmap-varbyte'``) — and records each case's ``work`` counter (heap pops
++ list touches + searches + generated and verified pairs) plus
+wall-clock into ``BENCH_serial.json`` at the repo root.
 
 The baseline file holds two profiles: ``quick`` (n=500, the subset CI
 re-runs on every push) and ``full`` (n=2000, the whole matrix). With
@@ -63,14 +63,14 @@ machine-dependent and recorded for trend-watching only.
 With ``--mmap`` the gate covers the memory-mapped columnar index
 (:mod:`repro.storage.mmap_index`): every case runs the same join on
 all three substrates — the in-memory index, the zero-copy mapped
-columns (``index_backend='mmap'``), and the varbyte streaming-decode
-fallback — asserts the mapped run's matches are *bit-identical* to
-the in-memory run (pairs and similarities; the substrate contract)
-and the disk fallback agrees on pairs, then measures what the format
-exists for: ``SimilarityIndex.load(mmap=True)`` open time must stay
-under an absolute ceiling (open cost is O(directory), so the bound is
-noise-proof on any runner) and the bytes resident after a pinned
-query stream — directory plus touched postings, a deterministic
+columns (``index_backend='mmap'``), and the varbyte skip-block columns
+(``index_backend='mmap-varbyte'``, reported as ``disk_work``) —
+asserts both mapped runs' matches are *bit-identical* to the in-memory
+run (pairs and similarities; the substrate contract), then measures
+what the format exists for: ``SimilarityIndex.load(mmap=True)`` open
+time must stay under an absolute ceiling (open cost is O(directory), so
+the bound is noise-proof on any runner) and the bytes resident after a
+pinned query stream — directory plus touched postings, a deterministic
 counter, not an RSS sample — gates against ``BENCH_mmap.json`` like
 any other work counter.
 
@@ -128,7 +128,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from harness import BENCHMARK_SEED, dataset_by_name  # noqa: E402
 
 from repro import JaccardPredicate, OverlapPredicate, similarity_join  # noqa: E402
-from repro.compression.compressed_join import CompressedProbeJoin  # noqa: E402
 from repro.core.service import SimilarityIndex  # noqa: E402
 from repro.serving import IndexServer, ShardedIndexServer  # noqa: E402
 from repro.serving.transport import ShardServer  # noqa: E402
@@ -154,16 +153,17 @@ _PREDICATES = {
     "jaccard": JaccardPredicate,
 }
 
-#: (case-name, dataset, predicate, threshold, algorithm). Names are the
-#: join keys between baseline and fresh runs — never rename casually.
+#: (case-name, dataset, predicate, threshold, algorithm, index_backend).
+#: Names are the join keys between baseline and fresh runs — never
+#: rename casually.
 _CASES = [
-    ("heap-merge/citation-words/overlap-12", "citation-words", "overlap", 12, "probe-count-optmerge"),
-    ("heap-merge/citation-3grams/jaccard-0.7", "citation-3grams", "jaccard", 0.7, "probe-count-optmerge"),
-    ("two-pass/citation-words/overlap-12", "citation-words", "overlap", 12, "probe-count"),
-    ("online/address-3grams/overlap-30", "address-3grams", "overlap", 30, "probe-count-online"),
-    ("cluster/citation-words/overlap-15", "citation-words", "overlap", 15, "probe-cluster"),
-    ("prefix-filter/citation-words/overlap-12", "citation-words", "overlap", 12, "prefix-filter"),
-    ("compressed/citation-words/overlap-12", "citation-words", "overlap", 12, "probe-count-compressed"),
+    ("heap-merge/citation-words/overlap-12", "citation-words", "overlap", 12, "probe-count-optmerge", None),
+    ("heap-merge/citation-3grams/jaccard-0.7", "citation-3grams", "jaccard", 0.7, "probe-count-optmerge", None),
+    ("two-pass/citation-words/overlap-12", "citation-words", "overlap", 12, "probe-count", None),
+    ("online/address-3grams/overlap-30", "address-3grams", "overlap", 30, "probe-count-online", None),
+    ("cluster/citation-words/overlap-15", "citation-words", "overlap", 15, "probe-cluster", None),
+    ("prefix-filter/citation-words/overlap-12", "citation-words", "overlap", 12, "prefix-filter", None),
+    ("compressed/citation-words/overlap-12", "citation-words", "overlap", 12, "probe-count-optmerge", "mmap-varbyte"),
 ]
 
 #: Subset exercised under ``--quick`` (CI): one case per optimized module.
@@ -251,8 +251,8 @@ _SERVE_QUICK_CASES = {
 _SERVE_QUERIES = 64
 
 #: Mapped-index gate matrix: (case-name, dataset, predicate, threshold,
-#: algorithm). Each case joins on all three substrates (in-memory,
-#: mapped columns, varbyte streaming decode) and serves a pinned query
+#: algorithm). Each case joins on all three index backends (in-memory,
+#: mapped columns, mapped varbyte blocks) and serves a pinned query
 #: stream off a ``save(format='mmap')`` file.
 _MMAP_CASES = [
     ("mmap/optmerge/citation-words/overlap-12", "citation-words", "overlap", 12, "probe-count-optmerge"),
@@ -314,12 +314,9 @@ def _join_once(
     merge_backend=None,
     index_backend=None,
 ):
-    if algorithm == "probe-count-compressed":
-        instance = CompressedProbeJoin()
-    else:
-        from repro import make_algorithm
+    from repro import make_algorithm
 
-        instance = make_algorithm(algorithm)
+    instance = make_algorithm(algorithm)
     instance.bitmap_filter = bitmap_filter
     if merge_backend is not None:
         instance.merge_backend = merge_backend
@@ -328,10 +325,10 @@ def _join_once(
     return instance.join(dataset, predicate)
 
 
-def _run_case(dataset_name, predicate_name, threshold, algorithm, n):
+def _run_case(dataset_name, predicate_name, threshold, algorithm, index_backend, n):
     dataset = dataset_by_name(dataset_name, n)
     predicate = _PREDICATES[predicate_name](threshold)
-    result = _join_once(dataset, predicate, algorithm)
+    result = _join_once(dataset, predicate, algorithm, index_backend=index_backend)
     return {
         "work": result.counters.total_work(),
         "pairs": len(result.pairs),
@@ -548,34 +545,26 @@ def _run_serve_case(dataset_name, predicate_name, threshold, shards, n):
 
 
 def _run_mmap_case(dataset_name, predicate_name, threshold, algorithm, n):
-    """The same join on all three substrates + a mapped serving pass.
+    """The same join on all three index backends + a mapped serving pass.
 
-    The in-memory and mapped runs must be bit-identical (pairs *and*
-    similarities); the varbyte streaming-decode fallback must agree on
-    pairs. The serving pass measures open time (best of 3) and the
-    deterministic residency counter — directory bytes plus postings the
-    query stream touched — off a ``save(format='mmap')`` file.
+    The raw and varbyte mapped runs must both be bit-identical to the
+    in-memory run (pairs *and* similarities). The serving pass measures
+    open time (best of 3) and the deterministic residency counter —
+    directory bytes plus postings the query stream touched — off a
+    ``save(format='mmap')`` file.
     """
     import tempfile
-
-    from repro.storage.disk_index import DiskProbeJoin
 
     dataset = dataset_by_name(dataset_name, n)
     predicate = _PREDICATES[predicate_name](threshold)
     memory = _join_once(dataset, predicate, algorithm)
     mapped = _join_once(dataset, predicate, algorithm, index_backend="mmap")
-    disk = DiskProbeJoin().join(dataset, predicate)
-    memory_tuples = sorted(
-        (p.rid_a, p.rid_b, p.similarity) for p in memory.pairs
-    )
-    mapped_tuples = sorted(
-        (p.rid_a, p.rid_b, p.similarity) for p in mapped.pairs
-    )
-    disk_pairs = sorted((p.rid_a, p.rid_b) for p in disk.pairs)
-    pairs_match = (
-        mapped_tuples == memory_tuples
-        and disk_pairs == [(a, b) for a, b, _s in memory_tuples]
-    )
+    disk = _join_once(dataset, predicate, algorithm, index_backend="mmap-varbyte")
+
+    def tuples(result):
+        return sorted((p.rid_a, p.rid_b, p.similarity) for p in result.pairs)
+
+    pairs_match = tuples(mapped) == tuples(memory) == tuples(disk)
 
     service = SimilarityIndex(predicate)
     for record in dataset.records:
@@ -791,11 +780,11 @@ def run_profile(
                 f" {row['seconds']:.3f}s"
             )
     else:
-        for name, dataset_name, predicate_name, threshold, algorithm in _CASES:
+        for name, dataset_name, predicate_name, threshold, algorithm, backend in _CASES:
             if profile == "quick" and name not in _QUICK_CASES:
                 continue
             cases[name] = _run_case(
-                dataset_name, predicate_name, threshold, algorithm, n
+                dataset_name, predicate_name, threshold, algorithm, backend, n
             )
             print(
                 f"  {name:<45} work={cases[name]['work']:<12}"
@@ -956,9 +945,9 @@ def check_mmap(fresh: dict, baseline: dict, profile: str) -> list[str]:
     for name, row in fresh["cases"].items():
         if not row.get("pairs_match", True):
             failures.append(
-                f"{name}: the mapped join emitted different matches than"
-                " the in-memory or streaming-decode substrate (the mapped"
-                " columns are NOT a drop-in)"
+                f"{name}: a mapped join (raw or varbyte) emitted different"
+                " matches than the in-memory index (the mapped columns are"
+                " NOT a drop-in)"
             )
         if not row.get("serve_match", True):
             failures.append(
@@ -1217,8 +1206,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--mmap", action="store_true",
         help="run the mapped-index matrix against BENCH_mmap.json"
-        " (each case joins on the in-memory, mapped, and streaming-decode"
-        " substrates — matches must be bit-identical — and gates"
+        " (each case joins on the memory, mmap, and mmap-varbyte index"
+        " backends — matches must be bit-identical — and gates"
         " load(mmap=True) open time and post-query residency)",
     )
     parser.add_argument(

@@ -200,15 +200,16 @@ def _add_index_backend_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--index-backend", choices=INDEX_BACKENDS, default="memory",
         help="where the probe index lives: 'memory' (in-process, the"
-        " default) or 'mmap' (write-once on-disk columnar file probed"
-        " zero-copy through a memory mapping; needs a two-pass"
-        " algorithm such as probe-count-optmerge); results are"
-        " identical across backends",
+        " default), 'mmap' (write-once on-disk columnar file probed"
+        " zero-copy through a memory mapping) or 'mmap-varbyte' (the"
+        " same file with varbyte-compressed id blocks); the mapped"
+        " backends need a two-pass algorithm such as"
+        " probe-count-optmerge; results are identical across backends",
     )
     parser.add_argument(
         "--index-path", metavar="FILE", default=None,
-        help="with --index-backend mmap, keep the mapped index at FILE"
-        " instead of an unlinked temp file",
+        help="with a mapped --index-backend, keep the mapped index at"
+        " FILE instead of an unlinked temp file",
     )
 
 

@@ -9,9 +9,8 @@ those techniques from scratch:
 * :mod:`repro.compression.varbyte` — variable-byte codes,
 * :mod:`repro.compression.elias` — Elias gamma/delta bit-level codes,
 * :mod:`repro.compression.postings` — delta-encoded posting lists with
-  block skip pointers,
-* :mod:`repro.compression.compressed_join` — an online probe join over
-  a compressed index, for measuring the memory/CPU trade-off.
+  block skip pointers, which the ``index_backend='mmap-varbyte'`` join
+  index (:mod:`repro.storage.mmap_index`) stores as mapped regions.
 """
 
 from repro.compression.elias import (

@@ -84,12 +84,15 @@ class SetJoinAlgorithm(ABC):
     #: ``"mmap"`` lands the build pass in a write-once columnar file and
     #: probes it zero-copy through the mapping, so resident memory is
     #: the token directory plus touched postings instead of the full
-    #: index. Set via ``make_algorithm(..., index_backend=...)`` — the
-    #: same instance-attribute pattern as ``bitmap_filter`` and
+    #: index; ``"mmap-varbyte"`` stores the id columns as varbyte gap
+    #: skip blocks instead (the §4/§6 compressed footprint, decoded one
+    #: block per random access). Set via
+    #: ``make_algorithm(..., index_backend=...)`` — the same
+    #: instance-attribute pattern as ``bitmap_filter`` and
     #: ``merge_backend``, so it flows through ``similarity_join``, the
     #: parallel workers' algorithm specs, and the CLI unchanged. Only
-    #: two-pass builds can use it (``join()`` raises a clear error
-    #: otherwise); pairs are bit-identical across backends.
+    #: two-pass builds can use a mapped backend (``join()`` raises a
+    #: clear error otherwise); pairs are bit-identical across backends.
     index_backend: str = "memory"
 
     #: Optional explicit file path for the mapped index; ``None`` uses a
@@ -350,7 +353,7 @@ class SetJoinAlgorithm(ABC):
 
         The mapped index is write-once, so only algorithms with a
         separate full build pass can use it; overriders (Probe-Count's
-        two-pass variants) return True for ``"mmap"``.
+        two-pass variants) return True for the mapped backends.
         """
         return False
 
@@ -365,6 +368,56 @@ class SetJoinAlgorithm(ABC):
                 " needs a two-pass build (use probe-count,"
                 " probe-count-optmerge, or probe-count-stopwords)"
             )
+
+    def _build_full_index(
+        self,
+        dataset: Dataset,
+        bound: BoundPredicate,
+        counters: CostCounters,
+        rids: range,
+        keep=None,
+    ):
+        """Index records ``rids`` in one build pass; returns
+        ``(index, dispose)``.
+
+        ``keep`` optionally filters each record's ``(tokens, scores)``
+        before insertion (Probe-Count's stopwords variant). Under a
+        mapped ``index_backend`` the pass lands in a write-once columnar
+        file (varbyte id blocks for ``"mmap-varbyte"``) probed through
+        the mapping — build inserts are not charged to the memory budget
+        (the data leaves RAM); the opened index charges its directory
+        plus each posting list on first touch instead. ``dispose`` must
+        run when probing is done (closes the mapping and removes a temp
+        file).
+        """
+        from repro.storage.mmap_index import JoinIndexBuilder, resolve_index_backend
+
+        backend = resolve_index_backend(self.index_backend)
+        if backend != "memory":
+            builder = JoinIndexBuilder(
+                self.index_path, compressed=backend == "mmap-varbyte"
+            )
+            for rid in rids:
+                self._tick(counters)
+                tokens = dataset[rid]
+                scores = bound.cached_score_vector(rid)
+                if keep is not None:
+                    tokens, scores = keep(tokens, scores)
+                builder.insert(rid, tokens, scores, bound.norm(rid))
+            index = builder.finish(counters)
+            return index, index.dispose
+        index = ScoredInvertedIndex()
+        for rid in rids:
+            self._tick(counters)
+            tokens = dataset[rid]
+            scores = bound.cached_score_vector(rid)
+            if keep is not None:
+                tokens, scores = keep(tokens, scores)
+            index.insert(rid, tokens, scores, bound.norm(rid), counters)
+        # The build phase is over; freeze the columnar postings so the
+        # probe phase provably cannot mutate shared lists.
+        index.seal()
+        return index, _noop_dispose
 
     # ------------------------------------------------------------------
     # Merge-backend dispatch
@@ -468,14 +521,9 @@ class SetJoinAlgorithm(ABC):
         enforced here since the id spaces differ).
 
         ``context`` enables deadline/cancellation/memory checks per
-        probed record; checkpoint/resume is not supported here.
+        probed record; checkpoint/resume is not supported here. The
+        ``right`` side is indexed on the configured ``index_backend``.
         """
-        from repro.storage.mmap_index import resolve_index_backend
-
-        if resolve_index_backend(self.index_backend) != "memory":
-            raise ValueError(
-                "join_between does not support a mapped index backend"
-            )
         if left.vocabulary is not None and left.vocabulary is not right.vocabulary:
             raise ValueError(
                 "join_between needs both datasets built over the same vocabulary"
@@ -496,18 +544,12 @@ class SetJoinAlgorithm(ABC):
         if context is not None:
             context.start()
         start = time.perf_counter()
+        dispose = _noop_dispose
         try:
             offset = len(left)
-            index = ScoredInvertedIndex()
-            for rid in range(offset, len(combined)):
-                self._tick(counters)
-                index.insert(
-                    rid,
-                    combined[rid],
-                    bound.cached_score_vector(rid),
-                    bound.norm(rid),
-                    counters,
-                )
+            index, dispose = self._build_full_index(
+                combined, bound, counters, range(offset, len(combined))
+            )
             band = bound.band_filter()
             pairs: list[MatchPair] = []
             for rid in range(len(left)):
@@ -534,6 +576,7 @@ class SetJoinAlgorithm(ABC):
                     if ok:
                         pairs.append(MatchPair(rid, sid - offset, similarity))
         finally:
+            dispose()
             self._context = None
             self._merge_mode = None
             self._accumulator = None
@@ -546,6 +589,10 @@ class SetJoinAlgorithm(ABC):
             counters=counters,
             elapsed_seconds=elapsed,
         )
+
+
+def _noop_dispose() -> None:
+    """Nothing to release for the in-memory index."""
 
 
 def _band_accept(band, rid):

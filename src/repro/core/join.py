@@ -77,10 +77,11 @@ def make_algorithm(name: str, **kwargs):
     registry — accepts it uniformly. ``merge_backend=`` selects the
     probe-merge engine the same way (``"heap"``, ``"accumulator"``, or
     the adaptive default ``"auto"`` — see :mod:`repro.core.accumulator`).
-    ``index_backend=`` picks where the probe index lives (``"memory"``
-    or the zero-copy ``"mmap"`` columnar file of
-    :mod:`repro.storage.mmap_index`; ``index_path=`` pins the file
-    location instead of a temp file). Like the other knobs it is an
+    ``index_backend=`` picks where the probe index lives (``"memory"``,
+    the zero-copy ``"mmap"`` columnar file of
+    :mod:`repro.storage.mmap_index`, or ``"mmap-varbyte"``, the same
+    file with varbyte-compressed id blocks; ``index_path=`` pins the
+    file location instead of a temp file). Like the other knobs it is an
     instance attribute, so it flows through ``similarity_join`` and the
     parallel workers unchanged; algorithms without a two-pass build
     raise a clear error at ``join()`` time.

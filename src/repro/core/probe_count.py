@@ -70,55 +70,7 @@ class ProbeCountJoin(SetJoinAlgorithm):
     def _supports_index_backend(self, backend: str) -> bool:
         # online/sort insert as they go; the write-once mapped file
         # needs the full build pass the two-pass variants have.
-        return backend == "mmap" and self.variant in (
-            "basic",
-            "optmerge",
-            "stopwords",
-        )
-
-    def _build_full_index(
-        self,
-        dataset: Dataset,
-        bound: BoundPredicate,
-        counters: CostCounters,
-        keep=None,
-    ):
-        """One full build pass; returns ``(index, dispose)``.
-
-        ``keep`` optionally filters each record's ``(tokens, scores)``
-        before insertion (the stopwords variant). Under
-        ``index_backend="mmap"`` the pass lands in a write-once columnar
-        file probed zero-copy through the mapping — build inserts are
-        not charged to the memory budget (the data leaves RAM); the
-        opened index charges its directory plus each posting list on
-        first touch instead. ``dispose`` must run when probing is done
-        (closes the mapping and removes a temp file).
-        """
-        if self.index_backend == "mmap":
-            from repro.storage.mmap_index import JoinIndexBuilder
-
-            builder = JoinIndexBuilder(self.index_path)
-            for rid in range(len(dataset)):
-                self._tick(counters)
-                tokens = dataset[rid]
-                scores = bound.cached_score_vector(rid)
-                if keep is not None:
-                    tokens, scores = keep(tokens, scores)
-                builder.insert(rid, tokens, scores, bound.norm(rid))
-            index = builder.finish(counters)
-            return index, index.dispose
-        index = ScoredInvertedIndex()
-        for rid in range(len(dataset)):
-            self._tick(counters)
-            tokens = dataset[rid]
-            scores = bound.cached_score_vector(rid)
-            if keep is not None:
-                tokens, scores = keep(tokens, scores)
-            index.insert(rid, tokens, scores, bound.norm(rid), counters)
-        # The build phase is over; freeze the columnar postings so the
-        # probe phase provably cannot mutate shared lists.
-        index.seal()
-        return index, _noop_dispose
+        return self.variant in ("basic", "optmerge", "stopwords")
 
     # ------------------------------------------------------------------
     # Two-pass variants: basic / optmerge
@@ -127,7 +79,9 @@ class ProbeCountJoin(SetJoinAlgorithm):
     def _run_two_pass(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
-        index, dispose = self._build_full_index(dataset, bound, counters)
+        index, dispose = self._build_full_index(
+            dataset, bound, counters, range(len(dataset))
+        )
         try:
             band = bound.band_filter()
             pairs: list[MatchPair] = []
@@ -179,7 +133,9 @@ class ProbeCountJoin(SetJoinAlgorithm):
                     kept_scores.append(score)
             return kept_tokens, kept_scores
 
-        index, dispose = self._build_full_index(dataset, bound, counters, keep=keep)
+        index, dispose = self._build_full_index(
+            dataset, bound, counters, range(len(dataset)), keep=keep
+        )
         try:
             band = bound.band_filter()
             pairs: list[MatchPair] = []
@@ -306,10 +262,6 @@ class ProbeCountJoin(SetJoinAlgorithm):
                     )
             index.insert(position, tokens, scores, norm_r, counters)
         return pairs
-
-
-def _noop_dispose() -> None:
-    """Nothing to release for the in-memory index."""
 
 
 def _threshold_closure(bound: BoundPredicate, norm_r: float):

@@ -2,17 +2,16 @@
 
 * :class:`DiskRecordStore` — the "database" ClusterMem's second phase
   re-reads records from (§4.2), with fetch/seek accounting.
-* :class:`DiskInvertedIndex` / :class:`DiskProbeJoin` — a disk-resident
-  inverted index (the §6 Heinz & Zobel direction): varbyte-compressed
-  posting lists on disk, decoded per probe (streaming fallback).
-* :mod:`repro.storage.mmap_index` — the shared write-once columnar
-  format behind both: :class:`MappedInvertedIndex` serves postings
-  zero-copy off a memory mapping (``index_backend='mmap'``,
-  ``SimilarityIndex.save(format='mmap')``), :class:`MappedIndexWriter`
-  writes it, :class:`JoinIndexBuilder` builds one for a two-pass join.
+* :mod:`repro.storage.mmap_index` — the disk-resident inverted index
+  (the §6 Heinz & Zobel direction), a write-once columnar format:
+  :class:`MappedInvertedIndex` serves postings off a memory mapping —
+  raw columns zero-copy (``index_backend='mmap'``,
+  ``SimilarityIndex.save(format='mmap')``) or varbyte skip blocks
+  decoded per touched block (``index_backend='mmap-varbyte'``);
+  :class:`MappedIndexWriter` writes it, :class:`JoinIndexBuilder`
+  builds one for a two-pass join.
 """
 
-from repro.storage.disk_index import DiskInvertedIndex, DiskProbeJoin
 from repro.storage.mmap_index import (
     INDEX_BACKENDS,
     JoinIndexBuilder,
@@ -25,8 +24,6 @@ from repro.storage.mmap_index import (
 from repro.storage.record_store import DiskRecordStore
 
 __all__ = [
-    "DiskInvertedIndex",
-    "DiskProbeJoin",
     "DiskRecordStore",
     "INDEX_BACKENDS",
     "JoinIndexBuilder",

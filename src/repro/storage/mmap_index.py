@@ -96,8 +96,10 @@ _FLAG_BIG_ENDIAN = 4
 
 _BLOCK_SIZE = 64
 
-#: Valid values of the ``index_backend`` knob.
-INDEX_BACKENDS = ("memory", "mmap")
+#: Valid values of the ``index_backend`` knob: the in-RAM index, the
+#: zero-copy raw mapped columns, and the varbyte skip-block mapped
+#: columns (smaller file, one block decoded per random access).
+INDEX_BACKENDS = ("memory", "mmap", "mmap-varbyte")
 
 
 def resolve_index_backend(value) -> str:
@@ -131,8 +133,7 @@ class MappedIndexWriter:
     Args:
         path: final file location.
         scored: store a ``float64`` score column per token. Unit-score
-            indexes (``DiskInvertedIndex``) omit it; readers synthesize
-            constant 1.0 scores.
+            indexes omit it; readers synthesize constant 1.0 scores.
         compressed: varbyte gap-compress the id column into skip blocks
             instead of a raw ``int64`` column — smaller file, lazy
             per-block decode on read instead of zero-copy.
@@ -441,7 +442,6 @@ class MappedInvertedIndex:
         self.n_entries = 0
         self.n_entities = 0
         self.lists_read = 0
-        self.bytes_read = 0
         #: Entries whose columns have been touched at least once — the
         #: residency estimate the memory budget tracks (plus directory).
         self.touched_entries = 0
@@ -670,7 +670,6 @@ class MappedInvertedIndex:
             if self._counters is not None:
                 self._counters.index_entries += count
         self.lists_read += 1
-        self.bytes_read += length
         max_score = self._max_scores[i] if self.scored else 1.0
         if not self.compressed:
             ids = view[offset : offset + 8 * count].cast("q")
@@ -700,13 +699,6 @@ class MappedInvertedIndex:
             )
         ids = _BlockedIds(firsts, block_offsets, payload, count)
         return MappedPostingList(ids, scores, max_score)
-
-    def read_posting(self, token: int) -> list[int]:
-        """Decode one token's ids into a plain list (streaming callers)."""
-        plist = self.get(token)
-        if plist is None:
-            return []
-        return list(plist.ids)
 
     def probe_lists(
         self, tokens: Sequence[int], probe_scores: Sequence[float]
@@ -768,11 +760,6 @@ class MappedInvertedIndex:
         if self._owns_path and os.path.exists(self.path):
             os.remove(self.path)
 
-    def unlink(self) -> None:
-        self.close()
-        if os.path.exists(self.path):
-            os.remove(self.path)
-
     def __enter__(self) -> "MappedInvertedIndex":
         return self
 
@@ -796,6 +783,10 @@ class JoinIndexBuilder:
     are *not* counted against the memory budget (the builder is
     transient and the data lands on disk); the opened index counts
     directory + touched postings instead.
+
+    When every inserted score is exactly 1.0 the file omits the score
+    column (readers synthesize the constant), so unit-score predicates
+    pay for ids only — the §4/§6 compressed footprint.
     """
 
     def __init__(self, path: str | None = None, *, compressed: bool = False):
@@ -804,6 +795,7 @@ class JoinIndexBuilder:
         self._compressed = compressed
         self._ids: dict[int, array] = {}
         self._scores: dict[int, array] = {}
+        self._unit_scores = True
         self.min_norm = math.inf
         self.n_entities = 0
 
@@ -824,6 +816,8 @@ class JoinIndexBuilder:
                 score_columns[token] = array("d")
             id_column.append(entity_id)
             score_columns[token].append(score)
+            if score != 1.0:
+                self._unit_scores = False
         self.n_entities += 1
         if norm < self.min_norm:
             self.min_norm = norm
@@ -834,7 +828,9 @@ class JoinIndexBuilder:
         if path is None:
             fd, path = tempfile.mkstemp(prefix="repro-mmapindex-", suffix=".rpmx")
             os.close(fd)
-        writer = MappedIndexWriter(path, scored=True, compressed=self._compressed)
+        writer = MappedIndexWriter(
+            path, scored=not self._unit_scores, compressed=self._compressed
+        )
         try:
             for token, id_column in self._ids.items():
                 writer.add_posting(token, id_column, self._scores[token])

@@ -163,45 +163,3 @@ class TestCompressedPostingList:
             plist = CompressedPostingList(ids, block_size=rng.randint(1, 50))
             assert plist.decode() == ids
 
-
-class TestCompressedProbeJoin:
-    def test_equivalence_with_naive(self):
-        from repro import NaiveJoin, OverlapPredicate
-        from repro.compression.compressed_join import CompressedProbeJoin
-        from tests.conftest import random_dataset
-
-        data = random_dataset(seed=60)
-        predicate = OverlapPredicate(4)
-        truth = NaiveJoin().join(data, predicate).pair_set()
-        result = CompressedProbeJoin().join(data, predicate)
-        assert result.pair_set() == truth
-        assert result.counters.extra["index_bytes_compressed"] > 0
-
-    def test_jaccard_equivalence(self):
-        from repro import JaccardPredicate, NaiveJoin
-        from repro.compression.compressed_join import CompressedProbeJoin
-        from tests.conftest import random_dataset
-
-        data = random_dataset(seed=61)
-        predicate = JaccardPredicate(0.6)
-        truth = NaiveJoin().join(data, predicate).pair_set()
-        assert CompressedProbeJoin().join(data, predicate).pair_set() == truth
-
-    def test_rejects_weighted(self):
-        from repro import WeightedOverlapPredicate
-        from repro.compression.compressed_join import CompressedProbeJoin
-        from tests.conftest import random_dataset
-
-        with pytest.raises(ValueError):
-            CompressedProbeJoin().join(random_dataset(seed=62), WeightedOverlapPredicate(2.0))
-
-    def test_reports_footprints(self):
-        from repro import OverlapPredicate
-        from repro.compression.compressed_join import CompressedProbeJoin
-        from tests.conftest import random_dataset
-
-        data = random_dataset(seed=63, n_base=100)
-        result = CompressedProbeJoin().join(data, OverlapPredicate(4))
-        compressed = result.counters.extra["index_bytes_compressed"]
-        plain = result.counters.extra["index_bytes_plain"]
-        assert compressed < plain

@@ -15,11 +15,23 @@ from array import array
 
 import pytest
 
-from repro import Dataset, JaccardPredicate, OverlapPredicate
+from repro import (
+    CosinePredicate,
+    Dataset,
+    JaccardPredicate,
+    JoinCancelled,
+    JoinCheckpointer,
+    JoinContext,
+    JoinTimeout,
+    NaiveJoin,
+    OverlapPredicate,
+    WeightedOverlapPredicate,
+)
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.join import make_algorithm, similarity_join
 from repro.core.service import SimilarityIndex
 from repro.runtime.errors import ReadOnlyIndex, SnapshotCorrupted
+from repro.runtime.faults import CountdownCancellation, FakeClock
 from repro.storage.mmap_index import (
     JoinIndexBuilder,
     MappedIndexWriter,
@@ -68,7 +80,6 @@ class TestRoundtrip:
                 assert plist.sealed
                 assert len(plist) == len(ids)
             assert index.get(99) is None
-            assert index.read_posting(20) == POSTINGS[20][0]
 
     @pytest.mark.parametrize("compressed", [False, True])
     def test_id_column_sequence_surface(self, tmp_path, compressed):
@@ -298,7 +309,7 @@ class TestCorruption:
         try:
             with pytest.raises(SnapshotCorrupted):
                 index.get(3)
-            assert index.read_posting(7) == POSTINGS[7][0]
+            assert list(index.get(7).ids) == POSTINGS[7][0]
         finally:
             index.close()
 
@@ -362,6 +373,43 @@ class TestJoinIndexBuilder:
         finally:
             mapped.dispose()
 
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_score_column_only_when_needed(self, compressed):
+        unit = JoinIndexBuilder(compressed=compressed)
+        unit.insert(0, (1, 2), (1.0, 1.0), 2.0)
+        unit.insert(1, (2,), (1.0,), 1.0)
+        weighted = JoinIndexBuilder(compressed=compressed)
+        weighted.insert(0, (1, 2), (1.0, 1.0), 2.0)
+        weighted.insert(1, (2,), (0.5,), 0.5)
+        unit_index, weighted_index = unit.finish(), weighted.finish()
+        try:
+            assert not unit_index.scored
+            assert list(unit_index.get(2).scores) == [1.0, 1.0]
+            assert weighted_index.scored
+            assert list(weighted_index.get(2).scores) == [1.0, 0.5]
+            assert weighted_index.get(2).max_score == 1.0
+            assert os.path.getsize(unit_index.path) < os.path.getsize(
+                weighted_index.path
+            )
+        finally:
+            unit_index.dispose()
+            weighted_index.dispose()
+
+    def test_varbyte_file_smaller_than_raw(self):
+        data = random_dataset(seed=49, n_base=100)
+        bound = OverlapPredicate(4).bind(data)
+        sizes = {}
+        for compressed in (False, True):
+            builder = JoinIndexBuilder(compressed=compressed)
+            for rid in range(len(data)):
+                builder.insert(
+                    rid, data[rid], bound.cached_score_vector(rid), bound.norm(rid)
+                )
+            index = builder.finish()
+            sizes[compressed] = os.path.getsize(index.path)
+            index.dispose()
+        assert sizes[True] < sizes[False]
+
     def test_temp_file_removed_on_dispose(self):
         builder = JoinIndexBuilder()
         builder.insert(0, (1, 2), (1.0, 1.0), 2.0)
@@ -394,6 +442,7 @@ class TestIndexBackendKnob:
         assert resolve_index_backend(None) == "memory"
         assert resolve_index_backend("memory") == "memory"
         assert resolve_index_backend("mmap") == "mmap"
+        assert resolve_index_backend("mmap-varbyte") == "mmap-varbyte"
         with pytest.raises(ValueError, match="unknown index backend"):
             resolve_index_backend("disk")
 
@@ -414,17 +463,34 @@ class TestIndexBackendKnob:
             "positional-filter",
         ],
     )
-    def test_unsupported_algorithms_raise_at_join(self, algorithm):
+    @pytest.mark.parametrize("backend", ["mmap", "mmap-varbyte"])
+    def test_unsupported_algorithms_raise_at_join(self, algorithm, backend):
         data = Dataset([(0, 1), (1, 2)])
-        algo = make_algorithm(algorithm, index_backend="mmap")
+        algo = make_algorithm(algorithm, index_backend=backend)
         with pytest.raises(ValueError, match="does not support index_backend"):
             algo.join(data, OverlapPredicate(1))
 
-    def test_join_between_rejects_mmap(self):
-        data = Dataset([(0, 1), (1, 2)])
-        algo = make_algorithm("probe-count-optmerge", index_backend="mmap")
-        with pytest.raises(ValueError, match="join_between"):
-            algo.join_between(data, data, OverlapPredicate(1))
+    @pytest.mark.parametrize(
+        "predicate",
+        [OverlapPredicate(3), JaccardPredicate(0.5)],
+        ids=["overlap", "jaccard"],
+    )
+    def test_join_between_backends_bit_identical(self, predicate):
+        # Same seed: the sides share a prefix of records, so the join
+        # has matches under both predicates.
+        left = random_dataset(seed=44, n_base=30)
+        right = random_dataset(seed=44, n_base=40)
+        answers = {}
+        for backend in ("memory", "mmap", "mmap-varbyte"):
+            algo = make_algorithm("probe-count-optmerge", index_backend=backend)
+            result = algo.join_between(left, right, predicate)
+            answers[backend] = (
+                sorted((p.rid_a, p.rid_b, p.similarity) for p in result.pairs),
+                result.counters.total_work(),
+            )
+        assert answers["memory"][0]
+        assert answers["mmap"] == answers["memory"]
+        assert answers["mmap-varbyte"] == answers["memory"]
 
     def test_index_path_pins_the_file(self, tmp_path):
         data = random_dataset(seed=42, n_base=20)
@@ -454,6 +520,68 @@ class TestIndexBackendKnob:
             index_backend="mmap",
         )
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("backend", ["mmap", "mmap-varbyte"])
+class TestMappedJoinRuntime:
+    """The mapped backends run through the shared two-pass scan loop
+    (``_drive``), so they get its deadline, checkpoint/resume and
+    weighted-predicate support."""
+
+    def test_interrupt_then_resume_equals_uninterrupted(self, tmp_path, backend):
+        data = random_dataset(seed=46, n_base=40)
+        predicate = OverlapPredicate(3)
+        truth = make_algorithm("probe-count-optmerge").join(data, predicate)
+        directory = str(tmp_path / "ckpt")
+        killed = JoinContext(
+            # len(data) build ticks, then a few records into the probe scan.
+            cancel_token=CountdownCancellation(after_checks=len(data) + 15),
+            checkpointer=JoinCheckpointer(directory, interval_records=7),
+        )
+        algo = make_algorithm("probe-count-optmerge", index_backend=backend)
+        with pytest.raises(JoinCancelled):
+            algo.join(data, predicate, context=killed)
+        assert JoinCheckpointer(directory).load().position >= 0
+        resume = JoinContext(checkpointer=JoinCheckpointer(directory))
+        resumed = algo.join(data, predicate, context=resume)
+        assert sorted(resumed.pairs) == sorted(truth.pairs)
+        assert len(resumed.pairs) == len(truth.pairs)
+
+    def test_deadline_raises_typed_error_and_cleans_up(
+        self, tmp_path, monkeypatch, backend
+    ):
+        import tempfile as _tempfile
+
+        monkeypatch.setattr(_tempfile, "tempdir", str(tmp_path))
+        data = random_dataset(seed=47, n_base=40)
+        context = JoinContext(
+            # One clock read per tick: expires inside the probe scan.
+            deadline_seconds=float(len(data) + 10),
+            clock=FakeClock(auto_advance=1.0),
+        )
+        algo = make_algorithm("probe-count-optmerge", index_backend=backend)
+        with pytest.raises(JoinTimeout):
+            algo.join(data, OverlapPredicate(3), context=context)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            WeightedOverlapPredicate(
+                2.0, weights=lambda token: 0.5 + (token % 4) / 2
+            ),
+            CosinePredicate(0.7),
+        ],
+        ids=["weighted-overlap", "cosine"],
+    )
+    def test_weighted_predicates_equal_naive(self, predicate, backend):
+        data = random_dataset(seed=48, n_base=50)
+        truth = NaiveJoin().join(data, predicate)
+        result = make_algorithm(
+            "probe-count-optmerge", index_backend=backend
+        ).join(data, predicate)
+        assert truth.pairs
+        assert sorted(result.pairs) == sorted(truth.pairs)
 
 
 class TestMappedViews:

@@ -198,22 +198,6 @@ class TestUnitScoreContract:
         with pytest.raises(ValueError, match="unit-score"):
             factory().join(data, predicate)
 
-    def test_late_non_unit_scores_rejected_by_compressed_join(self):
-        from repro.compression.compressed_join import CompressedProbeJoin
-
-        data, predicate = self._late_weighted_setup()
-        with pytest.raises(ValueError, match="unit-score"):
-            CompressedProbeJoin().join(data, predicate)
-
-    def test_late_non_unit_scores_rejected_by_disk_index(self, tmp_path):
-        from repro.storage.disk_index import DiskInvertedIndex
-
-        data, predicate = self._late_weighted_setup()
-        with pytest.raises(ValueError, match="unit-score"):
-            DiskInvertedIndex.build(
-                data, predicate.bind(data), str(tmp_path / "idx.bin")
-            )
-
     def test_all_unit_weights_accepted(self):
         # The full scan is a gate, not a ban: explicitly unit weights
         # pass even without the static unit_scores declaration.
