@@ -4,34 +4,34 @@ The heap merges of :mod:`repro.core.heap_merge` and
 :mod:`repro.core.merge_opt` pay per-element ``heapq`` overhead — a
 tuple allocation, a comparison cascade, and a sift per posting entry.
 When the probe's lists are long, counting is cheaper than merging: scan
-each list once and accumulate every entity's weight into one flat
-``array('d')`` indexed by entity id. This module implements that
-backend with the same contracts as the heap functions:
+each list once and accumulate every entity's weight keyed by entity id.
+This module implements that backend with the same contracts as the heap
+functions:
 
 * :func:`accumulate_merge` ≡ :func:`~repro.core.heap_merge.heap_merge`
 * :func:`accumulate_merge_opt` ≡ :func:`~repro.core.merge_opt.merge_opt`
 
-**Epoch stamping.** A :class:`ScoreAccumulator` owns the weight array
-plus a parallel ``array('q')`` of epoch stamps. Each probe bumps the
-epoch; a slot whose stamp is stale is treated as zero and overwritten
-on first touch. Buffers are therefore reused across probes *without
-clearing* — O(candidates) per probe, not O(capacity) — which is what
-makes a per-join (or per-server-worker) accumulator sized to the
-entity-id space affordable.
-
-**Sparse fallback.** When no accumulator is supplied, or the probe's
-ids fall outside the dense capacity (ephemeral/unbounded id spaces,
-e.g. unseen query tokens assigned ids past the vocabulary), the scan
-transparently falls back to a per-probe dict. Same results, no sizing
-contract.
+**Two scans, both driven by CPython builtins.** When every contribution
+of a probe is exactly 1.0 — probe score 1.0 and every list's score
+range pinned to ``[1.0, 1.0]`` by its ``min_score``/``max_score`` — the
+weight of an entity is the number of lists holding it, so the scan is
+one C-level ``Counter`` over the chained id columns and the weight is
+``float(count)`` (bit-identical to summing 1.0s). Weighted probes sum
+``probe_score * score`` into a dict. Either way the optional ``accept``
+filter depends only on the entity, so it runs once per distinct entity
+(``filter`` over the keys), not once per posting.
 
 **Rare-word skip path.** :func:`accumulate_merge_opt` reuses
 :func:`~repro.core.merge_opt.split_lists` (§3.1 Algorithm 1): only the
-short S lists are scanned into the accumulator; candidates are then
-completed against the long L lists smallest-first with a galloping
-(doubling) binary search and the same early-termination bound the heap
-path uses. Gallop bracket steps are reported as
-``counters.gallop_steps``.
+short S lists are scanned; candidates are then completed against the
+long L lists smallest-first with the same early-termination bound the
+heap path uses. Each completion search is a C ``bisect_left`` resuming
+at the list's frontier (a mapped varbyte column supplies its own
+``bisect_from`` that bisects the block-first column and decodes one
+block). ``counters.gallop_steps`` reports the bracket doublings a
+galloping search from the same frontier would take —
+``(d - 1).bit_length()`` for a jump of ``d > 1`` positions — so the
+counter is an exact function of the positions found.
 
 **Result identity.** For a given entity, both backends sum the same
 contributions in the same order — the heap pops equal RIDs in
@@ -45,15 +45,18 @@ Counter mapping: ``list_items_touched``, ``candidates_checked`` and
 take identical values, so ``total_work()`` stays comparable; the heap
 counters (``heap_pops``/``heap_pushes``) stay zero — that delta *is*
 the measured saving. The accumulator's own raw volumes are reported
-separately as ``accum_scans``/``accum_writes`` (excluded from
-``total_work()``, see :class:`~repro.utils.counters.CostCounters`).
+separately as ``accum_scans`` (postings scanned) and ``accum_writes``
+(distinct accepted entities), both excluded from ``total_work()``, see
+:class:`~repro.utils.counters.CostCounters`.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Callable
+from functools import partial
+from itertools import chain
 
 from repro.core.inverted_index import PostingList
 from repro.core.merge_opt import split_lists
@@ -63,7 +66,6 @@ from repro.utils.counters import CostCounters
 __all__ = [
     "AUTO_MIN_ENTRIES",
     "MERGE_BACKENDS",
-    "ScoreAccumulator",
     "accumulate_merge",
     "accumulate_merge_opt",
     "resolve_merge_backend",
@@ -100,47 +102,8 @@ def use_accumulator(backend: str, lists: list[tuple[PostingList, float]]) -> boo
         return True
     total = 0
     for plist, _probe_score in lists:
-        total += len(plist)
+        total += len(plist.ids)
     return total >= AUTO_MIN_ENTRIES
-
-
-class ScoreAccumulator:
-    """Reusable dense weight buffer: ``weights[id]`` + epoch stamps.
-
-    Args:
-        capacity: number of entity-id slots; size to the join's entity
-            count (record/position/cluster ids all stay below it). Can
-            grow later via :meth:`ensure`.
-
-    One accumulator belongs to one join execution or one server worker
-    thread — it is deliberately *not* thread-safe; concurrent probes
-    each need their own (they are small: 16 bytes per slot).
-    """
-
-    __slots__ = ("weights", "epochs", "epoch")
-
-    def __init__(self, capacity: int = 0):
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.weights: array = array("d", bytes(8 * capacity))
-        self.epochs: array = array("q", bytes(8 * capacity))
-        self.epoch: int = 0
-
-    @property
-    def capacity(self) -> int:
-        return len(self.weights)
-
-    def ensure(self, capacity: int) -> None:
-        """Grow to at least ``capacity`` slots (never shrinks)."""
-        grow = capacity - len(self.weights)
-        if grow > 0:
-            self.weights.frombytes(bytes(8 * grow))
-            self.epochs.frombytes(bytes(8 * grow))
-
-    def begin(self) -> int:
-        """Start a new probe: invalidates all slots in O(1)."""
-        self.epoch += 1
-        return self.epoch
 
 
 def accumulate_merge(
@@ -148,7 +111,6 @@ def accumulate_merge(
     threshold_of: Callable[[int], float],
     counters: CostCounters,
     accept: Callable[[int], bool] | None = None,
-    acc: ScoreAccumulator | None = None,
 ) -> list[tuple[int, float]]:
     """Merge posting lists by counting; same contract as ``heap_merge``.
 
@@ -157,8 +119,6 @@ def accumulate_merge(
         threshold_of: maps an entity id to its pair threshold ``T(r, s)``.
         counters: work counters to update.
         accept: optional id-level filter; filtered ids are skipped.
-        acc: dense buffer to accumulate into; ``None`` (or ids outside
-            its capacity) selects the sparse dict fallback.
 
     Returns candidates with ``weight >= T(r, s) - eps`` in increasing id
     order — the same candidates, with bit-identical weights, that
@@ -166,14 +126,8 @@ def accumulate_merge(
     """
     if not lists:
         return []
-    touched, weights = _scan_lists(lists, accept, acc, counters)
-    candidates: list[tuple[int, float]] = []
-    append = candidates.append
-    for entity in touched:
-        weight = weights[entity]
-        if weight >= threshold_of(entity) - WEIGHT_EPS:
-            append((entity, weight))
-    return candidates
+    touched, weights = _scan_lists(lists, accept, counters)
+    return _reaching(touched, weights, threshold_of)
 
 
 def accumulate_merge_opt(
@@ -182,51 +136,75 @@ def accumulate_merge_opt(
     threshold_of: Callable[[int], float],
     counters: CostCounters,
     accept: Callable[[int], bool] | None = None,
-    acc: ScoreAccumulator | None = None,
 ) -> list[tuple[int, float]]:
     """Threshold-optimized counting merge; same contract as ``merge_opt``.
 
-    S lists (short) are scanned into the accumulator; each touched
-    entity is then completed against the L lists (long) smallest-first
-    with galloping searches, bailing out early once even full
-    membership in the remaining L lists cannot reach ``T(r, m)`` —
-    exactly Algorithm 1 steps 8–11, with the heap replaced by the scan.
+    S lists (short) are scanned; each touched entity is then completed
+    against the L lists (long) smallest-first with frontier-resuming
+    binary searches, bailing out early once even full membership in the
+    remaining L lists cannot reach ``T(r, m)`` — exactly Algorithm 1
+    steps 8–11, with the heap replaced by the scan.
     """
     if not lists:
         return []
     ordered, cumulative, k = split_lists(lists, index_threshold)
-    small = ordered[k:]
-    if not small:
+    if k == len(ordered):
         # Entities appearing only in L lists cannot reach the threshold.
         return []
-    large = ordered[:k]
-    touched, weights = _scan_lists(small, accept, acc, counters)
+    touched, weights = _scan_lists(ordered[k:], accept, counters)
+    if k == 0:
+        return _reaching(touched, weights, threshold_of)
 
-    # Per-L-list search frontiers: touched ids are visited in increasing
-    # order, so each gallop resumes where the previous one ended.
+    # Per-L-list search state: touched ids are visited in increasing
+    # order, so each search resumes where the previous one ended.
+    search = []
+    ids_of = []
+    scores_of = []
+    probe_of = []
+    sizes = []
+    for plist, probe_score in ordered[:k]:
+        ids = plist.ids
+        bisect_from = getattr(ids, "bisect_from", None)
+        search.append(bisect_from or partial(bisect_left, ids))
+        ids_of.append(ids)
+        scores_of.append(plist.scores)
+        probe_of.append(probe_score)
+        sizes.append(len(ids))
     search_from = [0] * k
+    first_bound = cumulative[k - 1]
     searches = 0
     gallop_steps = 0
     candidates: list[tuple[int, float]] = []
     append = candidates.append
-    for entity in touched:
-        weight = weights[entity]
-        pair_threshold = threshold_of(entity)
-        for i in range(k - 1, -1, -1):
-            if weight + cumulative[i] < pair_threshold - WEIGHT_EPS:
-                break
-            plist, probe_score = large[i]
-            searches += 1
-            ids = plist.ids
-            position, steps = _gallop_from(ids, entity, search_from[i])
-            gallop_steps += steps
-            search_from[i] = position
-            if position < len(ids) and ids[position] == entity:
-                weight += probe_score * plist.scores[position]
-        if weight >= pair_threshold - WEIGHT_EPS:
-            append((entity, weight))
+    for entity, weight in zip(touched, map(weights.__getitem__, touched)):
+        limit = threshold_of(entity) - WEIGHT_EPS
+        if weight + first_bound >= limit:
+            for i in range(k - 1, -1, -1):
+                if weight + cumulative[i] < limit:
+                    break
+                searches += 1
+                frontier = search_from[i]
+                position = search[i](entity, frontier)
+                jump = position - frontier
+                if jump > 1:
+                    gallop_steps += (jump - 1).bit_length()
+                search_from[i] = position
+                if position < sizes[i] and ids_of[i][position] == entity:
+                    weight += probe_of[i] * scores_of[i][position]
+        if weight >= limit:
+            append((entity, float(weight)))
     counters.binary_searches += searches
     counters.gallop_steps += gallop_steps
+    return candidates
+
+
+def _reaching(touched, weights, threshold_of) -> list[tuple[int, float]]:
+    """The touched entities whose scanned weight reaches ``T(r, s)``."""
+    candidates: list[tuple[int, float]] = []
+    append = candidates.append
+    for entity, weight in zip(touched, map(weights.__getitem__, touched)):
+        if weight >= threshold_of(entity) - WEIGHT_EPS:
+            append((entity, float(weight)))
     return candidates
 
 
@@ -235,120 +213,42 @@ def accumulate_merge_opt(
 # ----------------------------------------------------------------------
 
 
-def _scan_lists(lists, accept, acc, counters):
+def _scan_lists(lists, accept, counters):
     """Accumulate every list entry; returns (sorted touched ids, weights).
 
-    ``weights`` supports ``[entity]`` lookup for exactly the returned
-    ids (dense array or fallback dict). Counter updates happen here —
-    once, after the scan, so the dense → sparse fallback never double
-    counts.
+    ``weights`` maps each returned id to its accumulated weight — an int
+    count on the unit path (callers emit ``float(count)``), a float sum
+    otherwise. Rejected ids may also hold weights; only the returned ids
+    are ever read.
     """
-    if acc is not None and _fits_dense(lists, acc.capacity):
-        return _scan_dense(lists, accept, acc, counters)
-    return _scan_sparse(lists, accept, counters)
-
-
-def _fits_dense(lists, capacity: int) -> bool:
-    """Do all ids land inside the dense buffer? Ids are sorted, so the
-    first/last entry of each list bound the whole list."""
-    for plist, _probe_score in lists:
-        ids = plist.ids
-        if ids and (ids[0] < 0 or ids[-1] >= capacity):
-            return False
-    return True
-
-
-def _scan_dense(lists, accept, acc, counters):
-    epoch = acc.begin()
-    weights = acc.weights
-    epochs = acc.epochs
-    touched: list[int] = []
-    touched_append = touched.append
     scans = 0
-    accepted = 0
+    unit = True
     for plist, probe_score in lists:
-        ids = plist.ids
-        scans += len(ids)
-        if accept is None:
-            accepted += len(ids)
-            for entity, score in zip(ids, plist.scores):
-                if epochs[entity] == epoch:
-                    weights[entity] += probe_score * score
-                else:
-                    epochs[entity] = epoch
-                    weights[entity] = probe_score * score
-                    touched_append(entity)
-        else:
-            for entity, score in zip(ids, plist.scores):
-                if not accept(entity):
-                    continue
-                accepted += 1
-                if epochs[entity] == epoch:
-                    weights[entity] += probe_score * score
-                else:
-                    epochs[entity] = epoch
-                    weights[entity] = probe_score * score
-                    touched_append(entity)
-    touched.sort()
+        scans += len(plist.ids)
+        if unit and not (
+            probe_score == 1.0 and plist.min_score == 1.0 and plist.max_score == 1.0
+        ):
+            unit = False
+    columns = [plist.ids for plist, _probe_score in lists]
+    counts = None
+    if unit:
+        weights = counts = Counter(chain.from_iterable(columns))
+    else:
+        weights = {}
+        get = weights.get
+        for plist, probe_score in lists:
+            for entity, score in zip(plist.ids, plist.scores):
+                weights[entity] = get(entity, 0.0) + probe_score * score
+    if accept is None:
+        touched = sorted(weights)
+        accepted = scans
+    else:
+        touched = sorted(filter(accept, weights))
+        if counts is None:
+            counts = Counter(chain.from_iterable(columns))
+        accepted = sum(map(counts.__getitem__, touched))
     counters.accum_scans += scans
     counters.accum_writes += len(touched)
     counters.list_items_touched += accepted
     counters.candidates_checked += len(touched)
     return touched, weights
-
-
-def _scan_sparse(lists, accept, counters):
-    weights: dict[int, float] = {}
-    scans = 0
-    accepted = 0
-    for plist, probe_score in lists:
-        ids = plist.ids
-        scans += len(ids)
-        if accept is None:
-            accepted += len(ids)
-            for entity, score in zip(ids, plist.scores):
-                if entity in weights:
-                    weights[entity] += probe_score * score
-                else:
-                    weights[entity] = probe_score * score
-        else:
-            for entity, score in zip(ids, plist.scores):
-                if not accept(entity):
-                    continue
-                accepted += 1
-                if entity in weights:
-                    weights[entity] += probe_score * score
-                else:
-                    weights[entity] = probe_score * score
-    touched = sorted(weights)
-    counters.accum_scans += scans
-    counters.accum_writes += len(touched)
-    counters.list_items_touched += accepted
-    counters.candidates_checked += len(touched)
-    return touched, weights
-
-
-def _gallop_from(items, target: int, start: int) -> tuple[int, int]:
-    """Counting twin of :func:`repro.utils.search.gallop_search_from`.
-
-    Returns ``(insertion point, bracket-doubling steps)``; the position
-    is identical to the utils version (a property test pins this), the
-    step count feeds ``counters.gallop_steps``.
-    """
-    n = len(items)
-    if start >= n:
-        return n, 0
-    if items[start] >= target:
-        return start, 0
-    step = 1
-    lo = start
-    hi = start + step
-    steps = 0
-    while hi < n and items[hi] < target:
-        lo = hi
-        step <<= 1
-        hi = start + step
-        steps += 1
-    if hi >= n:
-        hi = n
-    return bisect_left(items, target, lo + 1, hi), steps

@@ -25,7 +25,6 @@ import time
 from abc import ABC, abstractmethod
 
 from repro.core.accumulator import (
-    ScoreAccumulator,
     accumulate_merge,
     accumulate_merge_opt,
     resolve_merge_backend,
@@ -99,11 +98,10 @@ class SetJoinAlgorithm(ABC):
     #: ``mkstemp`` temp file removed when the join finishes.
     index_path: str | None = None
 
-    # Per-run merge state: the resolved backend string and the dense
-    # accumulator buffer, armed by join()/join_between() and shared by
-    # every probe of one execution via _merge_lists/_merge_opt_lists.
+    # Per-run merge state: the backend string resolved by join()/
+    # join_between() and read by every probe of one execution via
+    # _merge_lists/_merge_opt_lists.
     _merge_mode: str | None = None
-    _accumulator: ScoreAccumulator | None = None
 
     # Shard window over the driven scan, set by set_shard_window() and
     # consumed by _drive(). Positions before the window are replayed
@@ -145,7 +143,7 @@ class SetJoinAlgorithm(ABC):
         bound = predicate.bind(dataset)
         counters = CostCounters()
         restored = self._install_runtime(dataset, predicate, context, counters)
-        self._arm_merge_backend(len(dataset))
+        self._merge_mode = resolve_merge_backend(self.merge_backend)
         config = resolve_bitmap_filter(self.bitmap_filter)
         if config is not None:
             self._bitmap = BitmapPruner.for_join(bound, config, counters)
@@ -248,7 +246,6 @@ class SetJoinAlgorithm(ABC):
         self._restored_pairs = []
         self._bitmap = None
         self._merge_mode = None
-        self._accumulator = None
 
     def _tick(self, counters: CostCounters) -> None:
         """Record-granularity runtime check (no checkpoint handling).
@@ -423,22 +420,9 @@ class SetJoinAlgorithm(ABC):
     # Merge-backend dispatch
     # ------------------------------------------------------------------
 
-    def _arm_merge_backend(self, n_entities: int) -> None:
-        """Resolve the knob and size the dense buffer for one execution.
-
-        ``n_entities`` is the entity-id bound: record ids, processing
-        positions and cluster ids are all below the record count, so
-        one buffer of that size serves every probe of the join. Ids
-        outside it (never the case for the built-in drivers) fall back
-        to the sparse path inside the accumulator.
-        """
-        self._merge_mode = resolve_merge_backend(self.merge_backend)
-        if self._merge_mode != "heap" and n_entities > 0:
-            self._accumulator = ScoreAccumulator(n_entities)
-
     def _merge_mode_of(self) -> str:
-        # Resolved at arm time; algorithms driven outside join() (unit
-        # tests calling _run directly) resolve lazily and run sparse.
+        # Resolved at join start; algorithms driven outside join() (unit
+        # tests calling _run directly) resolve lazily.
         mode = self._merge_mode
         if mode is None:
             mode = resolve_merge_backend(self.merge_backend)
@@ -447,9 +431,7 @@ class SetJoinAlgorithm(ABC):
     def _merge_lists(self, lists, threshold_of, counters, accept=None):
         """Backend-dispatched ``heap_merge``-contract merge."""
         if use_accumulator(self._merge_mode_of(), lists):
-            return accumulate_merge(
-                lists, threshold_of, counters, accept, acc=self._accumulator
-            )
+            return accumulate_merge(lists, threshold_of, counters, accept)
         return heap_merge(lists, threshold_of, counters, accept)
 
     def _merge_opt_lists(
@@ -458,8 +440,7 @@ class SetJoinAlgorithm(ABC):
         """Backend-dispatched ``merge_opt``-contract merge."""
         if use_accumulator(self._merge_mode_of(), lists):
             return accumulate_merge_opt(
-                lists, index_threshold, threshold_of, counters, accept,
-                acc=self._accumulator,
+                lists, index_threshold, threshold_of, counters, accept
             )
         return merge_opt(lists, index_threshold, threshold_of, counters, accept)
 
@@ -540,7 +521,7 @@ class SetJoinAlgorithm(ABC):
         bound = predicate.bind(combined)
         counters = CostCounters()
         self._context = context
-        self._arm_merge_backend(len(combined))
+        self._merge_mode = resolve_merge_backend(self.merge_backend)
         if context is not None:
             context.start()
         start = time.perf_counter()
@@ -560,9 +541,7 @@ class SetJoinAlgorithm(ABC):
                     continue
                 norm_r = bound.norm(rid)
                 index_threshold = bound.index_threshold(norm_r, index.min_norm)
-                accept = None
-                if band is not None:
-                    accept = _band_accept(band, rid)
+                accept = band.acceptor(rid) if band is not None else None
                 candidates = self._merge_opt_lists(
                     lists,
                     index_threshold,
@@ -579,7 +558,6 @@ class SetJoinAlgorithm(ABC):
             dispose()
             self._context = None
             self._merge_mode = None
-            self._accumulator = None
         elapsed = time.perf_counter() - start
         counters.pairs_output = len(pairs)
         return JoinResult(
@@ -593,15 +571,3 @@ class SetJoinAlgorithm(ABC):
 
 def _noop_dispose() -> None:
     """Nothing to release for the in-memory index."""
-
-
-def _band_accept(band, rid):
-    """Closure factory for the in-merge band filter."""
-    keys = band.keys
-    radius = band.radius + 1e-12
-    key_r = keys[rid]
-
-    def accept(sid: int) -> bool:
-        return abs(keys[sid] - key_r) <= radius
-
-    return accept

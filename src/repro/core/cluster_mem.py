@@ -382,14 +382,7 @@ class ClusterMemJoin(SetJoinAlgorithm):
         def threshold_of(pos: int) -> float:
             return bound.threshold(norm_r, bound.norm(order[pos]))
 
-        accept = None
-        if band is not None:
-            keys = band.keys
-            radius = band.radius + 1e-12
-            key_r = keys[rid]
-
-            def accept(pos: int) -> bool:
-                return abs(keys[order[pos]] - key_r) <= radius
+        accept = band.acceptor(rid, order) if band is not None else None
 
         index_threshold = bound.index_threshold(norm_r, cluster_index.min_norm)
         candidates = merge_opt(lists, index_threshold, threshold_of, counters, accept)

@@ -41,12 +41,15 @@ class PostingList:
     share across probe threads and snapshot without copying.
     """
 
-    __slots__ = ("ids", "scores", "max_score", "sealed")
+    __slots__ = ("ids", "scores", "max_score", "min_score", "sealed")
 
     def __init__(self):
         self.ids: array = array("q")
         self.scores: array = array("d")
         self.max_score: float = 0.0
+        #: A lower bound on every score (exact unless a score was raised
+        #: in place); ``min_score == max_score == 1.0`` proves a unit list.
+        self.min_score: float = math.inf
         self.sealed: bool = False
 
     def __len__(self) -> int:
@@ -70,6 +73,8 @@ class PostingList:
         self.scores.append(score)
         if score > self.max_score:
             self.max_score = score
+        if score < self.min_score:
+            self.min_score = score
 
     def insert_sorted(self, entity_id: int, score: float) -> bool:
         """Insert (or score-raise) an entity keeping the list id-sorted.
@@ -96,6 +101,8 @@ class PostingList:
             self.ids.insert(position, entity_id)
             self.scores.insert(position, score)
             inserted = True
+            if score < self.min_score:
+                self.min_score = score
         if score > self.max_score:
             self.max_score = score
         return inserted
@@ -244,6 +251,6 @@ class ScoredInvertedIndex:
             if probe_score == 0.0:
                 continue
             plist = postings.get(token)
-            if plist is not None and len(plist) > 0:
+            if plist is not None and plist.ids:
                 out.append((plist, probe_score))
         return out

@@ -39,7 +39,7 @@ def split_lists(
     ``cumulative_weights[i]`` is the §3.1 ``cumulativeWt`` — the maximum
     total contribution of lists ``0..i``.
     """
-    ordered = sorted(lists, key=lambda item: -len(item[0]))
+    ordered = sorted(lists, key=lambda item: -len(item[0].ids))
     cumulative: list[float] = []
     running = 0.0
     for plist, probe_score in ordered:

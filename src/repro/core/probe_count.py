@@ -24,7 +24,7 @@ variants (tests enforce this), only the work differs.
 
 from __future__ import annotations
 
-from repro.core.base import SetJoinAlgorithm, _band_accept
+from repro.core.base import SetJoinAlgorithm
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
@@ -97,7 +97,7 @@ class ProbeCountJoin(SetJoinAlgorithm):
                     continue
                 norm_r = bound.norm(rid)
                 threshold_of = _threshold_closure(bound, norm_r)
-                accept = _band_accept(band, rid) if band is not None else None
+                accept = band.acceptor(rid) if band is not None else None
                 if use_optmerge:
                     index_threshold = bound.index_threshold(norm_r, index.min_norm)
                     candidates = self._merge_opt_lists(
@@ -166,7 +166,7 @@ class ProbeCountJoin(SetJoinAlgorithm):
                 def threshold_of(sid: int, _n=norm_r, _cut=stop_contribution) -> float:
                     return bound.threshold(_n, bound.norm(sid)) - _cut
 
-                accept = _band_accept(band, rid) if band is not None else None
+                accept = band.acceptor(rid) if band is not None else None
                 candidates = self._merge_lists(lists, threshold_of, counters, accept)
                 for sid, _weight in candidates:
                     if sid < rid:
@@ -243,15 +243,7 @@ class ProbeCountJoin(SetJoinAlgorithm):
                     return bound.threshold(_n, bound.norm(order[pos]))
 
                 index_threshold = bound.index_threshold(norm_r, index.min_norm)
-                accept = None
-                if band is not None:
-                    keys = band.keys
-                    radius = band.radius + 1e-12
-                    key_r = keys[rid]
-
-                    def accept(pos: int, _k=key_r, _rad=radius) -> bool:
-                        return abs(keys[order[pos]] - _k) <= _rad
-
+                accept = band.acceptor(rid, order) if band is not None else None
                 candidates = self._merge_opt_lists(
                     lists, index_threshold, threshold_of, counters, accept
                 )

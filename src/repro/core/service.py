@@ -16,7 +16,6 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 
 from repro.core.accumulator import (
-    ScoreAccumulator,
     accumulate_merge_opt,
     resolve_merge_backend,
     use_accumulator,
@@ -221,8 +220,8 @@ class SimilarityIndex:
             single-threaded use where lock overhead matters.
         merge_backend: probe-merge engine — ``"heap"``,
             ``"accumulator"``, or the adaptive default ``"auto"`` (see
-            :mod:`repro.core.accumulator`). The accumulator buffer is
-            per worker thread, so concurrent queries never share one.
+            :mod:`repro.core.accumulator`). Each probe accumulates into
+            its own per-call dict, so concurrent queries share nothing.
 
     Notes:
         Predicates whose scores depend on corpus statistics (TF-IDF
@@ -579,14 +578,7 @@ class SimilarityIndex:
             return []
         norm_r = bound.norm(probe_rid)
         band = bound.band_filter()
-        accept = None
-        if band is not None:
-            keys = band.keys
-            radius = band.radius + 1e-12
-            key_r = keys[probe_rid]
-
-            def accept(sid: int) -> bool:
-                return abs(keys[sid] - key_r) <= radius
+        accept = band.acceptor(probe_rid) if band is not None else None
 
         # Bitmap candidate filter: the probe's signature is ephemeral
         # (never stored); extra unseen-token bits only loosen the
@@ -613,8 +605,7 @@ class SimilarityIndex:
         threshold_of = lambda sid: bound.threshold(norm_r, bound.norm(sid))  # noqa: E731
         if use_accumulator(self.merge_backend, lists):
             candidates = accumulate_merge_opt(
-                lists, index_threshold, threshold_of, counters, accept,
-                acc=self._thread_accumulator(probe_rid),
+                lists, index_threshold, threshold_of, counters, accept
             )
         else:
             candidates = merge_opt(
@@ -643,21 +634,6 @@ class SimilarityIndex:
             if ok:
                 matches.append(MatchPair(sid, probe_rid, similarity))
         return matches
-
-    def _thread_accumulator(self, capacity: int) -> ScoreAccumulator:
-        """This thread's dense merge buffer, grown to ``capacity`` slots.
-
-        Thread-local so concurrent queries under the read lock never
-        share epochs or weights; a forked worker process starts with a
-        fresh ``threading.local`` and therefore a fresh buffer.
-        """
-        acc = getattr(self._local, "accumulator", None)
-        if acc is None:
-            acc = ScoreAccumulator(capacity)
-            self._local.accumulator = acc
-        else:
-            acc.ensure(capacity)
-        return acc
 
     def payload(self, rid: int):
         return self._dataset.payload(rid)

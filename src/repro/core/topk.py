@@ -98,14 +98,7 @@ class TopKJoin:
                 def threshold_of(pos: int, _n=norm_r) -> float:
                     return bound.threshold(_n, bound.norm(order[pos]))
 
-                accept = None
-                if band is not None:
-                    keys = band.keys
-                    radius = band.radius + 1e-12
-                    key_r = keys[rid]
-
-                    def accept(pos: int) -> bool:
-                        return abs(keys[order[pos]] - key_r) <= radius
+                accept = band.acceptor(rid, order) if band is not None else None
 
                 index_threshold = bound.index_threshold(norm_r, index.min_norm)
                 for pos, _weight in merge_opt(

@@ -16,6 +16,7 @@ weight in a canonical token order. The naive baseline uses the same
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.core.records import Dataset
@@ -43,6 +44,31 @@ class BandFilter:
     def accepts(self, rid_a: int, rid_b: int) -> bool:
         """True when the pair survives the filter."""
         return abs(self.keys[rid_a] - self.keys[rid_b]) <= self.radius + 1e-12
+
+    def acceptor(
+        self, rid: int, order: Sequence[int] | None = None
+    ) -> Callable[[int], bool]:
+        """The in-merge filter for probe record ``rid``.
+
+        The returned callable maps an indexed entity to "the pair with
+        ``rid`` survives": entities are record ids, or — when ``order``
+        is given — processing positions, ``order[pos]`` being the record
+        id at each position.
+        """
+        keys = self.keys
+        key_r = keys[rid]
+        radius = self.radius + 1e-12
+        if order is None:
+
+            def accept(sid: int) -> bool:
+                return abs(keys[sid] - key_r) <= radius
+
+        else:
+
+            def accept(pos: int) -> bool:
+                return abs(keys[order[pos]] - key_r) <= radius
+
+        return accept
 
 
 class BoundPredicate(ABC):

@@ -63,6 +63,7 @@ import struct
 import sys
 import tempfile
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 from zlib import crc32
@@ -387,24 +388,40 @@ class _BlockedIds:
         for block in range((self._n + _BLOCK_SIZE - 1) // _BLOCK_SIZE):
             yield from self._block(block)
 
+    def bisect_from(self, target: int, start: int = 0) -> int:
+        """``bisect_left(self, target, start)`` decoding one block.
+
+        A plain bisect over this column decodes a block per probe; this
+        bisects the mapped block-first column in C instead, then
+        searches the single block that can hold the insertion point.
+        """
+        if start >= self._n:
+            return start
+        first_block = start // _BLOCK_SIZE
+        block = bisect_left(self._firsts, target, first_block + 1) - 1
+        base = block * _BLOCK_SIZE
+        return base + bisect_left(self._block(block), target, max(start - base, 0))
+
 
 class MappedPostingList:
     """Posting list whose columns live in a mapped file.
 
     Mirrors the read surface of
     :class:`~repro.core.inverted_index.PostingList` — ``ids``,
-    ``scores``, ``max_score``, ``len()``, ``sealed`` — with the columns
-    backed by ``memoryview.cast`` views of the mapped file (or a lazy
-    block decoder for compressed ids). Always sealed: the file is
-    write-once.
+    ``scores``, ``max_score``, ``min_score``, ``len()``, ``sealed`` —
+    with the columns backed by ``memoryview.cast`` views of the mapped
+    file (or a lazy block decoder for compressed ids). Always sealed: the
+    file is write-once. ``min_score`` is exact (1.0) for a file without
+    a score column and ``-inf`` (no bound tracked) otherwise.
     """
 
-    __slots__ = ("ids", "scores", "max_score", "sealed")
+    __slots__ = ("ids", "scores", "max_score", "min_score", "sealed")
 
     def __init__(self, ids, scores, max_score: float):
         self.ids = ids
         self.scores = scores
         self.max_score = max_score
+        self.min_score = 1.0 if isinstance(scores, _ConstScores) else -math.inf
         self.sealed = True
 
     def __len__(self) -> int:

@@ -8,6 +8,8 @@ predicate, serially, sharded over workers, and with the bitmap filter
 armed.
 """
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,81 +19,146 @@ from repro import (
     JaccardPredicate,
     OverlapPredicate,
 )
-from repro.core.accumulator import (
-    ScoreAccumulator,
-    _gallop_from,
-    accumulate_merge,
-    accumulate_merge_opt,
-)
+from repro.core.accumulator import accumulate_merge, accumulate_merge_opt
 from repro.core.heap_merge import heap_merge
 from repro.core.inverted_index import PostingList
 from repro.core.join import edit_distance_join, make_algorithm
-from repro.core.merge_opt import merge_opt
+from repro.core.merge_opt import merge_opt, split_lists
+from repro.predicates.base import WEIGHT_EPS
 from repro.utils.counters import CostCounters
-from repro.utils.search import gallop_search_from
 from tests.conftest import random_dataset
 
 posting_ids = st.lists(
     st.integers(min_value=0, max_value=60), min_size=1, max_size=30, unique=True
 ).map(sorted)
 
-scored_list = st.tuples(
-    posting_ids,
-    st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
-    st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
+weights = st.floats(min_value=0.1, max_value=3.0, allow_nan=False)
+
+# Each list is (ids, entry scores, probe score). Besides general weights
+# the draws reach both scan paths: all-unit lists under a unit probe
+# (the counting scan), unit lists under a non-unit probe, and "trap"
+# lists whose max_score is 1.0 while one entry is below it — a list the
+# counting scan must not take for unit.
+weighted_list = st.tuples(posting_ids, weights, weights).map(
+    lambda t: (t[0], [t[1]] * len(t[0]), t[2])
+)
+unit_list = posting_ids.map(lambda ids: (ids, [1.0] * len(ids), 1.0))
+unit_list_weighted_probe = st.tuples(posting_ids, weights).map(
+    lambda t: (t[0], [1.0] * len(t[0]), t[1])
+)
+trap_list = st.tuples(
+    posting_ids, st.integers(min_value=0, max_value=29), weights.map(lambda w: w / 4)
+).map(
+    lambda t: (
+        t[0],
+        [min(t[2], 0.99) if i == t[1] % len(t[0]) else 1.0 for i in range(len(t[0]))],
+        1.0,
+    )
 )
 
-probe = st.lists(scored_list, min_size=0, max_size=8)
+scored_list = st.one_of(
+    weighted_list, unit_list, unit_list_weighted_probe, trap_list
+)
+probe = st.one_of(
+    st.lists(scored_list, min_size=0, max_size=8),
+    st.lists(unit_list, min_size=1, max_size=8),
+)
 thresholds = st.floats(min_value=0.2, max_value=8.0, allow_nan=False)
+accepts = st.sampled_from([None, lambda e: e % 3 != 0])
 
 
 def build(lists_spec):
     lists = []
-    for ids, entry_score, probe_score in lists_spec:
+    for ids, scores, probe_score in lists_spec:
         plist = PostingList()
-        for entity in ids:
-            plist.append(entity, entry_score)
+        for entity, score in zip(ids, scores):
+            plist.append(entity, score)
         lists.append((plist, probe_score))
     return lists
 
 
+def _gallop(items, target, start):
+    """Doubling search from ``start``: (insertion point, bracket steps)."""
+    n = len(items)
+    if start >= n or items[start] >= target:
+        return min(start, n), 0
+    step, lo, hi, steps = 1, start, start + 1, 0
+    while hi < n and items[hi] < target:
+        lo, step, steps = hi, step << 1, steps + 1
+        hi = start + step
+    return bisect_left(items, target, lo + 1, min(hi, n)), steps
+
+
+def reference_counters(lists, index_threshold, threshold_of, accept):
+    """The accumulator's counters by the per-posting formulation: accept
+    tested per posting, galloping completion searches counted step by
+    step. ``index_threshold=None`` means the plain (non-opt) merge."""
+    counters = CostCounters()
+    k, large, cumulative = 0, [], []
+    if index_threshold is not None:
+        ordered, cumulative, k = split_lists(lists, index_threshold)
+        if k == len(ordered):
+            return counters
+        large, lists = ordered[:k], ordered[k:]
+    weights = {}
+    for plist, probe_score in lists:
+        counters.accum_scans += len(plist.ids)
+        for entity, score in zip(plist.ids, plist.scores):
+            if accept is None or accept(entity):
+                counters.list_items_touched += 1
+                weights[entity] = weights.get(entity, 0.0) + probe_score * score
+    counters.accum_writes = counters.candidates_checked = len(weights)
+    search_from = [0] * k
+    for entity in sorted(weights):
+        weight = weights[entity]
+        limit = threshold_of(entity) - WEIGHT_EPS
+        for i in range(k - 1, -1, -1):
+            if weight + cumulative[i] < limit:
+                break
+            plist, probe_score = large[i]
+            counters.binary_searches += 1
+            position, steps = _gallop(plist.ids, entity, search_from[i])
+            counters.gallop_steps += steps
+            search_from[i] = position
+            if position < len(plist.ids) and plist.ids[position] == entity:
+                weight += probe_score * plist.scores[position]
+    return counters
+
+
 class TestMergeLevelEquivalence:
-    @settings(max_examples=150, deadline=None)
-    @given(probe, thresholds, st.booleans(), st.booleans())
-    def test_accumulate_merge_equals_heap_merge(
-        self, lists_spec, threshold, use_accept, dense
-    ):
+    @settings(max_examples=300, deadline=None)
+    @given(probe, thresholds, accepts)
+    def test_accumulate_merge_equals_heap_merge(self, lists_spec, threshold, accept):
         lists = build(lists_spec)
-        accept = (lambda e: e % 3 != 0) if use_accept else None
-        acc = ScoreAccumulator(64) if dense else None
-        expected = heap_merge(lists, lambda _s: threshold, CostCounters(), accept)
-        got = accumulate_merge(
-            lists, lambda _s: threshold, CostCounters(), accept, acc=acc
-        )
+        threshold_of = lambda _s: threshold  # noqa: E731
+        expected = heap_merge(lists, threshold_of, CostCounters(), accept)
+        counters = CostCounters()
+        got = accumulate_merge(lists, threshold_of, counters, accept)
         # Pair-for-pair identical, weights bit-identical (same summation
         # order), not merely within epsilon.
         assert got == expected
+        assert all(type(weight) is float for _entity, weight in got)
+        assert counters == reference_counters(lists, None, threshold_of, accept)
 
-    @settings(max_examples=150, deadline=None)
-    @given(probe, thresholds, thresholds, st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @given(probe, thresholds, thresholds, accepts)
     def test_accumulate_merge_opt_equals_merge_opt(
-        self, lists_spec, index_threshold, pair_threshold, use_accept, dense
+        self, lists_spec, index_threshold, pair_threshold, accept
     ):
         lists = build(lists_spec)
-        accept = (lambda e: e % 3 != 0) if use_accept else None
-        acc = ScoreAccumulator(64) if dense else None
-        expected = merge_opt(
-            lists, index_threshold, lambda _s: pair_threshold, CostCounters(), accept
-        )
-        got = accumulate_merge_opt(
-            lists,
-            index_threshold,
-            lambda _s: pair_threshold,
-            CostCounters(),
-            accept,
-            acc=acc,
-        )
+        threshold_of = lambda _s: pair_threshold  # noqa: E731
+        heap_counters = CostCounters()
+        expected = merge_opt(lists, index_threshold, threshold_of, heap_counters, accept)
+        counters = CostCounters()
+        got = accumulate_merge_opt(lists, index_threshold, threshold_of, counters, accept)
         assert got == expected
+        assert all(type(weight) is float for _entity, weight in got)
+        assert counters == reference_counters(
+            lists, index_threshold, threshold_of, accept
+        )
+        # The shared counters mean the same thing on both backends.
+        for field in ("list_items_touched", "candidates_checked", "binary_searches"):
+            assert getattr(counters, field) == getattr(heap_counters, field)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -99,11 +166,12 @@ class TestMergeLevelEquivalence:
         st.integers(min_value=0, max_value=70),
         st.integers(min_value=0, max_value=35),
     )
-    def test_gallop_from_position_matches_utils(self, ids, target, start):
-        items = list(ids)
-        position, steps = _gallop_from(items, target, start)
-        assert position == gallop_search_from(items, target, start)
-        assert steps >= 0
+    def test_reference_gallop_matches_bisect(self, ids, target, start):
+        start = min(start, len(ids))
+        position, steps = _gallop(ids, target, start)
+        assert position == bisect_left(ids, target, start)
+        jump = position - start
+        assert steps == ((jump - 1).bit_length() if jump > 1 else 0)
 
 
 def _join_pairs(dataset, predicate, algorithm, backend, bitmap=None):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.accumulator import (
     AUTO_MIN_ENTRIES,
-    ScoreAccumulator,
     accumulate_merge,
     accumulate_merge_opt,
     resolve_merge_backend,
@@ -21,37 +20,6 @@ def make_list(entries):
     for entity_id, score in entries:
         plist.append(entity_id, score)
     return plist
-
-
-class TestScoreAccumulator:
-    def test_capacity_and_growth(self):
-        acc = ScoreAccumulator(4)
-        assert acc.capacity == 4
-        acc.ensure(10)
-        assert acc.capacity == 10
-        acc.ensure(3)  # never shrinks
-        assert acc.capacity == 10
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreAccumulator(-1)
-
-    def test_begin_bumps_epoch(self):
-        acc = ScoreAccumulator(2)
-        assert acc.begin() == 1
-        assert acc.begin() == 2
-
-    def test_stale_slots_are_invisible_across_probes(self):
-        acc = ScoreAccumulator(8)
-        lists = [(make_list([(3, 1.0), (5, 1.0)]), 1.0)]
-        first = accumulate_merge(lists, lambda _s: 1.0, CostCounters(), acc=acc)
-        assert first == [(3, 1.0), (5, 1.0)]
-        # A second probe touching a different entity must not see the
-        # stale weights of 3 and 5 from the previous epoch.
-        second = accumulate_merge(
-            [(make_list([(3, 1.0)]), 1.0)], lambda _s: 1.0, CostCounters(), acc=acc
-        )
-        assert second == [(3, 1.0)]
 
 
 class TestBackendSelection:
@@ -83,9 +51,7 @@ class TestAccumulateMerge:
         ]
         threshold_of = lambda _s: 2.0  # noqa: E731
         expected = heap_merge(lists, threshold_of, CostCounters())
-        for acc in (None, ScoreAccumulator(8)):
-            got = accumulate_merge(lists, threshold_of, CostCounters(), acc=acc)
-            assert got == expected
+        assert accumulate_merge(lists, threshold_of, CostCounters()) == expected
 
     def test_empty_lists(self):
         assert accumulate_merge([], lambda _s: 1.0, CostCounters()) == []
@@ -97,25 +63,52 @@ class TestAccumulateMerge:
         )
         assert got == [(0, 1.0), (2, 1.0)]
 
-    def test_dense_and_sparse_agree(self):
+    def test_unit_probe_counts_into_float_weights(self):
         lists = [
-            (make_list([(1, 0.7), (4, 1.3)]), 1.1),
-            (make_list([(1, 0.5), (6, 2.0)]), 0.9),
+            (make_list([(0, 1.0), (2, 1.0)]), 1.0),
+            (make_list([(0, 1.0), (1, 1.0), (2, 1.0)]), 1.0),
         ]
-        threshold_of = lambda _s: 1.0  # noqa: E731
-        dense = accumulate_merge(
-            lists, threshold_of, CostCounters(), acc=ScoreAccumulator(7)
-        )
-        sparse = accumulate_merge(lists, threshold_of, CostCounters(), acc=None)
-        assert dense == sparse
+        got = accumulate_merge(lists, lambda _s: 1.0, CostCounters())
+        assert got == [(0, 2.0), (1, 1.0), (2, 2.0)]
+        assert all(type(weight) is float for _entity, weight in got)
 
-    def test_ids_beyond_capacity_fall_back_to_sparse(self):
-        # Capacity 3 cannot hold entity 5; the scan must fall back, not
-        # raise or (worse) alias a wrong slot.
-        acc = ScoreAccumulator(3)
-        lists = [(make_list([(0, 1.0), (5, 1.0)]), 1.0)]
-        got = accumulate_merge(lists, lambda _s: 1.0, CostCounters(), acc=acc)
-        assert got == [(0, 1.0), (5, 1.0)]
+    def test_max_score_one_is_not_unit(self):
+        # max_score == 1.0 but one entry is below it: the counting scan
+        # would report 2.0 for entity 4, the true weight is 1.25.
+        trap = make_list([(4, 0.25), (7, 1.0)])
+        assert trap.max_score == 1.0
+        lists = [(make_list([(4, 1.0)]), 1.0), (trap, 1.0)]
+        expected = heap_merge(lists, lambda _s: 1.0, CostCounters())
+        got = accumulate_merge(lists, lambda _s: 1.0, CostCounters())
+        assert got == expected == [(4, 1.25), (7, 1.0)]
+
+    def test_non_unit_probe_score_is_not_unit(self):
+        lists = [(make_list([(1, 1.0), (3, 1.0)]), 0.5)] * 2
+        got = accumulate_merge(lists, lambda _s: 0.5, CostCounters())
+        assert got == [(1, 1.0), (3, 1.0)]
+        assert got == heap_merge(lists, lambda _s: 0.5, CostCounters())
+
+    @pytest.mark.parametrize("score", [1.0, 0.5])
+    def test_accept_runs_once_per_distinct_entity(self, score):
+        lists = [
+            (make_list([(0, score), (1, score), (2, score)]), 1.0),
+            (make_list([(0, score), (1, score)]), 1.0),
+            (make_list([(1, score), (2, score)]), 1.0),
+        ]
+        seen = []
+
+        def accept(entity):
+            seen.append(entity)
+            return entity != 1
+
+        counters = CostCounters()
+        got = accumulate_merge(lists, lambda _s: 0.0, counters, accept)
+        assert [entity for entity, _weight in got] == [0, 2]
+        assert sorted(seen) == [0, 1, 2]
+        # Touched = postings of accepted entities (what the heap counts).
+        assert counters.list_items_touched == 4
+        assert counters.accum_scans == 7
+        assert counters.accum_writes == counters.candidates_checked == 2
 
     def test_counters_mirror_heap_semantics(self):
         lists = [
@@ -125,9 +118,7 @@ class TestAccumulateMerge:
         heap_counters = CostCounters()
         heap_merge(lists, lambda _s: 2.0, heap_counters)
         acc_counters = CostCounters()
-        accumulate_merge(
-            lists, lambda _s: 2.0, acc_counters, acc=ScoreAccumulator(3)
-        )
+        accumulate_merge(lists, lambda _s: 2.0, acc_counters)
         assert acc_counters.list_items_touched == heap_counters.list_items_touched
         assert acc_counters.candidates_checked == heap_counters.candidates_checked
         assert acc_counters.heap_pops == 0
@@ -150,11 +141,8 @@ class TestAccumulateMergeOpt:
         ]
         threshold_of = lambda _s: 2.0  # noqa: E731
         expected = merge_opt(lists, 2.0, threshold_of, CostCounters())
-        for acc in (None, ScoreAccumulator(32)):
-            got = accumulate_merge_opt(
-                lists, 2.0, threshold_of, CostCounters(), acc=acc
-            )
-            assert got == expected
+        got = accumulate_merge_opt(lists, 2.0, threshold_of, CostCounters())
+        assert got == expected
 
     def test_all_large_returns_empty(self):
         lists = [(make_list([(i, 1.0) for i in range(10)]), 1.0)]
@@ -171,9 +159,9 @@ class TestAccumulateMergeOpt:
             (make_list([(60, 1.0)]), 1.0),
         ]
         counters = CostCounters()
-        got = accumulate_merge_opt(
-            lists, 2.0, lambda _s: 2.0, counters, acc=ScoreAccumulator(64)
-        )
+        got = accumulate_merge_opt(lists, 2.0, lambda _s: 2.0, counters)
         assert got == [(60, 2.0)]
         assert counters.binary_searches == 1
-        assert counters.gallop_steps > 0
+        # A gallop from 0 to position 60 doubles its bracket 1, 2, ...,
+        # 32, 64: six steps, i.e. (60 - 1).bit_length().
+        assert counters.gallop_steps == 6

@@ -16,6 +16,19 @@ class TestPostingList:
         plist.append(9, 1.0)
         assert list(plist.ids) == [1, 4, 9]
         assert plist.max_score == 2.0
+        assert plist.min_score == 0.5
+
+    def test_min_score_bounds_every_score(self):
+        plist = PostingList()
+        assert plist.min_score == math.inf
+        plist.append(2, 1.0)
+        assert plist.min_score == plist.max_score == 1.0
+        plist.insert_sorted(1, 0.75)
+        assert plist.min_score == 0.75
+        # An in-place raise keeps the old (still sound) lower bound.
+        plist.insert_sorted(1, 1.0)
+        assert list(plist.scores) == [1.0, 1.0]
+        assert plist.min_score == 0.75
 
     def test_append_rejects_out_of_order(self):
         plist = PostingList()

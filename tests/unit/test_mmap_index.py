@@ -12,8 +12,11 @@ behind ``SimilarityIndex.save(format='mmap')`` / ``load(mmap=True)``.
 import math
 import os
 from array import array
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CosinePredicate,
@@ -27,17 +30,20 @@ from repro import (
     OverlapPredicate,
     WeightedOverlapPredicate,
 )
+from repro.compression.postings import CompressedPostingList
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.join import make_algorithm, similarity_join
 from repro.core.service import SimilarityIndex
 from repro.runtime.errors import ReadOnlyIndex, SnapshotCorrupted
 from repro.runtime.faults import CountdownCancellation, FakeClock
 from repro.storage.mmap_index import (
+    _BLOCK_SIZE,
     JoinIndexBuilder,
     MappedIndexWriter,
     MappedInvertedIndex,
     mapped_blob_view,
     mapped_record_view,
+    _BlockedIds,
     resolve_index_backend,
 )
 from repro.utils.counters import CostCounters
@@ -112,7 +118,16 @@ class TestRoundtrip:
             plist = index.get(5)
             assert list(plist.scores) == [1.0, 1.0, 1.0]
             assert plist.scores[-1] == 1.0
-            assert plist.max_score == 1.0
+            assert plist.max_score == plist.min_score == 1.0
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_scored_list_claims_no_unit_bound(self, tmp_path, compressed):
+        # A score column may hold anything below max_score; only the
+        # column-free unit file proves min_score == 1.0.
+        path = write_index(tmp_path / "ix.rpmx", compressed=compressed)
+        with MappedInvertedIndex.open(path) as index:
+            assert index.get(11).max_score == 1.0
+            assert index.get(11).min_score == -math.inf
 
     def test_sections_roundtrip(self, tmp_path):
         path = write_index(
@@ -137,6 +152,54 @@ class TestRoundtrip:
             assert len(index) == 0
             assert index.min_norm == math.inf
             assert index.probe_lists((1, 2), (1.0, 1.0)) == []
+
+
+def blocked_ids(ids):
+    """A varbyte skip-block column over ``ids``, as the reader maps it."""
+    clist = CompressedPostingList(ids, block_size=_BLOCK_SIZE)
+    return _BlockedIds(
+        array("q", clist._block_first),
+        array("q", clist._block_offset),
+        memoryview(bytes(clist._data)),
+        len(ids),
+    )
+
+
+class TestBlockedBisect:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4 * _BLOCK_SIZE)
+        .flatmap(
+            lambda n: st.lists(
+                st.integers(min_value=0, max_value=10_000),
+                min_size=n,
+                max_size=n,
+                unique=True,
+            )
+        )
+        .map(sorted),
+        st.lists(st.integers(min_value=-5, max_value=10_005), max_size=6),
+    )
+    def test_bisect_from_matches_bisect_left(self, ids, extra_targets):
+        column = blocked_ids(ids)
+        firsts = ids[::_BLOCK_SIZE]
+        targets = set(extra_targets) | set(firsts)
+        targets |= {ids[0] - 1, ids[-1], ids[-1] + 1}
+        # Between blocks: just after each block's last id.
+        targets |= {ids[i] + 1 for i in range(_BLOCK_SIZE - 1, len(ids), _BLOCK_SIZE)}
+        for target in sorted(targets):
+            for start in range(len(ids) + 2):
+                assert column.bisect_from(target, start) == bisect_left(
+                    ids, target, start
+                )
+
+    def test_three_block_column(self):
+        ids = list(range(0, 6 * _BLOCK_SIZE, 2))
+        column = blocked_ids(ids)
+        assert column.bisect_from(2 * _BLOCK_SIZE) == _BLOCK_SIZE  # a block first
+        assert column.bisect_from(-1) == 0
+        assert column.bisect_from(10**9, 5) == len(ids)
+        assert column.bisect_from(7, 100) == 100
 
 
 class TestWriter:

@@ -81,6 +81,17 @@ class TestJaccardFilter:
         # jaccard is at most 1/4 < f so rejection is sound.
         assert not band.accepts(0, 3)
 
+    def test_acceptor_agrees_with_accepts(self, data):
+        band = JaccardPredicate(0.5).bind(data).band_filter()
+        order = [3, 1, 0, 2]  # record id at each processing position
+        for rid in range(len(data)):
+            by_id = band.acceptor(rid)
+            by_position = band.acceptor(rid, order)
+            for sid in range(len(data)):
+                assert by_id(sid) == band.accepts(rid, sid)
+            for pos, sid in enumerate(order):
+                assert by_position(pos) == band.accepts(rid, sid)
+
     def test_weighted_variant_uses_weights(self):
         data = Dataset([(0, 1), (0, 2)])
         bound = JaccardPredicate(0.5, weights={0: 9.0, 1: 1.0, 2: 1.0}).bind(data)
