@@ -44,36 +44,6 @@ __all__ = ["SimilarityIndex"]
 _SNAPSHOT_KIND = "similarity-index"
 
 
-class _TailSequence:
-    """Read-only view of a list with one extra trailing element.
-
-    Freezes the base length at construction, so concurrent growth of the
-    underlying list (which cannot happen under the service's lock, but
-    could under :class:`~repro.runtime.rwlock.NullRWLock`) never leaks
-    into an in-flight probe.
-    """
-
-    __slots__ = ("_base", "_tail", "_n")
-
-    def __init__(self, base: list, tail, n: int):
-        self._base = base
-        self._tail = tail
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n + 1
-
-    def __getitem__(self, i: int):
-        if i == self._n or i == -1:
-            return self._tail
-        return self._base[i]
-
-    def __iter__(self):
-        for i in range(self._n):
-            yield self._base[i]
-        yield self._tail
-
-
 class _ProbeView:
     """Read-only :class:`Dataset` facade: shared records plus one probe.
 
@@ -99,13 +69,6 @@ class _ProbeView:
         if rid == self._n:
             return self._record
         return self._base.records[rid]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def records(self) -> _TailSequence:
-        return _TailSequence(self._base.records, self._record, self._n)
 
     @property
     def vocabulary(self):
@@ -160,12 +123,15 @@ class _CacheOverlay:
         else:
             self._base[i] = value
 
-    def extend(self, items) -> None:
-        self._tail.extend(items)
-
     def reset_tail(self) -> None:
         """Forget the probe slot (``query_batch`` clone reuse)."""
         self._tail = [None]
+
+
+#: The bound predicate's per-record caches a probe clone overlays.
+_PER_RECORD_CACHES = (
+    "_score_vectors", "_norms", "_score_maps", "_signatures", "_band_keys"
+)
 
 
 def _probe_bound(base_bound, record: tuple[int, ...], payload):
@@ -175,17 +141,15 @@ def _probe_bound(base_bound, record: tuple[int, ...], payload):
     reference (reads of indexed records stay cached across queries) but
     redirects the dataset to a :class:`_ProbeView` and the probe's cache
     slot to a private overlay, so scoring the probe mutates nothing
-    shared. Band filters are rebuilt per clone: their key tuples must
-    cover the probe rid.
+    shared. The band-key cache is overlaid the same way: the base keys
+    already cover every indexed record (filled under the write lock),
+    so the clone computes exactly one key — the probe's.
     """
     clone = copy.copy(base_bound)
     clone.dataset = _ProbeView(base_bound.dataset, record, payload)
-    clone._score_vectors = _CacheOverlay(base_bound._score_vectors)
-    clone._norms = _CacheOverlay(base_bound._norms)
-    clone._score_maps = _CacheOverlay(base_bound._score_maps)
-    clone._signatures = _CacheOverlay(base_bound._signatures)
-    if hasattr(clone, "_band"):
-        clone._band = None
+    for name in _PER_RECORD_CACHES:
+        setattr(clone, name, _CacheOverlay(getattr(base_bound, name)))
+    _key_probe(clone)
     return clone
 
 
@@ -193,17 +157,21 @@ def _retarget_probe(clone, record: tuple[int, ...], payload) -> None:
     """Reuse a :func:`_probe_bound` clone for the next batch item.
 
     Clears exactly the per-probe state the clone owns — the view's tail
-    record, the overlay tail slots, and any rebuilt band filter — and
-    nothing shared. Only sound while the base dataset length is fixed
-    (``query_batch`` holds the read lock for the whole batch).
+    record and the overlay tail slots — and nothing shared. Only sound
+    while the base dataset length is fixed (``query_batch`` holds the
+    read lock for the whole batch).
     """
     clone.dataset.retarget(record, payload)
-    clone._score_vectors.reset_tail()
-    clone._norms.reset_tail()
-    clone._score_maps.reset_tail()
-    clone._signatures.reset_tail()
-    if hasattr(clone, "_band"):
-        clone._band = None
+    for name in _PER_RECORD_CACHES:
+        getattr(clone, name).reset_tail()
+    _key_probe(clone)
+
+
+def _key_probe(clone) -> None:
+    """Fill the probe's band key into the clone's private tail slot."""
+    if clone.band_radius is not None:
+        probe_rid = len(clone.dataset) - 1
+        clone._band_keys[probe_rid] = clone.band_key(probe_rid)
 
 
 class SimilarityIndex:
@@ -228,6 +196,12 @@ class SimilarityIndex:
         cosine) are rebound as the corpus grows only when ``rebind()``
         is called; for streaming use, prefer corpus-independent
         predicates or pass precomputed ``stats``.
+
+        Queries only see pairs sharing a token: under Hamming (edit
+        distance) answers are exact for records longer than ``k``
+        (strings longer than ``short_string_cutoff()``); the short
+        corner that ``hamming_join``/``edit_distance_join`` brute-force
+        is not covered.
 
     Concurrency:
         ``query`` never mutates shared state — the probe record is
@@ -404,7 +378,9 @@ class SimilarityIndex:
             self._generation += 1
 
     def _rebind(self) -> None:
+        """Bind afresh, filling the band keys while no reader can see it."""
         self._bound = self.predicate.bind(self._dataset)
+        self._bound.band_filter()
 
     def _rebuild_index(self) -> None:
         """Re-insert every record under the current bound's scores."""
@@ -570,6 +546,7 @@ class SimilarityIndex:
                 # through the public API). Bind locally; do not publish —
                 # the read side must stay mutation-free.
                 base_bound = self.predicate.bind(self._dataset)
+                base_bound.band_filter()
             bound = _probe_bound(base_bound, record, item)
             if reusable is not None:
                 reusable.append(bound)
@@ -859,7 +836,8 @@ class SimilarityIndex:
         With ``mmap=True`` the file must have been written by
         ``save(format='mmap')``: it is memory-mapped instead of parsed,
         the inverted index *is* the file's posting columns (nothing is
-        rebuilt — open time is independent of index size, resident
+        rebuilt — open time is independent of posting volume, plus one
+        band key per record for band-filter predicates; resident
         memory is the directory plus whatever postings queries touch),
         and the mapping is shared read-only across threads and fork'd
         worker processes. Query answers are bit-identical to a snapshot

@@ -15,6 +15,7 @@ weight in a canonical token order. The naive baseline uses the same
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -36,9 +37,13 @@ class BandFilter:
     drives both the in-merge filter (applied when a frontier record is
     pushed into the heap, §5 "Additional Filters") and the band-join
     partitioning algorithms of §5.3.
+
+    ``keys`` is the bound predicate's key cache itself, read-only here:
+    filled by the first :meth:`BoundPredicate.band_filter` on a static
+    dataset, grown one key per ``add`` by :meth:`BoundPredicate.extend_to`.
     """
 
-    keys: tuple[float, ...]
+    keys: Sequence[float]
     radius: float
 
     def accepts(self, rid_a: int, rid_b: int) -> bool:
@@ -104,12 +109,18 @@ class BoundPredicate(ABC):
     #: payloads (edit distance) opt out.
     use_signature_prefilter = True
 
+    #: Radius of the §5.3 band filter ``|l(r) - l(s)| <= radius``, or
+    #: None when the predicate has no band filter. Predicates that set
+    #: it implement :meth:`band_key` as ``l``.
+    band_radius: float | None = None
+
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self._score_vectors: list[tuple[float, ...] | None] = [None] * len(dataset)
         self._norms: list[float | None] = [None] * len(dataset)
         self._score_maps: list[dict[int, float] | None] = [None] * len(dataset)
         self._signatures: list[int | None] = [None] * len(dataset)
+        self._band_keys: list[float] = []  # gap-free prefix of band_key(rid)
 
     # ------------------------------------------------------------------
     # Abstract surface
@@ -127,9 +138,33 @@ class BoundPredicate(ABC):
     def similarity_name(self) -> str:
         """Human-readable name of the natural similarity value."""
 
+    def band_key(self, rid: int) -> float:
+        """``l(rid)`` of the band filter; a function of the record alone
+        (the radius carries the threshold)."""
+        raise NotImplementedError(f"{type(self).__name__} has no band filter")
+
+    def log_norm(self, rid: int) -> float:
+        """``log ||rid||``: the size-ratio band key of Jaccard and Dice."""
+        norm = self.norm(rid)
+        return math.log(norm) if norm > 0 else -math.inf
+
     def band_filter(self) -> BandFilter | None:
-        """Optional band filter; None when the predicate has no filter."""
-        return None
+        """The band filter over the key cache (None without a radius).
+
+        Fills missing keys: all of them on the first call over a static
+        dataset; none while :meth:`extend_to` keeps a growing one filled.
+        """
+        radius = self.band_radius
+        if radius is None:
+            return None
+        return BandFilter(self._filled_band_keys(), radius)
+
+    def _filled_band_keys(self) -> Sequence[float]:
+        keys = self._band_keys
+        n_records = len(self.dataset)
+        if len(keys) < n_records:
+            keys.extend(self.band_key(rid) for rid in range(len(keys), n_records))
+        return keys
 
     def approx_jaccard_floor(self) -> float | None:
         """Optional token-Jaccard lower bound for qualifying pairs.
@@ -162,6 +197,8 @@ class BoundPredicate(ABC):
             self._norms.extend([None] * missing)
             self._score_maps.extend([None] * missing)
             self._signatures.extend([None] * missing)
+        if self.band_radius is not None:
+            self._filled_band_keys()
 
     def cached_score_vector(self, rid: int) -> tuple[float, ...]:
         """Memoized :meth:`score_vector`."""
@@ -200,7 +237,11 @@ class BoundPredicate(ABC):
         """``||r|| = sum(score(w, r)^2)`` (paper Eq. 1), memoized."""
         value = self._norms[rid]
         if value is None:
-            value = sum(s * s for s in self.cached_score_vector(rid))
+            if self.unit_scores:
+                # The exact sum, without a score-vector pass per record.
+                value = float(len(self.dataset[rid]))
+            else:
+                value = sum(s * s for s in self.cached_score_vector(rid))
             self._norms[rid] = value
         return value
 
@@ -239,9 +280,12 @@ class BoundPredicate(ABC):
         predicates with a necessary-but-insufficient bound (edit distance)
         override this to run their exact verifier.
         """
-        band = self.band_filter()
-        if band is not None and not band.accepts(rid_r, rid_s):
-            return False, 0.0
+        radius = self.band_radius
+        if radius is not None:
+            keys = self._filled_band_keys()
+            # ``not <=`` so that a NaN gap (two empty records) rejects.
+            if not abs(keys[rid_r] - keys[rid_s]) <= radius + 1e-12:
+                return False, 0.0
         weight = self.match_weight(rid_r, rid_s)
         ok = self.satisfied(weight, self.norm(rid_r), self.norm(rid_s))
         return ok, self.natural_similarity(rid_r, rid_s, weight)

@@ -30,7 +30,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 from repro.core.records import Dataset
-from repro.predicates.base import BandFilter, BoundPredicate, SimilarityPredicate
+from repro.predicates.base import BoundPredicate, SimilarityPredicate
 from repro.text.editdist import banded_edit_distance
 from repro.text.tokenizers import normalize, qgrams
 
@@ -80,12 +80,14 @@ class _BoundEditDistance(BoundPredicate):
             )
         self.k = k
         self.q = q
-        self._lengths = tuple(len(normalize(str(p))) for p in dataset.payloads)
-        self._band: BandFilter | None = None
+        self.band_radius = float(k)
 
     def string_length(self, rid: int) -> int:
         """Normalized length of the source string."""
-        return self._lengths[rid]
+        return len(normalize(str(self.dataset.payload(rid))))
+
+    def band_key(self, rid: int) -> float:
+        return float(self.string_length(rid))
 
     def score_vector(self, rid: int) -> tuple[float, ...]:
         return (1.0,) * len(self.dataset[rid])
@@ -100,21 +102,14 @@ class _BoundEditDistance(BoundPredicate):
     def similarity_name(self) -> str:
         return "edit-distance"
 
-    def band_filter(self) -> BandFilter | None:
-        if self._band is None:
-            self._band = BandFilter(
-                keys=tuple(float(length) for length in self._lengths),
-                radius=float(self.k),
-            )
-        return self._band
-
     def verify(self, rid_r: int, rid_s: int) -> tuple[bool, float]:
         """Exact banded-DP verification on the source strings.
 
         The returned "similarity" is the edit distance itself (smaller is
         more similar); a value of ``k + 1`` stands for "greater than k".
         """
-        if abs(self._lengths[rid_r] - self._lengths[rid_s]) > self.k:
+        keys = self._filled_band_keys()
+        if abs(keys[rid_r] - keys[rid_s]) > self.k:
             return False, float(self.k + 1)
         a = normalize(str(self.dataset.payload(rid_r)))
         b = normalize(str(self.dataset.payload(rid_s)))

@@ -20,7 +20,7 @@ has more than ``k`` elements.
 from __future__ import annotations
 
 from repro.core.records import Dataset
-from repro.predicates.base import BandFilter, BoundPredicate, SimilarityPredicate
+from repro.predicates.base import BoundPredicate, SimilarityPredicate
 
 __all__ = ["HammingPredicate"]
 
@@ -31,7 +31,7 @@ class _BoundHamming(BoundPredicate):
     def __init__(self, dataset: Dataset, k: int):
         super().__init__(dataset)
         self.k = k
-        self._band: BandFilter | None = None
+        self.band_radius = float(k)
 
     def score_vector(self, rid: int) -> tuple[float, ...]:
         return (1.0,) * len(self.dataset[rid])
@@ -46,11 +46,8 @@ class _BoundHamming(BoundPredicate):
         """The symmetric-difference size (smaller is more similar)."""
         return self.norm(rid_r) + self.norm(rid_s) - 2.0 * weight
 
-    def band_filter(self) -> BandFilter | None:
-        if self._band is None or len(self._band.keys) != len(self.dataset):
-            keys = tuple(float(len(record)) for record in self.dataset.records)
-            self._band = BandFilter(keys=keys, radius=float(self.k))
-        return self._band
+    def band_key(self, rid: int) -> float:
+        return float(len(self.dataset[rid]))
 
 
 class HammingPredicate(SimilarityPredicate):

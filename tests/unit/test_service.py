@@ -141,3 +141,84 @@ class TestMergeBackend:
         assert restored.merge_backend == "accumulator"
         got = [m.rid_a for m in restored.query("beta gamma epsilon")]
         assert got == [0, 1]
+
+
+class TestEditDistanceService:
+    def test_query_after_several_adds(self):
+        """Keys and lengths grow with the index instead of freezing at bind."""
+        from repro import EditDistancePredicate
+        from repro.predicates.edit_distance import numbered_qgrams
+
+        service = SimilarityIndex(EditDistancePredicate(1), tokenizer=numbered_qgrams)
+        for word in ("similarity", "similarly", "simularity"):
+            service.add(word)
+        got = {(m.rid_a, m.similarity) for m in service.query("similarity")}
+        assert got == {(0, 0.0), (2, 1.0)}
+        assert [
+            [m.rid_a for m in matches]
+            for matches in service.query_batch(["simularity", "similarly"])
+        ] == [[0, 2], [1]]
+
+
+def _band_services():
+    from repro import DicePredicate, EditDistancePredicate, HammingPredicate
+    from repro.predicates.edit_distance import numbered_qgrams
+
+    return {
+        "jaccard": (JaccardPredicate(0.5), None),
+        "dice": (DicePredicate(0.5), None),
+        "hamming": (HammingPredicate(2), None),
+        "edit-distance": (EditDistancePredicate(1), numbered_qgrams),
+    }
+
+
+class TestProbeCostIsTouchedOnly:
+    """A warm index computes one band key per query and per add, at any n."""
+
+    @staticmethod
+    def _warm_index(name: str, n: int):
+        import random
+
+        predicate, tokenizer = _band_services()[name]
+        service = SimilarityIndex(predicate, tokenizer=tokenizer)
+        rng = random.Random(n)
+        words = [f"w{i}" for i in range(40)]
+        items = []
+        for _ in range(n + 2):
+            tokens = rng.sample(words, rng.randint(4, 8))
+            items.append("".join(tokens) if tokenizer else tokens)
+        for item in items[:n]:
+            service.add(item)
+        service.query(items[0])  # warm every lazily memoized cache
+        return service, items
+
+    @staticmethod
+    def _count_band_keys(service, monkeypatch) -> list[int]:
+        """Wrap the bound's class, so probe clones are counted too."""
+        bound_class = type(service._bound)
+        calls: list[int] = []
+        band_key = bound_class.band_key
+
+        def counted(self, rid: int) -> float:
+            calls.append(rid)
+            return band_key(self, rid)
+
+        monkeypatch.setattr(bound_class, "band_key", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    @pytest.mark.parametrize("name", ["jaccard", "dice", "hamming", "edit-distance"])
+    def test_one_key_per_query_and_add(self, name, n, monkeypatch):
+        service, items = self._warm_index(name, n)
+        calls = self._count_band_keys(service, monkeypatch)
+        assert [m.rid_a for m in service.query(items[0])][:1] == [0]
+        assert calls == [n]
+        calls.clear()
+        service.query_batch(items[1:3])
+        assert calls == [n, n]
+        calls.clear()
+        assert service.add(items[n]) == n
+        assert calls == [n]
+        calls.clear()
+        service.query(items[n + 1])
+        assert calls == [n + 1]
