@@ -10,6 +10,13 @@ naive baseline) agree exactly on the output set.
 ``join_between`` implements the non-self join ("the extension to
 non-self-joins is obvious", §2): index one side, probe with the other.
 
+:func:`probe_kernel` is the record-level step every index probe shares
+— probe the posting lists, merge at ``T(r, I)`` with the §5 band filter
+inside the merge, prune with the bitmap filter, verify, emit. The
+Probe-Count family, Probe-Cluster, ClusterMem, ``join_between`` and
+:class:`~repro.core.service.SimilarityIndex` queries all call it; what
+differs between them is a :class:`ProbePlan`, never a code path.
+
 Runtime hardening lives here so every algorithm inherits it. ``join``
 accepts an optional :class:`~repro.runtime.context.JoinContext`; the
 :meth:`_drive` / :meth:`_tick` helpers run its record-granularity
@@ -41,7 +48,7 @@ from repro.predicates.base import WEIGHT_EPS, BoundPredicate, SimilarityPredicat
 from repro.runtime.errors import JoinInterrupted, MemoryBudgetExceeded
 from repro.utils.counters import CostCounters
 
-__all__ = ["SetJoinAlgorithm"]
+__all__ = ["ProbePlan", "SetJoinAlgorithm", "probe_kernel", "run_merge"]
 
 
 class SetJoinAlgorithm(ABC):
@@ -99,8 +106,7 @@ class SetJoinAlgorithm(ABC):
     index_path: str | None = None
 
     # Per-run merge state: the backend string resolved by join()/
-    # join_between() and read by every probe of one execution via
-    # _merge_lists/_merge_opt_lists.
+    # join_between() and read by every probe plan of one execution.
     _merge_mode: str | None = None
 
     # Shard window over the driven scan, set by set_shard_window() and
@@ -143,10 +149,7 @@ class SetJoinAlgorithm(ABC):
         bound = predicate.bind(dataset)
         counters = CostCounters()
         restored = self._install_runtime(dataset, predicate, context, counters)
-        self._merge_mode = resolve_merge_backend(self.merge_backend)
-        config = resolve_bitmap_filter(self.bitmap_filter)
-        if config is not None:
-            self._bitmap = BitmapPruner.for_join(bound, config, counters)
+        self._arm_probe(bound, counters)
         if context is not None:
             context.start()
         start = time.perf_counter()
@@ -237,6 +240,13 @@ class SetJoinAlgorithm(ABC):
         self._restored_pairs = state.match_pairs()
         counters.merge(state.cost_counters())
         return list(self._restored_pairs)
+
+    def _arm_probe(self, bound: BoundPredicate, counters: CostCounters) -> None:
+        """Resolve the run's merge backend and build its bitmap pruner."""
+        self._merge_mode = resolve_merge_backend(self.merge_backend)
+        config = resolve_bitmap_filter(self.bitmap_filter)
+        if config is not None:
+            self._bitmap = BitmapPruner.for_join(bound, config, counters)
 
     def _uninstall_runtime(self) -> None:
         self._context = None
@@ -334,6 +344,7 @@ class SetJoinAlgorithm(ABC):
 
         fallback = ClusterMemJoin(MemoryBudget(context.memory_budget_entries))
         fallback.bitmap_filter = self.bitmap_filter
+        fallback.merge_backend = self.merge_backend
         result = fallback.join(
             dataset, predicate, context=context.for_degraded_run()
         )
@@ -420,29 +431,15 @@ class SetJoinAlgorithm(ABC):
     # Merge-backend dispatch
     # ------------------------------------------------------------------
 
-    def _merge_mode_of(self) -> str:
+    def _probe_plan(self, bound: BoundPredicate, **variation) -> "ProbePlan":
+        """This run's :class:`ProbePlan`: its merge backend and pruner
+        plus the caller's variation points."""
         # Resolved at join start; algorithms driven outside join() (unit
         # tests calling _run directly) resolve lazily.
         mode = self._merge_mode
         if mode is None:
             mode = resolve_merge_backend(self.merge_backend)
-        return mode
-
-    def _merge_lists(self, lists, threshold_of, counters, accept=None):
-        """Backend-dispatched ``heap_merge``-contract merge."""
-        if use_accumulator(self._merge_mode_of(), lists):
-            return accumulate_merge(lists, threshold_of, counters, accept)
-        return heap_merge(lists, threshold_of, counters, accept)
-
-    def _merge_opt_lists(
-        self, lists, index_threshold, threshold_of, counters, accept=None
-    ):
-        """Backend-dispatched ``merge_opt``-contract merge."""
-        if use_accumulator(self._merge_mode_of(), lists):
-            return accumulate_merge_opt(
-                lists, index_threshold, threshold_of, counters, accept
-            )
-        return merge_opt(lists, index_threshold, threshold_of, counters, accept)
+        return ProbePlan(bound, mode, pruner=self._bitmap, **variation)
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -458,7 +455,9 @@ class SetJoinAlgorithm(ABC):
     ) -> bool:
         """Run exact verification and emit the pair if it matches.
 
-        With the bitmap filter armed (``bitmap_filter=`` knob), pairs
+        For the candidate generators outside :func:`probe_kernel`
+        (naive, pair-count, word-groups, the prefix/positional filters,
+        approx). With the bitmap filter armed (``bitmap_filter=`` knob), pairs
         whose popcount weight cap provably cannot reach the threshold
         are rejected first; those count as ``bitmap_checks``/
         ``bitmap_rejects``, never as ``pairs_verified`` — that counter
@@ -471,9 +470,13 @@ class SetJoinAlgorithm(ABC):
         tokens means zero match weight. ``pairs_verified`` counts the
         pair either way, so work counters stay comparable.
         """
-        bitmap = self._bitmap
-        if bitmap is not None and bitmap.rejects(rid_a, rid_b, counters):
-            return False
+        pruner = self._bitmap
+        if pruner is not None and pruner.controller.active:
+            threshold = pruner.const_threshold
+            if threshold is None:
+                threshold = bound.threshold(bound.norm(rid_a), bound.norm(rid_b))
+            if pruner.rejects(pruner.store.entry(rid_a), rid_b, threshold, counters):
+                return False
         counters.pairs_verified += 1
         if (
             bound.use_signature_prefilter
@@ -521,7 +524,7 @@ class SetJoinAlgorithm(ABC):
         bound = predicate.bind(combined)
         counters = CostCounters()
         self._context = context
-        self._merge_mode = resolve_merge_backend(self.merge_backend)
+        self._arm_probe(bound, counters)
         if context is not None:
             context.start()
         start = time.perf_counter()
@@ -531,33 +534,18 @@ class SetJoinAlgorithm(ABC):
             index, dispose = self._build_full_index(
                 combined, bound, counters, range(offset, len(combined))
             )
-            band = bound.band_filter()
+            plan = self._probe_plan(bound, orient=PROBE_FIRST, offset=offset)
             pairs: list[MatchPair] = []
             for rid in range(len(left)):
                 self._tick(counters)
                 counters.probes += 1
-                lists = index.probe_lists(combined[rid], bound.cached_score_vector(rid))
-                if not lists:
-                    continue
-                norm_r = bound.norm(rid)
-                index_threshold = bound.index_threshold(norm_r, index.min_norm)
-                accept = band.acceptor(rid) if band is not None else None
-                candidates = self._merge_opt_lists(
-                    lists,
-                    index_threshold,
-                    lambda sid, _n=norm_r, _b=bound: _b.threshold(_n, _b.norm(sid)),
-                    counters,
-                    accept=accept,
+                probe_kernel(
+                    plan, index, rid, combined[rid], bound.cached_score_vector(rid),
+                    counters, pairs,
                 )
-                for sid, _weight in candidates:
-                    counters.pairs_verified += 1
-                    ok, similarity = bound.verify(rid, sid)
-                    if ok:
-                        pairs.append(MatchPair(rid, sid - offset, similarity))
         finally:
             dispose()
-            self._context = None
-            self._merge_mode = None
+            self._uninstall_runtime()
         elapsed = time.perf_counter() - start
         counters.pairs_output = len(pairs)
         return JoinResult(
@@ -571,3 +559,178 @@ class SetJoinAlgorithm(ABC):
 
 def _noop_dispose() -> None:
     """Nothing to release for the in-memory index."""
+
+
+# ----------------------------------------------------------------------
+# The per-probe kernel
+# ----------------------------------------------------------------------
+
+#: Pair orientations of :class:`ProbePlan`. ``LOWER``: the index holds
+#: every record, the probe included, so each pair surfaces twice — keep
+#: ``sid < rid`` and emit ``(sid, rid)``. ``CANONICAL``: each pair
+#: surfaces once; emit ``(min, max)``. ``PROBE_FIRST``: non-self join,
+#: emit ``(rid, sid - offset)``. ``PROBE_LAST``: a served query, emit
+#: ``(sid, probe_rid)``.
+LOWER = "lower"
+CANONICAL = "canonical"
+PROBE_FIRST = "probe-first"
+PROBE_LAST = "probe-last"
+
+
+class ProbePlan:
+    """What varies between the callers of :func:`probe_kernel`.
+
+    Attributes:
+        bound: the bound predicate (norms, thresholds, verify).
+        merge_mode: resolved merge backend (``"heap"``,
+            ``"accumulator"`` or ``"auto"``).
+        optmerge: MergeOpt contract at ``T(r, I)`` when True, the plain
+            heap contract (no index threshold) otherwise.
+        order: entity -> rid map for indexes keyed by processing
+            position (``order[pos]``); None when entities are rids.
+        orient: pair orientation (:data:`LOWER`, :data:`CANONICAL`,
+            :data:`PROBE_FIRST`, :data:`PROBE_LAST`).
+        offset: subtracted from the indexed rid of emitted pairs
+            (``join_between``'s right side).
+        pruner: the bitmap pruner, or None.
+        context: a :class:`~repro.runtime.context.JoinContext` ticked
+            once per candidate (the query service), or None.
+        band: the §5 band filter, derived from ``bound``.
+    """
+
+    __slots__ = (
+        "bound", "merge_mode", "optmerge", "order", "orient", "offset",
+        "pruner", "context", "band",
+    )
+
+    def __init__(
+        self,
+        bound: BoundPredicate,
+        merge_mode: str,
+        *,
+        optmerge: bool = True,
+        order=None,
+        orient: str = CANONICAL,
+        offset: int = 0,
+        pruner: BitmapPruner | None = None,
+        context=None,
+    ):
+        self.bound = bound
+        self.merge_mode = merge_mode
+        self.optmerge = optmerge
+        self.order = order
+        self.orient = orient
+        self.offset = offset
+        self.pruner = pruner
+        self.context = context
+        self.band = bound.band_filter()
+
+
+def run_merge(mode, lists, index_threshold, threshold_of, counters, accept=None):
+    """Backend-dispatched merge: the ``merge_opt`` contract at
+    ``index_threshold``, or the ``heap_merge`` contract when it is None.
+
+    Merges are called positionally through this module's globals, where
+    the benchmark's join tracer wraps them.
+    """
+    accumulate = use_accumulator(mode, lists)
+    if index_threshold is None:
+        if accumulate:
+            return accumulate_merge(lists, threshold_of, counters, accept)
+        return heap_merge(lists, threshold_of, counters, accept)
+    if accumulate:
+        return accumulate_merge_opt(
+            lists, index_threshold, threshold_of, counters, accept
+        )
+    return merge_opt(lists, index_threshold, threshold_of, counters, accept)
+
+
+def probe_kernel(
+    plan: ProbePlan,
+    index,
+    rid: int,
+    tokens,
+    scores,
+    counters: CostCounters,
+    out: list[MatchPair],
+    cut: float = 0.0,
+) -> None:
+    """Probe ``index`` with record ``rid``; append its verified pairs.
+
+    Probes the posting lists of ``tokens``/``scores``, merges them at
+    ``T(r, s)`` (lowered by ``cut``, the stopwords variant's bound on
+    the weight its unindexed words may add) with the band filter inside
+    the merge, then per candidate: map the entity to a rid, orient the
+    pair, tick the context, apply the bitmap pruner at the exact pair
+    threshold, verify, emit.
+
+    The verify step has no word-signature shortcut (unlike
+    :meth:`SetJoinAlgorithm._verify_pair`): a merge candidate shares a
+    posting list's token with the probe, hence its signature bit.
+    """
+    lists = index.probe_lists(tokens, scores)
+    if not lists:
+        return
+    bound = plan.bound
+    threshold = bound.threshold
+    norm = bound.norm
+    norm_r = norm(rid)
+    order = plan.order
+    if order is not None:
+
+        def threshold_of(pos: int) -> float:
+            return threshold(norm_r, norm(order[pos]))
+
+    elif cut:
+
+        def threshold_of(sid: int) -> float:
+            return threshold(norm_r, norm(sid)) - cut
+
+    else:
+
+        def threshold_of(sid: int) -> float:
+            return threshold(norm_r, norm(sid))
+
+    band = plan.band
+    candidates = run_merge(
+        plan.merge_mode,
+        lists,
+        bound.index_threshold(norm_r, index.min_norm) if plan.optmerge else None,
+        threshold_of,
+        counters,
+        band.acceptor(rid, order) if band is not None else None,
+    )
+    pruner = plan.pruner
+    entry = None
+    if pruner is not None and pruner.controller.active:
+        entry = pruner.entry_of(bound, rid)
+    else:
+        pruner = None
+    orient = plan.orient
+    offset = plan.offset
+    context = plan.context
+    verify = bound.verify
+    for entity, _weight in candidates:
+        sid = entity if order is None else order[entity]
+        if orient == LOWER:
+            if sid >= rid:
+                continue
+            rid_a, rid_b = sid, rid
+        elif orient == CANONICAL:
+            rid_a, rid_b = (sid, rid) if sid < rid else (rid, sid)
+        elif orient == PROBE_FIRST:
+            rid_a, rid_b = rid, sid
+        else:
+            rid_a, rid_b = sid, rid
+        if context is not None:
+            context.tick(counters, check_memory=False)
+        if pruner is not None and pruner.controller.active:
+            pair_threshold = pruner.const_threshold
+            if pair_threshold is None:
+                pair_threshold = threshold(norm_r, norm(sid))
+            if pruner.rejects(entry, sid, pair_threshold, counters):
+                continue
+        counters.pairs_verified += 1
+        ok, similarity = verify(rid_a, rid_b)
+        if ok:
+            out.append(MatchPair(rid_a, rid_b - offset, similarity))

@@ -32,11 +32,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from repro.core.base import SetJoinAlgorithm
+from repro.core.base import SetJoinAlgorithm, probe_kernel
 from repro.core.clusters import Cluster, ClusterSet
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.merge_dynamic import merge_dynamic
-from repro.core.merge_opt import merge_opt
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
 from repro.partition.batching import plan_batches
@@ -317,7 +316,7 @@ class ClusterMemJoin(SetJoinAlgorithm):
         batch_of_cluster = dict(enumerate(assignment))
         batch_files = pinfo.split(batch_of_cluster, n_batches)
 
-        band = bound.band_filter()
+        plan = self._probe_plan(bound, order=order)
         pairs: list[MatchPair] = []
 
         def scan_entries():
@@ -340,7 +339,6 @@ class ClusterMemJoin(SetJoinAlgorithm):
                 current_batch = batch_idx
             tokens = store.fetch(entry.rid)
             scores = bound.cached_score_vector(entry.rid)
-            norm_r = bound.norm(entry.rid)
             if not replay:
                 for cid in entry.joins:
                     if batch_of_cluster[cid] != batch_idx:
@@ -348,44 +346,18 @@ class ClusterMemJoin(SetJoinAlgorithm):
                     cluster_index = indexes.get(cid)
                     if cluster_index is None or len(cluster_index) == 0:
                         continue
-                    self._probe_batch_cluster(
-                        cluster_index, entry.rid, tokens, scores, norm_r,
-                        bound, band, order, counters, pairs,
+                    counters.cluster_probes += 1
+                    probe_kernel(
+                        plan, cluster_index, entry.rid, tokens, scores,
+                        counters, pairs,
                     )
             if entry.home >= 0:
                 home_index = indexes.get(entry.home)
                 if home_index is None:
                     home_index = ScoredInvertedIndex()
                     indexes[entry.home] = home_index
-                home_index.insert(entry.position, tokens, scores, norm_r)
+                home_index.insert(
+                    entry.position, tokens, scores, bound.norm(entry.rid)
+                )
                 counters.index_entries += len(tokens)
         return pairs
-
-    def _probe_batch_cluster(
-        self,
-        cluster_index: ScoredInvertedIndex,
-        rid: int,
-        tokens: tuple[int, ...],
-        scores: tuple[float, ...],
-        norm_r: float,
-        bound: BoundPredicate,
-        band,
-        order: list[int],
-        counters: CostCounters,
-        pairs: list[MatchPair],
-    ) -> None:
-        counters.cluster_probes += 1
-        lists = cluster_index.probe_lists(tokens, scores)
-        if not lists:
-            return
-
-        def threshold_of(pos: int) -> float:
-            return bound.threshold(norm_r, bound.norm(order[pos]))
-
-        accept = band.acceptor(rid, order) if band is not None else None
-
-        index_threshold = bound.index_threshold(norm_r, cluster_index.min_norm)
-        candidates = merge_opt(lists, index_threshold, threshold_of, counters, accept)
-        for pos, _weight in candidates:
-            sid = order[pos]
-            self._verify_pair(bound, min(rid, sid), max(rid, sid), counters, pairs)

@@ -27,7 +27,7 @@ threshold — lives in :class:`~repro.core.cluster_mem.ClusterMemJoin`.
 
 from __future__ import annotations
 
-from repro.core.base import SetJoinAlgorithm
+from repro.core.base import ProbePlan, SetJoinAlgorithm, probe_kernel, run_merge
 from repro.core.clusters import Cluster, ClusterSet
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.records import Dataset
@@ -80,7 +80,7 @@ class ProbeClusterJoin(SetJoinAlgorithm):
             order = sorted(range(len(dataset)), key=lambda rid: (-bound.norm(rid), rid))
         else:
             order = list(range(len(dataset)))
-        band = bound.band_filter()
+        plan = self._probe_plan(bound, order=order)
         clusters = ClusterSet()
         pairs: list[MatchPair] = []
         self.last_assignment = {}
@@ -96,13 +96,12 @@ class ProbeClusterJoin(SetJoinAlgorithm):
             # state deterministically. Only the pair-emitting fine joins
             # are skipped (their pairs were restored from the checkpoint).
             join_clusters, home = self._probe_clusters(
-                clusters, tokens, scores, norm_r, bound, counters
+                clusters, tokens, scores, norm_r, plan, counters
             )
             if not replay:
                 for cid in join_clusters:
                     self._fine_join(
-                        clusters[cid], rid, tokens, scores, norm_r, bound, band,
-                        order, counters, pairs,
+                        clusters[cid], rid, tokens, scores, plan, counters, pairs
                     )
             target = self._assign_home(
                 clusters, home, position, rid, tokens, scores, norm_r, counters
@@ -153,7 +152,7 @@ class ProbeClusterJoin(SetJoinAlgorithm):
         tokens: tuple[int, ...],
         scores: tuple[float, ...],
         norm_r: float,
-        bound: BoundPredicate,
+        plan: ProbePlan,
         counters: CostCounters,
     ) -> tuple[list[int], tuple[int, float] | None]:
         """One dynamic probe: (J(r), best home candidate).
@@ -170,10 +169,11 @@ class ProbeClusterJoin(SetJoinAlgorithm):
         # cluster is chosen among those by similarity. (The lower,
         # dynamically-raised home-search threshold belongs to the
         # limited-memory variant, §4.1.1 — see ClusterMemJoin.)
-        join_threshold = bound.index_threshold(norm_r, clusters.index.min_norm)
-        candidates = self._merge_opt_lists(
+        bound = plan.bound
+        candidates = run_merge(
+            plan.merge_mode,
             lists,
-            join_threshold,
+            bound.index_threshold(norm_r, clusters.index.min_norm),
             lambda cid: bound.threshold(norm_r, clusters.cluster_norm(cid)),
             counters,
         )
@@ -199,10 +199,7 @@ class ProbeClusterJoin(SetJoinAlgorithm):
         rid: int,
         tokens: tuple[int, ...],
         scores: tuple[float, ...],
-        norm_r: float,
-        bound: BoundPredicate,
-        band,
-        order: list[int],
+        plan: ProbePlan,
         counters: CostCounters,
         pairs: list[MatchPair],
     ) -> None:
@@ -212,25 +209,12 @@ class ProbeClusterJoin(SetJoinAlgorithm):
             # Singleton cluster: the cluster-level match IS the record
             # match; verify directly instead of probing a 1-record index.
             sid = cluster.rids[0]
-            self._verify_pair(bound, min(rid, sid), max(rid, sid), counters, pairs)
+            self._verify_pair(
+                plan.bound, min(rid, sid), max(rid, sid), counters, pairs
+            )
             return
         assert cluster.index is not None
-        lists = cluster.index.probe_lists(tokens, scores)
-        if not lists:
-            return
-
-        def threshold_of(pos: int) -> float:
-            return bound.threshold(norm_r, bound.norm(order[pos]))
-
-        accept = band.acceptor(rid, order) if band is not None else None
-
-        index_threshold = bound.index_threshold(norm_r, cluster.index.min_norm)
-        candidates = self._merge_opt_lists(
-            lists, index_threshold, threshold_of, counters, accept
-        )
-        for pos, _weight in candidates:
-            sid = order[pos]
-            self._verify_pair(bound, min(rid, sid), max(rid, sid), counters, pairs)
+        probe_kernel(plan, cluster.index, rid, tokens, scores, counters, pairs)
 
     def _assign_home(
         self,

@@ -24,7 +24,7 @@ variants (tests enforce this), only the work differs.
 
 from __future__ import annotations
 
-from repro.core.base import SetJoinAlgorithm
+from repro.core.base import LOWER, SetJoinAlgorithm, probe_kernel
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
@@ -63,8 +63,6 @@ class ProbeCountJoin(SetJoinAlgorithm):
     ) -> list[MatchPair]:
         if self.variant in ("online", "sort"):
             return self._run_online(dataset, bound, counters)
-        if self.variant == "stopwords":
-            return self._run_stopwords(dataset, bound, counters)
         return self._run_two_pass(dataset, bound, counters)
 
     def _supports_index_backend(self, backend: str) -> bool:
@@ -73,71 +71,31 @@ class ProbeCountJoin(SetJoinAlgorithm):
         return self.variant in ("basic", "optmerge", "stopwords")
 
     # ------------------------------------------------------------------
-    # Two-pass variants: basic / optmerge
+    # Two-pass variants: basic / optmerge / stopwords (§2.1, §3.1)
     # ------------------------------------------------------------------
 
     def _run_two_pass(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
-        index, dispose = self._build_full_index(
-            dataset, bound, counters, range(len(dataset))
-        )
-        try:
-            band = bound.band_filter()
-            pairs: list[MatchPair] = []
-            use_optmerge = self.variant == "optmerge"
-            for _position, rid, replay in self._drive(
-                range(len(dataset)), counters, pairs
-            ):
-                if replay:
-                    continue
-                counters.probes += 1
-                lists = index.probe_lists(dataset[rid], bound.cached_score_vector(rid))
-                if not lists:
-                    continue
-                norm_r = bound.norm(rid)
-                threshold_of = _threshold_closure(bound, norm_r)
-                accept = band.acceptor(rid) if band is not None else None
-                if use_optmerge:
-                    index_threshold = bound.index_threshold(norm_r, index.min_norm)
-                    candidates = self._merge_opt_lists(
-                        lists, index_threshold, threshold_of, counters, accept
-                    )
-                else:
-                    candidates = self._merge_lists(lists, threshold_of, counters, accept)
-                for sid, _weight in candidates:
-                    # The full index contains rid itself and yields each pair
-                    # twice; emit once, in canonical orientation.
-                    if sid < rid:
-                        self._verify_pair(bound, sid, rid, counters, pairs)
-            return pairs
-        finally:
-            dispose()
+        stopwords = None
+        keep = None
+        if self.variant == "stopwords":
+            stopwords = self._select_stopwords(dataset, bound)
+            counters.extra["stopwords"] = len(stopwords)
 
-    # ------------------------------------------------------------------
-    # Stopwords variant (§3.1)
-    # ------------------------------------------------------------------
-
-    def _run_stopwords(
-        self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
-    ) -> list[MatchPair]:
-        stopwords = self._select_stopwords(dataset, bound)
-        counters.extra["stopwords"] = len(stopwords)
-
-        def keep(tokens, scores):
-            kept_tokens = []
-            kept_scores = []
-            for token, score in zip(tokens, scores):
-                if token not in stopwords:
-                    kept_tokens.append(token)
-                    kept_scores.append(score)
-            return kept_tokens, kept_scores
+            def keep(tokens, scores):
+                return _split_stopwords(tokens, scores, stopwords)[:2]
 
         index, dispose = self._build_full_index(
             dataset, bound, counters, range(len(dataset)), keep=keep
         )
         try:
-            band = bound.band_filter()
+            # The full index contains rid itself and yields each pair
+            # twice; LOWER emits it once, in canonical orientation.
+            # basic and stopwords merge with the heap contract.
+            plan = self._probe_plan(
+                bound, optmerge=self.variant == "optmerge", orient=LOWER
+            )
             pairs: list[MatchPair] = []
             for _position, rid, replay in self._drive(
                 range(len(dataset)), counters, pairs
@@ -147,30 +105,10 @@ class ProbeCountJoin(SetJoinAlgorithm):
                 counters.probes += 1
                 tokens = dataset[rid]
                 scores = bound.cached_score_vector(rid)
-                probe_tokens = []
-                probe_scores = []
-                stop_contribution = 0.0
-                for token, score in zip(tokens, scores):
-                    if token in stopwords:
-                        # Assume, pessimistically, that the partner record
-                        # shares the stopword at the maximum indexed score.
-                        stop_contribution += score * stopwords[token]
-                    else:
-                        probe_tokens.append(token)
-                        probe_scores.append(score)
-                lists = index.probe_lists(probe_tokens, probe_scores)
-                if not lists:
-                    continue
-                norm_r = bound.norm(rid)
-
-                def threshold_of(sid: int, _n=norm_r, _cut=stop_contribution) -> float:
-                    return bound.threshold(_n, bound.norm(sid)) - _cut
-
-                accept = band.acceptor(rid) if band is not None else None
-                candidates = self._merge_lists(lists, threshold_of, counters, accept)
-                for sid, _weight in candidates:
-                    if sid < rid:
-                        self._verify_pair(bound, sid, rid, counters, pairs)
+                cut = 0.0
+                if stopwords is not None:
+                    tokens, scores, cut = _split_stopwords(tokens, scores, stopwords)
+                probe_kernel(plan, index, rid, tokens, scores, counters, pairs, cut)
             return pairs
         finally:
             dispose()
@@ -222,44 +160,37 @@ class ProbeCountJoin(SetJoinAlgorithm):
             order = sorted(range(len(dataset)), key=lambda rid: (-bound.norm(rid), rid))
         else:
             order = list(range(len(dataset)))
-        band = bound.band_filter()
         # The index is keyed by *processing position* so posting lists
         # stay id-sorted even when records are processed out of RID order.
         index = ScoredInvertedIndex()
+        plan = self._probe_plan(bound, order=order)
         pairs: list[MatchPair] = []
         for position, rid, replay in self._drive(order, counters, pairs):
             tokens = dataset[rid]
             scores = bound.cached_score_vector(rid)
-            norm_r = bound.norm(rid)
             # On resume-replay the record is only re-inserted into the
             # index; its probe already ran (pairs restored from the
             # checkpoint).
             if not replay:
                 counters.probes += 1
-            lists = index.probe_lists(tokens, scores) if not replay else None
-            if lists:
-
-                def threshold_of(pos: int, _n=norm_r) -> float:
-                    return bound.threshold(_n, bound.norm(order[pos]))
-
-                index_threshold = bound.index_threshold(norm_r, index.min_norm)
-                accept = band.acceptor(rid, order) if band is not None else None
-                candidates = self._merge_opt_lists(
-                    lists, index_threshold, threshold_of, counters, accept
-                )
-                for pos, _weight in candidates:
-                    sid = order[pos]
-                    self._verify_pair(
-                        bound, min(rid, sid), max(rid, sid), counters, pairs
-                    )
-            index.insert(position, tokens, scores, norm_r, counters)
+                probe_kernel(plan, index, rid, tokens, scores, counters, pairs)
+            index.insert(position, tokens, scores, bound.norm(rid), counters)
         return pairs
 
 
-def _threshold_closure(bound: BoundPredicate, norm_r: float):
-    """entity id -> T(r, s), capturing the probe record's norm."""
+def _split_stopwords(tokens, scores, stopwords: dict[int, float]):
+    """``(kept tokens, kept scores, cut)`` for one record.
 
-    def threshold_of(sid: int) -> float:
-        return bound.threshold(norm_r, bound.norm(sid))
-
-    return threshold_of
+    ``cut`` assumes, pessimistically, that the partner record shares
+    each of the record's stopwords at the maximum indexed score.
+    """
+    kept_tokens = []
+    kept_scores = []
+    cut = 0.0
+    for token, score in zip(tokens, scores):
+        if token in stopwords:
+            cut += score * stopwords[token]
+        else:
+            kept_tokens.append(token)
+            kept_scores.append(score)
+    return kept_tokens, kept_scores, cut

@@ -4,8 +4,9 @@ The paper's introduction motivates set joins with DBMSs that must serve
 similarity *queries* over set-valued columns, not only batch joins.
 This module packages the online probe as a service: add records one at
 a time, query any record-shaped set against everything added so far,
-and persist/restore the whole index. The probe per query/add is the
-same MergeOpt machinery the batch joins use.
+and persist/restore the whole index. Each query runs the batch joins'
+per-probe kernel (:func:`~repro.core.base.probe_kernel`): the same
+merge-backend dispatch, band filter, bitmap pruner and verification.
 """
 
 from __future__ import annotations
@@ -15,19 +16,17 @@ import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
 
-from repro.core.accumulator import (
-    accumulate_merge_opt,
-    resolve_merge_backend,
-    use_accumulator,
-)
+# Unused here: perfbench's serve tracer patches these two names on this module.
+from repro.core.accumulator import accumulate_merge_opt  # noqa: F401
+from repro.core.accumulator import resolve_merge_backend
+from repro.core.base import PROBE_LAST, ProbePlan, probe_kernel
 from repro.core.inverted_index import ScoredInvertedIndex
-from repro.core.merge_opt import merge_opt
+from repro.core.merge_opt import merge_opt  # noqa: F401
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
-from repro.filters.adapters import adapter_for
-from repro.filters.bitmap import SignatureStore, resolve_bitmap_filter
-from repro.filters.controller import AdaptiveController, NullController
-from repro.predicates.base import WEIGHT_EPS, SimilarityPredicate
+from repro.filters.bitmap import resolve_bitmap_filter
+from repro.filters.pruner import BitmapPruner
+from repro.predicates.base import SimilarityPredicate
 from repro.runtime.errors import (
     ConcurrentMutation,
     ReadOnlyIndex,
@@ -250,13 +249,13 @@ class SimilarityIndex:
         #: Name of the mutation currently holding the write side, if any
         #: — the invariant the ConcurrentMutation guard checks.
         self._in_flight: str | None = None
-        #: Bitmap candidate filter (:mod:`repro.filters`): signatures
-        #: are maintained alongside the inverted index — extended on
-        #: every ``add``, rebuilt on ``rebind``, persisted in snapshots.
+        #: Bitmap candidate filter (:mod:`repro.filters`): one pruner
+        #: maintained alongside the inverted index — grown on every
+        #: ``add``, rebuilt on ``rebind``, persisted in snapshots. None
+        #: while the filter is off, the index is empty, or the predicate
+        #: has no sound adapter.
         self._bitmap_config = resolve_bitmap_filter(bitmap_filter)
-        self._bitmap_store: SignatureStore | None = None
-        self._bitmap_adapter = None
-        self._bitmap_controller = None
+        self._pruner: BitmapPruner | None = None
         #: Monotonic mutation stamp: bumped by every ``add``/``rebind``.
         #: External result caches (:class:`repro.serving.cache.QueryCache`)
         #: key on it to invalidate on any index mutation.
@@ -374,7 +373,7 @@ class SimilarityIndex:
         with self._write_locked("rebind"):
             self._rebind()
             self._rebuild_index()
-            self._rebuild_bitmap()
+            self._pruner = self._new_pruner()
             self._generation += 1
 
     def _rebind(self) -> None:
@@ -402,55 +401,24 @@ class SimilarityIndex:
             self._bound.extend_to(len(self._dataset))
         return self._bound
 
-    # ------------------------------------------------------------------
-    # Bitmap filter maintenance (write-locked callers only)
-    # ------------------------------------------------------------------
-
-    def _rebuild_bitmap(self) -> None:
-        """Recompute signatures from scratch (scores may have changed)."""
-        self._bitmap_store = None
-        self._bitmap_adapter = None
-        self._bitmap_controller = None
-        self._extend_bitmap()
-
-    def _extend_bitmap(self) -> None:
-        """Bring the signature store up to the current dataset length.
-
-        No-op when the filter is off or the predicate has no sound
-        adapter. The adaptive controller persists across incremental
-        adds (the data distribution rarely shifts per record) but is
-        reset by :meth:`_rebuild_bitmap`.
-        """
+    def _new_pruner(self, saved: dict | None = None) -> BitmapPruner | None:
+        """A pruner over the current records (write-locked callers, or a
+        load not yet shared); ``saved`` reuses snapshot signatures."""
         if self._bitmap_config is None or self._bound is None:
-            return
-        if self._bitmap_adapter is None:
-            self._bitmap_adapter = adapter_for(self._bound)
-            if self._bitmap_adapter is None:
-                return
-        if self._bitmap_store is None:
-            self._bitmap_store = SignatureStore(self._bitmap_config.width)
-        if self._bitmap_controller is None:
-            config = self._bitmap_config
-            self._bitmap_controller = (
-                AdaptiveController(config.sample_size, config.min_reject_rate)
-                if config.adaptive
-                else NullController()
-            )
-        if len(self._bitmap_store) < len(self._dataset):
-            self._bitmap_store.extend_from(self._bound, len(self._bitmap_store))
+            return None
+        return BitmapPruner.for_join(self._bound, self._bitmap_config, saved=saved)
 
     def bitmap_state(self) -> dict | None:
         """Filter introspection for the health endpoint (None when off)."""
         if self._bitmap_config is None:
             return None
+        pruner = self._pruner
         state = {
             "width": self._bitmap_config.width,
-            "signatures": len(self._bitmap_store)
-            if self._bitmap_store is not None
-            else 0,
+            "signatures": len(pruner.store) if pruner is not None else 0,
         }
-        if self._bitmap_controller is not None:
-            state["controller"] = self._bitmap_controller.state()
+        if pruner is not None:
+            state["controller"] = pruner.controller.state()
         return state
 
     # ------------------------------------------------------------------
@@ -471,7 +439,10 @@ class SimilarityIndex:
             self._index.insert(
                 rid, record, bound.cached_score_vector(rid), bound.norm(rid), self.counters
             )
-            self._extend_bitmap()
+            if self._pruner is not None:
+                self._pruner.grow(bound)
+            else:
+                self._pruner = self._new_pruner()
             self._generation += 1
             return rid
 
@@ -550,66 +521,18 @@ class SimilarityIndex:
             bound = _probe_bound(base_bound, record, item)
             if reusable is not None:
                 reusable.append(bound)
-        lists = self._index.probe_lists(record, bound.cached_score_vector(probe_rid))
-        if not lists:
-            return []
-        norm_r = bound.norm(probe_rid)
-        band = bound.band_filter()
-        accept = band.acceptor(probe_rid) if band is not None else None
-
-        # Bitmap candidate filter: the probe's signature is ephemeral
-        # (never stored); extra unseen-token bits only loosen the
-        # intersection bound, so pruning stays sound. The controller is
-        # shared across queries — racy int updates under concurrent
-        # readers are benign (see repro/filters/controller.py).
-        store = self._bitmap_store
-        controller = self._bitmap_controller
-        probe_entry = None
-        const_threshold = None
-        if (
-            store is not None
-            and controller is not None
-            and controller.active
-            and len(store) == probe_rid
-        ):
-            probe_entry = store.components_for(
-                record, bound.cached_score_vector(probe_rid)
-            )
-            if self._bitmap_adapter.constant_threshold:
-                const_threshold = bound.threshold(0.0, 0.0)
-
-        index_threshold = bound.index_threshold(norm_r, self._index.min_norm)
-        threshold_of = lambda sid: bound.threshold(norm_r, bound.norm(sid))  # noqa: E731
-        if use_accumulator(self.merge_backend, lists):
-            candidates = accumulate_merge_opt(
-                lists, index_threshold, threshold_of, counters, accept
-            )
-        else:
-            candidates = merge_opt(
-                lists, index_threshold, threshold_of, counters, accept
-            )
-        matches = []
-        for sid, _weight in candidates:
-            if context is not None:
-                context.tick(counters, check_memory=False)
-            if probe_entry is not None:
-                counters.bitmap_checks += 1
-                cap = store.weight_cap_entry(probe_entry, sid)
-                threshold = (
-                    const_threshold
-                    if const_threshold is not None
-                    else bound.threshold(norm_r, bound.norm(sid))
-                )
-                rejected = cap < threshold - WEIGHT_EPS
-                if not controller.decided:
-                    controller.observe(rejected, counters)
-                if rejected:
-                    counters.bitmap_rejects += 1
-                    continue
-            counters.pairs_verified += 1
-            ok, similarity = bound.verify(sid, probe_rid)
-            if ok:
-                matches.append(MatchPair(sid, probe_rid, similarity))
+        plan = ProbePlan(
+            bound,
+            self.merge_backend,
+            orient=PROBE_LAST,
+            pruner=self._pruner,
+            context=context,
+        )
+        matches: list[MatchPair] = []
+        probe_kernel(
+            plan, self._index, probe_rid, record,
+            bound.cached_score_vector(probe_rid), counters, matches,
+        )
         return matches
 
     def payload(self, rid: int):
@@ -718,17 +641,14 @@ class SimilarityIndex:
                 else [list(tokens) for tokens in self._token_lists]
             )
             state = {"token_lists": token_lists, "payloads": payloads}
-            if (
-                self._bitmap_store is not None
-                and len(self._bitmap_store) == len(self._dataset)
-            ):
+            if self._pruner is not None:
                 # Persist the signatures so a load with the same width
                 # skips the per-token hashing pass. Optional key: old
                 # snapshots load fine, and loads with a different
                 # width (or filter off) just ignore it.
                 state["bitmap"] = {
-                    "width": self._bitmap_store.width,
-                    "signatures": self._bitmap_store.signatures(),
+                    "width": self._pruner.store.width,
+                    "signatures": self._pruner.store.signatures(),
                 }
             write_snapshot(path, state, kind=_SNAPSHOT_KIND, fs=fs)
 
@@ -893,7 +813,7 @@ class SimilarityIndex:
         service._dataset._frequency = None
         service._rebind()
         service._rebuild_index()
-        service._restore_bitmap(bitmap_state)
+        service._pruner = service._new_pruner(bitmap_state)
         return service
 
     @classmethod
@@ -1032,24 +952,6 @@ class SimilarityIndex:
         release = getattr(self._index, "close", None)
         if release is not None:
             release()
-
-    def _restore_bitmap(self, bitmap_state: dict | None) -> None:
-        """Arm the filter after a load, reusing persisted signatures when
-        the snapshot's width matches the requested config."""
-        if self._bitmap_config is None or self._bound is None:
-            return
-        if (
-            bitmap_state is not None
-            and bitmap_state["width"] == self._bitmap_config.width
-            and len(bitmap_state["signatures"]) == len(self._dataset)
-        ):
-            self._bitmap_adapter = adapter_for(self._bound)
-            if self._bitmap_adapter is None:
-                return
-            self._bitmap_store = SignatureStore.restore(
-                bitmap_state["width"], bitmap_state["signatures"], self._bound
-            )
-        self._extend_bitmap()
 
     @staticmethod
     def _validate_state(path: str, state) -> tuple[list, list, dict | None]:

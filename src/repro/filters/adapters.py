@@ -7,8 +7,8 @@ below states it. ``adapter_for`` returns ``None`` when no sound
 argument exists, and the filter silently stays off (sound by default:
 an unknown predicate is never pruned).
 
-The shared rejection rule, applied by the callers in
-:mod:`repro.core.base` and :mod:`repro.core.service`::
+The shared rejection rule, applied by
+:meth:`~repro.filters.pruner.BitmapPruner.rejects`::
 
     reject  iff  weight_cap(r, s) < pair_threshold(r, s) - WEIGHT_EPS
 

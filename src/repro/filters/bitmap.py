@@ -155,10 +155,6 @@ class SignatureStore:
             sig |= 1 << (((token + 1) * _MIX & _MASK64) >> 32) % width
         return (sig, sig.bit_count(), len(tokens), max(scores, default=0.0))
 
-    def append(self, tokens, scores) -> None:
-        """Add the next record's entry (rids are dense and in order)."""
-        self._entries.append(self.components_for(tokens, scores))
-
     @classmethod
     def build(cls, bound, width: int) -> "SignatureStore":
         """Signatures for every record of ``bound``'s dataset."""
@@ -170,20 +166,9 @@ class SignatureStore:
         """Append entries for records ``start..len(dataset)`` (incremental
         maintenance after :meth:`SimilarityIndex.add`)."""
         dataset = bound.dataset
-        append = self._entries.append
-        width = self.width
         for rid in range(start, len(dataset)):
-            tokens = dataset[rid]
-            sig = 0
-            for token in tokens:
-                sig |= 1 << (((token + 1) * _MIX & _MASK64) >> 32) % width
-            append(
-                (
-                    sig,
-                    sig.bit_count(),
-                    len(tokens),
-                    max(bound.cached_score_vector(rid), default=0.0),
-                )
+            self._entries.append(
+                self.components_for(dataset[rid], bound.cached_score_vector(rid))
             )
 
     @classmethod
@@ -213,24 +198,10 @@ class SignatureStore:
     # The bound itself
     # ------------------------------------------------------------------
 
-    def weight_cap(self, rid_a: int, rid_b: int) -> float:
-        """Upper bound on ``match_weight(rid_a, rid_b)``; see module doc."""
-        entries = self._entries
-        sig_a, pop_a, size_a, max_a = entries[rid_a]
-        sig_b, pop_b, size_b, max_b = entries[rid_b]
-        inter = (sig_a & sig_b).bit_count()
-        ub = size_a - pop_a + inter
-        ub_b = size_b - pop_b + inter
-        if ub_b < ub:
-            ub = ub_b
-        if ub <= 0:
-            return 0.0
-        return ub * max_a * max_b
-
-    def weight_cap_entry(
-        self, entry: tuple[int, int, int, float], rid_b: int
-    ) -> float:
-        """Like :meth:`weight_cap` with one side an unstored probe entry."""
+    def weight_cap(self, entry: tuple[int, int, int, float], rid_b: int) -> float:
+        """Upper bound on the match weight of the record behind ``entry``
+        (stored, or an unstored probe entry) and ``rid_b``; see module
+        doc."""
         sig_a, pop_a, size_a, max_a = entry
         sig_b, pop_b, size_b, max_b = self._entries[rid_b]
         inter = (sig_a & sig_b).bit_count()

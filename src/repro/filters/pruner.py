@@ -1,11 +1,16 @@
-"""The per-join bitmap-filter runtime: store + adapter + controller.
+"""The bitmap-filter runtime: store + controller + constant threshold.
 
-One :class:`BitmapPruner` is built per join execution (in
-:meth:`SetJoinAlgorithm.join`) and consulted by ``_verify_pair`` before
-each exact verification. Pairs it rejects never count as
-``pairs_verified`` — that counter keeps meaning "exact verifications
-performed", which is what the perf gate holds; the filter's own traffic
-is visible in ``bitmap_checks``/``bitmap_rejects``.
+One :class:`BitmapPruner` serves one join execution (built in
+:meth:`SetJoinAlgorithm.join` / ``join_between``) or one
+:class:`~repro.core.service.SimilarityIndex` (grown on ``add``, rebuilt
+on ``rebind``, restored on ``load``). It is consulted by
+:func:`~repro.core.base.probe_kernel` and
+:meth:`SetJoinAlgorithm._verify_pair` before each exact verification,
+with the probe's signature entry — stored for indexed records, built on
+the fly for an ephemeral query — and the exact pair threshold. Pairs it
+rejects never count as ``pairs_verified`` — that counter keeps meaning
+"exact verifications performed", which is what the perf gate holds; the
+filter's own traffic is visible in ``bitmap_checks``/``bitmap_rejects``.
 """
 
 from __future__ import annotations
@@ -19,30 +24,39 @@ __all__ = ["BitmapPruner"]
 
 
 class BitmapPruner:
-    """Rejects candidate pairs whose weight cap cannot reach the threshold."""
+    """Rejects candidate pairs whose weight cap cannot reach the threshold.
 
-    __slots__ = ("store", "bound", "adapter", "controller", "_const_threshold")
+    Callers check ``controller.active`` before computing the pair
+    threshold. ``const_threshold`` is set for predicates whose threshold
+    ignores the norms, so callers pay for it once per run instead of
+    once per check.
+    """
 
-    def __init__(self, store: SignatureStore, bound, adapter, controller):
+    __slots__ = ("store", "controller", "const_threshold")
+
+    def __init__(self, store: SignatureStore, controller, const_threshold):
         self.store = store
-        self.bound = bound
-        self.adapter = adapter
         self.controller = controller
-        # Constant-threshold predicates (overlap, cosine) pay the
-        # threshold call once per run instead of once per check.
-        self._const_threshold = (
-            bound.threshold(0.0, 0.0) if adapter.constant_threshold else None
-        )
+        self.const_threshold = const_threshold
 
     @classmethod
     def for_join(
-        cls, bound, config: BitmapFilterConfig, counters=None
+        cls, bound, config: BitmapFilterConfig, counters=None, saved=None
     ) -> "BitmapPruner | None":
-        """Build the run's pruner, or None when no sound adapter exists."""
+        """Build a pruner over ``bound``'s dataset, or None when no sound
+        adapter exists.
+
+        ``saved`` is a snapshot's ``{"width", "signatures"}`` state: its
+        signatures are reused when the width matches ``config``, which
+        skips the per-token hashing pass.
+        """
         adapter = adapter_for(bound)
         if adapter is None:
             return None
-        store = SignatureStore.build(bound, config.width)
+        if saved is not None and saved["width"] == config.width:
+            store = SignatureStore.restore(config.width, saved["signatures"], bound)
+        else:
+            store = SignatureStore.build(bound, config.width)
         if counters is not None:
             extra = counters.extra
             extra["bitmap_signatures_built"] = (
@@ -52,22 +66,32 @@ class BitmapPruner:
             controller = AdaptiveController(config.sample_size, config.min_reject_rate)
         else:
             controller = NullController()
-        return cls(store, bound, adapter, controller)
+        const_threshold = (
+            bound.threshold(0.0, 0.0) if adapter.constant_threshold else None
+        )
+        return cls(store, controller, const_threshold)
 
-    def rejects(self, rid_a: int, rid_b: int, counters) -> bool:
-        """True when the pair provably cannot match (skip verification)."""
-        controller = self.controller
-        if not controller.active:
-            return False
+    def grow(self, bound) -> None:
+        """Sign the records appended to ``bound``'s dataset since the
+        last call (the controller's decision carries over)."""
+        self.store.extend_from(bound, len(self.store))
+
+    def entry_of(self, bound, rid: int) -> tuple[int, int, int, float]:
+        """The probe's signature entry: stored for an indexed rid, built
+        on the fly for a query probe past the end of the store."""
+        store = self.store
+        if rid < len(store):
+            return store.entry(rid)
+        return store.components_for(bound.dataset[rid], bound.cached_score_vector(rid))
+
+    def rejects(self, entry, rid_b: int, threshold: float, counters) -> bool:
+        """True when the pair (probe ``entry``, stored ``rid_b``) provably
+        cannot reach ``threshold`` (skip verification)."""
         counters.bitmap_checks += 1
-        cap = self.store.weight_cap(rid_a, rid_b)
-        threshold = self._const_threshold
-        if threshold is None:
-            bound = self.bound
-            threshold = bound.threshold(bound.norm(rid_a), bound.norm(rid_b))
-        rejected = cap < threshold - WEIGHT_EPS
+        rejected = self.store.weight_cap(entry, rid_b) < threshold - WEIGHT_EPS
         if rejected:
             counters.bitmap_rejects += 1
+        controller = self.controller
         if not controller.decided:
             controller.observe(rejected, counters)
         return rejected

@@ -4,10 +4,13 @@ import pytest
 
 from repro import (
     Dataset,
+    DicePredicate,
     JaccardPredicate,
     OverlapPredicate,
     ProbeClusterJoin,
     ProbeCountJoin,
+    SimilarityIndex,
+    make_algorithm,
 )
 
 
@@ -80,3 +83,75 @@ class TestJoinBetween:
         left, right = sides
         result = ProbeCountJoin().join_between(left, right, OverlapPredicate(2))
         assert result.algorithm.endswith("/between")
+
+
+def _random_sides(seed, n_left=30, n_right=60, universe=25):
+    """Left (S) and right (R) token lists over one vocabulary; every left
+    token also occurs on the right, so served queries see no unknown
+    tokens."""
+    import random
+
+    rng = random.Random(seed)
+    right = [
+        [f"w{t}" for t in rng.sample(range(universe), rng.randint(2, 8))]
+        for _ in range(n_right)
+    ]
+    seen = sorted({token for tokens in right for token in tokens})
+    left = [rng.sample(seen, rng.randint(2, 8)) for _ in range(n_left)]
+    return left, right
+
+
+class TestJoinBetweenBitmapFilter:
+    def test_filter_runs_and_keeps_pairs(self):
+        left_tokens, right_tokens = _random_sides(seed=57)
+        vocab: dict = {}
+        left = Dataset.from_token_lists(left_tokens, vocabulary=vocab)
+        right = Dataset.from_token_lists(right_tokens, vocabulary=vocab)
+        predicate = JaccardPredicate(0.3)
+        plain = make_algorithm("probe-count-optmerge").join_between(
+            left, right, predicate
+        )
+        filtered = make_algorithm(
+            "probe-count-optmerge", bitmap_filter=True
+        ).join_between(left, right, predicate)
+        assert filtered.counters.bitmap_checks > 0
+        assert sorted(filtered.pairs) == sorted(plain.pairs)
+
+
+class TestQueryMatchesJoinBetween:
+    """A served query runs the same probe as one ``join_between`` probe:
+    querying every S record against an index over R gives the join's
+    pairs and, summed, its work counters."""
+
+    @pytest.mark.parametrize("backend", ["heap", "accumulator", "auto"])
+    @pytest.mark.parametrize(
+        "predicate",
+        [JaccardPredicate(0.3), OverlapPredicate(3), DicePredicate(0.4)],
+        ids=["jaccard-0.3", "overlap-3", "dice-0.4"],
+    )
+    def test_pairs_and_counters_equal(self, predicate, backend):
+        left_tokens, right_tokens = _random_sides(seed=58)
+        index = SimilarityIndex(predicate, merge_backend=backend)
+        for tokens in right_tokens:
+            index.add(tokens)
+        before = index.counters.as_dict()
+        served = set()
+        for s, tokens in enumerate(left_tokens):
+            for pair in index.query(tokens):
+                served.add((s, pair.rid_a, pair.similarity))
+        after = index.counters.as_dict()
+
+        vocab: dict = {}
+        right = Dataset.from_token_lists(right_tokens, vocabulary=vocab)
+        left = Dataset.from_token_lists(left_tokens, vocabulary=vocab)
+        joined = make_algorithm(
+            "probe-count-optmerge", merge_backend=backend
+        ).join_between(left, right, predicate)
+
+        assert served
+        assert served == {(p.rid_a, p.rid_b, p.similarity) for p in joined.pairs}
+        skip = {"index_entries", "pairs_output"}
+        join_counters = joined.counters.as_dict()
+        for name in sorted((set(after) | set(join_counters)) - skip):
+            per_query = after.get(name, 0) - before.get(name, 0)
+            assert per_query == join_counters.get(name, 0), name

@@ -119,7 +119,9 @@ class TestBitmapFilterSoundness:
                 overlap = len(set(recs[a]) & set(recs[b]))
                 union = len(set(recs[a]) | set(recs[b]))
                 if overlap / union >= f:
-                    assert not pruner.rejects(a, b, counters), (
+                    threshold = bound.threshold(bound.norm(a), bound.norm(b))
+                    entry = pruner.entry_of(bound, a)
+                    assert not pruner.rejects(entry, b, threshold, counters), (
                         recs[a], recs[b], f, width,
                     )
 

@@ -175,7 +175,10 @@ class TestMergeLevelEquivalence:
 
 
 def _join_pairs(dataset, predicate, algorithm, backend, bitmap=None):
-    algo = make_algorithm(algorithm, merge_backend=backend, bitmap_filter=bitmap)
+    extra = {"memory_fraction": 0.3} if algorithm == "cluster-mem" else {}
+    algo = make_algorithm(
+        algorithm, merge_backend=backend, bitmap_filter=bitmap, **extra
+    )
     return algo.join(dataset, predicate).pair_set()
 
 
@@ -185,7 +188,9 @@ _PREDICATES = [
     pytest.param(CosinePredicate(0.7), id="cosine"),
 ]
 
-_ALGORITHMS = ["probe-count-optmerge", "probe-count-sort", "probe-cluster"]
+_ALGORITHMS = [
+    "probe-count-optmerge", "probe-count-sort", "probe-cluster", "cluster-mem"
+]
 
 
 class TestJoinLevelEquivalence:

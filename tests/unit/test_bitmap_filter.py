@@ -87,20 +87,20 @@ class TestSignatureStore:
             for a in range(len(RECORDS)):
                 for b in range(len(RECORDS)):
                     truth = len(set(RECORDS[a]) & set(RECORDS[b]))
-                    assert store.weight_cap(a, b) >= truth
+                    assert store.weight_cap(store.entry(a), b) >= truth
 
     def test_cap_never_exceeds_smaller_size(self):
         store, _ = self._store()
         for a in range(len(RECORDS)):
             for b in range(len(RECORDS)):
-                cap = store.weight_cap(a, b)
+                cap = store.weight_cap(store.entry(a), b)
                 assert cap <= min(len(RECORDS[a]), len(RECORDS[b]))
 
     def test_disjoint_records_capped_by_collisions_only(self):
         store, _ = self._store(width=4096)
         # At 4096 bits these token ids cannot collide: disjoint sets
         # must get a zero cap.
-        assert store.weight_cap(0, 4) == 0.0
+        assert store.weight_cap(store.entry(0), 4) == 0.0
 
     def test_probe_entry_matches_stored_entry(self):
         store, bound = self._store()
@@ -109,10 +109,6 @@ class TestSignatureStore:
                 record, bound.cached_score_vector(rid)
             )
             assert entry == store.entry(rid)
-            for other in range(len(RECORDS)):
-                assert store.weight_cap_entry(entry, other) == store.weight_cap(
-                    rid, other
-                )
 
     def test_extend_from_appends_only_new(self):
         bound = OverlapPredicate(2).bind(Dataset(list(RECORDS)))
@@ -193,13 +189,27 @@ class TestPrunerAndCounters:
             (a, b)
             for a in range(len(RECORDS))
             for b in range(a + 1, len(RECORDS))
-            if pruner.rejects(a, b, counters)
+            if pruner.rejects(pruner.entry_of(bound, a), b, 2, counters)
         ]
         n_pairs = len(RECORDS) * (len(RECORDS) - 1) // 2
         assert counters.bitmap_checks == n_pairs
         assert counters.bitmap_rejects == len(rejected)
         for a, b in rejected:
             assert len(set(RECORDS[a]) & set(RECORDS[b])) < 2
+
+    def test_entry_of_signs_an_unstored_probe(self):
+        # A query probe sits one past the stored records: entry_of builds
+        # its entry on the fly, equal to what storing it would give.
+        probe = len(RECORDS) - 1
+        indexed = OverlapPredicate(2).bind(Dataset(list(RECORDS[:probe])))
+        pruner = BitmapPruner.for_join(
+            indexed, BitmapFilterConfig(width=64, adaptive=False)
+        )
+        assert len(pruner.store) == probe
+        bound = OverlapPredicate(2).bind(Dataset(list(RECORDS)))
+        stored = SignatureStore.build(bound, 64).entry(probe)
+        assert pruner.entry_of(bound, probe) == stored
+        assert pruner.entry_of(bound, 0) == pruner.store.entry(0)
 
     def test_bitmap_checks_excluded_from_total_work(self):
         counters = CostCounters()

@@ -9,6 +9,7 @@ from repro import (
     MemoryBudget,
     NaiveJoin,
     OverlapPredicate,
+    make_algorithm,
 )
 from tests.conftest import random_dataset
 
@@ -115,3 +116,27 @@ class TestClusterMem:
             result.counters.extra["phase1_index_entries"]
             < data.total_word_occurrences()
         )
+
+
+class TestClusterMemMergeBackend:
+    """Phase 2's record-level probes honour ``merge_backend``.
+
+    Phase 1's dynamic-threshold home search (``merge_dynamic``) has no
+    accumulator form, so its heap work is present under every backend;
+    only the phase-2 share of ``heap_pushes`` moves to the accumulator.
+    """
+
+    def _join(self, backend):
+        data = random_dataset(seed=41, n_base=80, universe=30)
+        algorithm = make_algorithm(
+            "cluster-mem", memory_fraction=0.3, merge_backend=backend
+        )
+        return algorithm.join(data, OverlapPredicate(3))
+
+    def test_backend_counters_and_pairs(self):
+        heap = self._join("heap")
+        accumulator = self._join("accumulator")
+        assert heap.counters.accum_scans == 0
+        assert accumulator.counters.accum_scans > 0
+        assert accumulator.counters.heap_pushes < heap.counters.heap_pushes
+        assert sorted(accumulator.pairs) == sorted(heap.pairs)

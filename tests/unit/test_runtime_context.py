@@ -130,6 +130,17 @@ class TestMemoryBudget:
         assert result.pair_set() == truth.pair_set()
         assert result.counters.extra.get("degradations") == 1
 
+    def test_degraded_fallback_keeps_merge_backend(self):
+        # Lists long enough that the fallback's default "auto" backend
+        # would pick the accumulator.
+        data = random_dataset(seed=36, n_base=120, universe=15)
+        context = JoinContext(memory_budget_entries=60)
+        algorithm = make_algorithm("probe-count", merge_backend="heap")
+        result = algorithm.join(data, OverlapPredicate(3), context=context)
+        assert result.degraded
+        assert result.counters.heap_pushes > 0
+        assert result.counters.accum_scans == 0
+
     def test_cluster_mem_is_exempt_from_the_runtime_check(self):
         # ClusterMem honours the budget structurally; its cumulative
         # insert counters must not trip the runtime check.
