@@ -68,6 +68,7 @@ from repro.runtime import (
     MemoryBudgetExceeded,
     SnapshotCorrupted,
     SnapshotEncodingError,
+    UnsupportedConfiguration,
 )
 
 __version__ = "1.0.0"
@@ -111,6 +112,7 @@ __all__ = [
     "ProbeCountJoin",
     "SimilarityIndex",
     "TopKJoin",
+    "UnsupportedConfiguration",
     "WeightedOverlapPredicate",
     "WordGroupsJoin",
     "connected_components",

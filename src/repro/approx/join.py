@@ -60,6 +60,8 @@ class ApproxJoin(SetJoinAlgorithm):
     """
 
     name = "approx"
+    shardable = True
+    resumable = True
 
     def __init__(
         self,

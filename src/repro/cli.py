@@ -66,6 +66,7 @@ from repro.runtime import (
     JoinRuntimeError,
     JoinTimeout,
     ServerOverloaded,
+    UnsupportedConfiguration,
 )
 from repro.serving import (
     CircuitBreaker,
@@ -483,23 +484,8 @@ def _print_approx_summary(args, result) -> None:
 
 def _make_cli_algorithm(args):
     """Instantiate the requested algorithm with CLI-friendly errors."""
-    if args.algorithm == "cluster-mem":
-        if args.memory_budget is None:
-            raise _CLIError(
-                "--algorithm cluster-mem needs --memory-budget ENTRIES"
-            )
-        from repro.core.cluster_mem import MemoryBudget
-
-        return make_algorithm(
-            "cluster-mem",
-            budget=MemoryBudget(args.memory_budget),
-            bitmap_filter=_bitmap_config(args),
-            merge_backend=args.merge_backend,
-            index_backend=getattr(args, "index_backend", None),
-            index_path=getattr(args, "index_path", None),
-        )
     try:
-        algorithm = make_algorithm(
+        return make_algorithm(
             args.algorithm,
             bitmap_filter=_bitmap_config(args),
             merge_backend=args.merge_backend,
@@ -507,12 +493,6 @@ def _make_cli_algorithm(args):
             index_path=getattr(args, "index_path", None),
             **_approx_kwargs(args),
         )
-        # Surface an unsupported --index-backend combination as a CLI
-        # one-liner now rather than a traceback at join time.
-        check = getattr(algorithm, "_check_index_backend", None)
-        if check is not None:
-            check()
-        return algorithm
     except ValueError as exc:
         raise _CLIError(str(exc)) from exc
 
@@ -530,22 +510,16 @@ def _run_join(args, dataset: Dataset, predicate, context: JoinContext | None):
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise _CLIError(f"--workers must be >= 1, got {workers}")
+    # Built on both paths so an unknown name or a bad knob is a CLI
+    # one-liner; parallel_join builds its own copy for the workers.
+    algorithm = _make_cli_algorithm(args)
     if workers > 1:
-        from repro.parallel import PARALLEL_ALGORITHMS, parallel_join
+        from repro.parallel import parallel_join
 
-        if args.algorithm not in PARALLEL_ALGORITHMS:
-            raise _CLIError(
-                f"--workers > 1 needs a shardable algorithm;"
-                f" {args.algorithm!r} is not one of"
-                f" {sorted(PARALLEL_ALGORITHMS)}"
-            )
         if getattr(args, "index_path", None) is not None:
             # Every worker builds its own index; a single pinned file
             # would have them clobbering each other.
             raise _CLIError("--index-path cannot be combined with --workers > 1")
-        # Validate the backend combination here: a worker raising the
-        # same ValueError surfaces as a crash, not a CLI one-liner.
-        _make_cli_algorithm(args)
         if context is None:
             # A bare context so Ctrl-C still cancels the worker pool
             # cooperatively instead of killing it mid-stream.
@@ -578,7 +552,6 @@ def _run_join(args, dataset: Dataset, predicate, context: JoinContext | None):
                 )
             )
         return result
-    algorithm = _make_cli_algorithm(args)
     with _sigint_cancels(context):
         return algorithm.join(dataset, predicate, context=context)
 
@@ -1040,10 +1013,10 @@ def _dispatch(args) -> int:
         raise _CLIError(f"no records in {args.input} (empty input)")
 
     if args.command == "editjoin":
-        if args.algorithm not in ALGORITHMS and args.algorithm != "cluster-mem":
+        if args.algorithm not in ALGORITHMS:
             raise _CLIError(
                 f"unknown algorithm {args.algorithm!r};"
-                f" expected one of {sorted(ALGORITHMS) + ['cluster-mem']}"
+                f" expected one of {sorted(ALGORITHMS)}"
             )
         result = edit_distance_join(
             lines,
@@ -1116,7 +1089,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _dispatch(args)
-    except _CLIError as exc:
+    except (_CLIError, UnsupportedConfiguration) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except JoinTimeout as exc:

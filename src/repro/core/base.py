@@ -7,6 +7,12 @@ differs per algorithm; the final decision for every emitted pair is
 always :meth:`BoundPredicate.verify`, so all algorithms (including the
 naive baseline) agree exactly on the output set.
 
+Each algorithm class declares its capabilities as class attributes
+(``shardable``, ``resumable``, ``merges``, ``index_backends``,
+``requires_scores``); :meth:`SetJoinAlgorithm.check_supported` and
+``join()`` refuse anything else with
+:class:`~repro.runtime.errors.UnsupportedConfiguration` before any work.
+
 ``join_between`` implements the non-self join ("the extension to
 non-self-joins is obvious", §2): index one side, probe with the other.
 
@@ -42,13 +48,32 @@ from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.merge_opt import merge_opt
 from repro.core.records import Dataset
 from repro.core.results import JoinResult, MatchPair
+from repro.core.token_order import ensure_unit_scores
 from repro.filters.bitmap import resolve_bitmap_filter
 from repro.filters.pruner import BitmapPruner
 from repro.predicates.base import WEIGHT_EPS, BoundPredicate, SimilarityPredicate
-from repro.runtime.errors import JoinInterrupted, MemoryBudgetExceeded
+from repro.runtime.errors import (
+    JoinInterrupted,
+    MemoryBudgetExceeded,
+    UnsupportedConfiguration,
+)
+from repro.storage.mmap_index import resolve_index_backend
 from repro.utils.counters import CostCounters
 
-__all__ = ["ProbePlan", "SetJoinAlgorithm", "probe_kernel", "run_merge"]
+__all__ = [
+    "RECORD_INDEPENDENT",
+    "UNIT",
+    "ProbePlan",
+    "SetJoinAlgorithm",
+    "probe_kernel",
+    "run_merge",
+]
+
+#: ``requires_scores`` values: ``score(w, r)`` depends on ``w`` alone
+#: (:attr:`BoundPredicate.record_independent_scores`), or every score is
+#: exactly 1.0 (:func:`~repro.core.token_order.ensure_unit_scores`).
+RECORD_INDEPENDENT = "record-independent scores"
+UNIT = "unit scores"
 
 
 class SetJoinAlgorithm(ABC):
@@ -63,14 +88,41 @@ class SetJoinAlgorithm(ABC):
     #: whose cumulative insert counters would misfire on them.
     respects_memory_budget: bool = False
 
+    # Capabilities: defaults here, overridden on each algorithm class.
+    # check_supported() and join() enforce them, parallel_join reads
+    # shardable, and PARALLEL_ALGORITHMS and the README's algorithm
+    # table are derived from them.
+
+    #: Whether parallel_join may split the driven scan into shard
+    #: windows (the scan's positions must mean the same in every worker).
+    shardable: bool = False
+
+    #: Whether the pair-emitting scan runs through :meth:`_drive`, so a
+    #: context checkpointer can persist it and a rerun resume it.
+    resumable: bool = False
+
+    #: Whether ``merge_backend`` has any effect: the algorithm merges
+    #: posting lists through :func:`run_merge`.
+    merges: bool = False
+
+    #: The ``index_backend`` values the algorithm honours. The mapped
+    #: backends are write-once files, so only a separate full build
+    #: pass can fill them.
+    index_backends: frozenset[str] = frozenset({"memory"})
+
+    #: What the algorithm needs from the bound predicate: ``None`` (any
+    #: predicate), :data:`RECORD_INDEPENDENT` (one score per word) or
+    #: :data:`UNIT` (every score 1.0, so weights count tokens).
+    requires_scores: str | None = None
+
     #: Bitmap candidate filter knob (:mod:`repro.filters`): ``None``/
     #: ``False`` off, ``True`` defaults, an int width, or a
     #: :class:`~repro.filters.BitmapFilterConfig`. Set via
     #: ``make_algorithm(..., bitmap_filter=...)`` so it flows through
-    #: ``similarity_join`` and the parallel workers' algorithm specs
-    #: without touching any ``join()`` signature. The filter is sound
-    #: (see ``repro/filters/adapters.py``): the emitted pair set is
-    #: identical with it on or off.
+    #: ``similarity_join`` and the parallel workers' instances without
+    #: touching any ``join()`` signature. The filter is sound
+    #: (see :meth:`~repro.filters.BitmapPruner.for_join`): the emitted
+    #: pair set is identical with it on or off.
     bitmap_filter = None
 
     #: Merge-backend knob (:mod:`repro.core.accumulator`): ``"heap"``
@@ -79,8 +131,9 @@ class SetJoinAlgorithm(ABC):
     #: picks per probe from the lists' total entry count. Set via
     #: ``make_algorithm(..., merge_backend=...)`` — like
     #: ``bitmap_filter`` it is an instance attribute, so it flows
-    #: through ``similarity_join``, the parallel workers' algorithm
-    #: specs, and the CLI without touching ``join()`` signatures.
+    #: through ``similarity_join``, the parallel workers, and the CLI
+    #: without touching ``join()`` signatures. Only algorithms that
+    #: declare ``merges`` accept a value other than ``"auto"``.
     #: Candidate sets are pair-for-pair identical across backends.
     merge_backend: str = "auto"
 
@@ -96,9 +149,9 @@ class SetJoinAlgorithm(ABC):
     #: ``make_algorithm(..., index_backend=...)`` — the same
     #: instance-attribute pattern as ``bitmap_filter`` and
     #: ``merge_backend``, so it flows through ``similarity_join``, the
-    #: parallel workers' algorithm specs, and the CLI unchanged. Only
-    #: two-pass builds can use a mapped backend (``join()`` raises a
-    #: clear error otherwise); pairs are bit-identical across backends.
+    #: parallel workers, and the CLI unchanged. Only the values in the
+    #: algorithm's ``index_backends`` are accepted; pairs are
+    #: bit-identical across backends.
     index_backend: str = "memory"
 
     #: Optional explicit file path for the mapped index; ``None`` uses a
@@ -145,8 +198,9 @@ class SetJoinAlgorithm(ABC):
                 checkpointer attached, progress is flushed first so the
                 invocation can be resumed.
         """
-        self._check_index_backend()
+        self.check_supported()
         bound = predicate.bind(dataset)
+        self._check_run(dataset, predicate, bound, context)
         counters = CostCounters()
         restored = self._install_runtime(dataset, predicate, context, counters)
         self._arm_probe(bound, counters)
@@ -353,29 +407,43 @@ class SetJoinAlgorithm(ABC):
         return result.pairs
 
     # ------------------------------------------------------------------
-    # Index-backend dispatch
+    # Capability checks
     # ------------------------------------------------------------------
 
-    def _supports_index_backend(self, backend: str) -> bool:
-        """Whether this algorithm can honour a non-default index backend.
-
-        The mapped index is write-once, so only algorithms with a
-        separate full build pass can use it; overriders (Probe-Count's
-        two-pass variants) return True for the mapped backends.
-        """
-        return False
-
-    def _check_index_backend(self) -> None:
-        from repro.storage.mmap_index import resolve_index_backend
-
+    def check_supported(self) -> None:
+        """Raise :class:`UnsupportedConfiguration` for a knob this
+        algorithm does not declare. ``make_algorithm`` runs it at
+        construction; ``join()`` again for directly built instances."""
         backend = resolve_index_backend(self.index_backend)
-        if backend != "memory" and not self._supports_index_backend(backend):
-            raise ValueError(
+        if backend not in self.index_backends:
+            raise UnsupportedConfiguration(
                 f"algorithm {self.name!r} does not support"
                 f" index_backend={backend!r}: the write-once mapped index"
-                " needs a two-pass build (use probe-count,"
-                " probe-count-optmerge, or probe-count-stopwords)"
+                " needs a separate full build pass"
             )
+        merge = resolve_merge_backend(self.merge_backend)
+        if merge != "auto" and not self.merges:
+            raise UnsupportedConfiguration(
+                f"algorithm {self.name!r} merges no posting lists;"
+                f" merge_backend={merge!r} would have no effect"
+            )
+
+    def _check_run(self, dataset: Dataset, predicate, bound, context) -> None:
+        """The checks that need the bound predicate or the context."""
+        if context is not None and context.checkpointer is not None:
+            if not self.resumable:
+                raise UnsupportedConfiguration(
+                    f"algorithm {self.name!r} cannot checkpoint: its pairs"
+                    " do not come from a resumable record scan"
+                )
+        if self.requires_scores == UNIT:
+            ensure_unit_scores(dataset, bound, what=f"algorithm {self.name!r}")
+        elif self.requires_scores == RECORD_INDEPENDENT:
+            if not bound.record_independent_scores:
+                raise UnsupportedConfiguration(
+                    f"algorithm {self.name!r} needs record-independent word"
+                    f" scores; predicate {predicate.name} is record-dependent"
+                )
 
     def _build_full_index(
         self,
@@ -398,7 +466,7 @@ class SetJoinAlgorithm(ABC):
         run when probing is done (closes the mapping and removes a temp
         file).
         """
-        from repro.storage.mmap_index import JoinIndexBuilder, resolve_index_backend
+        from repro.storage.mmap_index import JoinIndexBuilder
 
         backend = resolve_index_backend(self.index_backend)
         if backend != "memory":

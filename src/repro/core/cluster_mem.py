@@ -41,6 +41,7 @@ from repro.core.results import MatchPair
 from repro.partition.batching import plan_batches
 from repro.partition.pinfo import PartitionEntry, PartitionInfoStore
 from repro.predicates.base import WEIGHT_EPS, BoundPredicate
+from repro.runtime.errors import UnsupportedConfiguration
 from repro.storage.record_store import DiskRecordStore
 from repro.utils.counters import CostCounters
 
@@ -75,7 +76,10 @@ class ClusterMemJoin(SetJoinAlgorithm):
     """Two-phase limited-memory join (Algorithm 2).
 
     Args:
-        budget: the index memory budget ``M``.
+        budget: the index memory budget ``M``. Without it the budget is
+            ``memory_fraction`` of the dataset's full index, or else the
+            join context's ``memory_budget_entries``; all three missing
+            is refused at join time.
         sort: pre-sort records by decreasing norm (Algorithm 2's optional
             external sort).
         home_similarity: similarity threshold for opening a new cluster
@@ -84,22 +88,33 @@ class ClusterMemJoin(SetJoinAlgorithm):
             fraction of ``T(r, I)``.
         workdir: directory for the pInfo file and the disk record store
             (a temporary directory is used and cleaned up by default).
+        memory_fraction: the budget as a fraction of the full index
+            (Fig. 11's x-axis), resolved against the dataset at join
+            time.
     """
 
     #: ClusterMem honours its memory budget structurally; the runtime
     #: memory check (which compares *cumulative* insert counters) is
     #: disabled for it — see JoinContext.tick.
     respects_memory_budget = True
+    #: Phase 2 replays pInfo entries through the driven scan; batch
+    #: boundaries depend on the whole phase 1, so it cannot shard.
+    resumable = True
+    merges = True
 
     def __init__(
         self,
-        budget: MemoryBudget,
+        budget: MemoryBudget | None = None,
         sort: bool = True,
         home_similarity: float = 0.5,
         initial_threshold_fraction: float = 0.2,
         workdir: str | None = None,
+        memory_fraction: float | None = None,
     ):
+        if budget is not None and memory_fraction is not None:
+            raise ValueError("cluster-mem takes budget= or memory_fraction=, not both")
         self.budget = budget
+        self.memory_fraction = memory_fraction
         self.sort = sort
         self.home_similarity = home_similarity
         self.initial_threshold_fraction = initial_threshold_fraction
@@ -107,13 +122,30 @@ class ClusterMemJoin(SetJoinAlgorithm):
         self.name = "cluster-mem"
         self.last_assignment: dict[int, int] = {}
 
+    def _budget_entries(self, dataset: Dataset) -> int:
+        """This run's ``M``: the budget, else the fraction of the full
+        index, else the context's budget."""
+        budget = self.budget
+        if budget is None and self.memory_fraction is not None:
+            budget = MemoryBudget.fraction_of_full(dataset, self.memory_fraction)
+        if budget is not None:
+            return budget.max_index_entries
+        context = self._context
+        if context is not None and context.memory_budget_entries is not None:
+            return context.memory_budget_entries
+        raise UnsupportedConfiguration(
+            "cluster-mem needs budget=, memory_fraction= or a JoinContext"
+            " memory budget (--memory-budget on the command line)"
+        )
+
     def _run(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
+        m = self._budget_entries(dataset)
         owns_workdir = self.workdir is None
         workdir = self.workdir or tempfile.mkdtemp(prefix="repro-clustermem-")
         try:
-            return self._run_in(workdir, dataset, bound, counters)
+            return self._run_in(workdir, dataset, bound, counters, m)
         finally:
             if owns_workdir:
                 for name in os.listdir(workdir):
@@ -126,13 +158,13 @@ class ClusterMemJoin(SetJoinAlgorithm):
         dataset: Dataset,
         bound: BoundPredicate,
         counters: CostCounters,
+        m: int,
     ) -> list[MatchPair]:
         n_records = len(dataset)
         if n_records == 0:
             return []
         # Preprocessing pass: N, W (§4.1).
         total_occurrences = max(dataset.total_word_occurrences(), 1)
-        m = self.budget.max_index_entries
         ng = max(1, round(n_records * m / total_occurrences))
         nr = max(1, ng)
         counters.extra["Ng"] = ng
@@ -147,12 +179,12 @@ class ClusterMemJoin(SetJoinAlgorithm):
         pinfo = PartitionInfoStore(os.path.join(workdir, "pinfo.dat"))
         try:
             clusters = self._phase_one(
-                dataset, bound, order, ng, nr, pinfo, counters
+                dataset, bound, order, ng, nr, m, pinfo, counters
             )
             counters.extra["phase1_index_entries"] = clusters.index.n_entries
             counters.extra["clusters"] = len(clusters)
             pairs = self._phase_two(
-                dataset, bound, order, clusters, pinfo, store, counters
+                dataset, bound, order, clusters, m, pinfo, store, counters
             )
         finally:
             counters.disk_reads += store.fetches
@@ -175,6 +207,7 @@ class ClusterMemJoin(SetJoinAlgorithm):
         order: list[int],
         ng: int,
         nr: int,
+        index_cap: int,
         pinfo: PartitionInfoStore,
         counters: CostCounters,
     ) -> ClusterSet:
@@ -184,7 +217,6 @@ class ClusterMemJoin(SetJoinAlgorithm):
         # recursive partitioning would handle the overflow case; capping
         # the index size directly gives the same guarantee without
         # recursion: every cluster's fine index fits the batch budget.
-        index_cap = self.budget.max_index_entries
         index_sizes: list[int] = []
         for position, rid in enumerate(order):
             # Phase 1 emits no pairs: an interruption here leaves any
@@ -302,6 +334,7 @@ class ClusterMemJoin(SetJoinAlgorithm):
         bound: BoundPredicate,
         order: list[int],
         clusters: ClusterSet,
+        m: int,
         pinfo: PartitionInfoStore,
         store: DiskRecordStore,
         counters: CostCounters,
@@ -310,7 +343,7 @@ class ClusterMemJoin(SetJoinAlgorithm):
             sum(len(dataset[rid]) for rid in cluster.rids)
             for cluster in clusters.clusters
         ]
-        assignment = plan_batches(index_sizes, self.budget.max_index_entries)
+        assignment = plan_batches(index_sizes, m)
         n_batches = (max(assignment) + 1) if assignment else 0
         counters.extra["batches"] = n_batches
         batch_of_cluster = dict(enumerate(assignment))

@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from repro.approx.join import ApproxJoin
 from repro.core.accumulator import resolve_merge_backend
 from repro.storage.mmap_index import resolve_index_backend
-from repro.core.cluster_mem import ClusterMemJoin, MemoryBudget
+from repro.core.cluster_mem import ClusterMemJoin
 from repro.core.naive import NaiveJoin
 from repro.core.pair_count import PairCountJoin
 from repro.core.positional_filter import PositionalFilterJoin
@@ -49,13 +49,15 @@ _SPECS: dict[str, tuple[type, dict]] = {
     "word-groups": (WordGroupsJoin, {"optimized": False}),
     "word-groups-optmerge": (WordGroupsJoin, {"optimized": True}),
     "probe-cluster": (ProbeClusterJoin, {}),
+    "cluster-mem": (ClusterMemJoin, {}),
     "prefix-filter": (PrefixFilterJoin, {}),
     "positional-filter": (PositionalFilterJoin, {}),
     "approx": (ApproxJoin, {}),
 }
 
 #: Factory per algorithm name; every entry is a zero-argument callable
-#: producing a fresh instance with the paper's default parameters.
+#: producing a fresh instance with the paper's default parameters
+#: (``cluster-mem`` then takes its budget from the join context).
 ALGORITHMS: dict[str, Callable[[], object]] = {
     name: (lambda _cls=cls, _base=base: _cls(**_base))
     for name, (cls, base) in _SPECS.items()
@@ -65,75 +67,39 @@ ALGORITHMS: dict[str, Callable[[], object]] = {
 def make_algorithm(name: str, **kwargs):
     """Instantiate a join algorithm by its benchmark-table name.
 
-    Extra keyword arguments are merged over the variant's defaults.
-    ``cluster-mem`` additionally accepts ``memory_fraction`` (resolved
-    against the dataset at join time) or an explicit ``budget``.
+    Extra keyword arguments are merged over the variant's defaults
+    (``cluster-mem`` takes ``budget=`` or ``memory_fraction=``, see
+    :class:`~repro.core.cluster_mem.ClusterMemJoin`).
 
     ``bitmap_filter=`` arms the candidate filter of :mod:`repro.filters`
     on any algorithm (``True``, an int signature width, or a
     :class:`~repro.filters.BitmapFilterConfig`); it is attached to the
-    instance rather than passed to constructors so every algorithm —
-    and the parallel workers, which rebuild instances from this same
-    registry — accepts it uniformly. ``merge_backend=`` selects the
-    probe-merge engine the same way (``"heap"``, ``"accumulator"``, or
-    the adaptive default ``"auto"`` — see :mod:`repro.core.accumulator`).
+    instance rather than passed to constructors so every algorithm
+    accepts it uniformly. ``merge_backend=`` selects the probe-merge
+    engine the same way (``"heap"``, ``"accumulator"``, or the adaptive
+    default ``"auto"`` — see :mod:`repro.core.accumulator`).
     ``index_backend=`` picks where the probe index lives (``"memory"``,
     the zero-copy ``"mmap"`` columnar file of
     :mod:`repro.storage.mmap_index`, or ``"mmap-varbyte"``, the same
     file with varbyte-compressed id blocks; ``index_path=`` pins the
     file location instead of a temp file). Like the other knobs it is an
-    instance attribute, so it flows through ``similarity_join`` and the
-    parallel workers unchanged; algorithms without a two-pass build
-    raise a clear error at ``join()`` time.
+    instance attribute, so it flows through ``similarity_join`` and
+    ``parallel_join`` unchanged.
+
+    Raises :class:`~repro.runtime.errors.UnsupportedConfiguration` when
+    the instance does not declare the requested ``index_backend`` or,
+    for an algorithm that merges no posting lists, a ``merge_backend``
+    other than ``"auto"`` (see
+    :meth:`~repro.core.base.SetJoinAlgorithm.check_supported`).
     """
     bitmap_filter = kwargs.pop("bitmap_filter", None)
     merge_backend = resolve_merge_backend(kwargs.pop("merge_backend", None))
     index_backend = resolve_index_backend(kwargs.pop("index_backend", None))
     index_path = kwargs.pop("index_path", None)
-    if name == "cluster-mem":
-        budget = kwargs.pop("budget", None)
-        fraction = kwargs.pop("memory_fraction", None)
-        if budget is None and fraction is None:
-            raise ValueError("cluster-mem needs budget= or memory_fraction=")
-        if budget is None:
-
-            class _Deferred:
-                """Budget resolved against the dataset at join time."""
-
-                name = "cluster-mem"
-                respects_memory_budget = True
-                bitmap_filter = None
-                merge_backend = "auto"
-                index_backend = "memory"
-                index_path = None
-
-                def join(self, dataset, predicate, context=None):
-                    resolved = ClusterMemJoin(
-                        MemoryBudget.fraction_of_full(dataset, fraction), **kwargs
-                    )
-                    resolved.bitmap_filter = self.bitmap_filter
-                    resolved.merge_backend = self.merge_backend
-                    resolved.index_backend = self.index_backend
-                    resolved.index_path = self.index_path
-                    return resolved.join(dataset, predicate, context=context)
-
-            deferred = _Deferred()
-            deferred.bitmap_filter = bitmap_filter
-            deferred.merge_backend = merge_backend
-            deferred.index_backend = index_backend
-            deferred.index_path = index_path
-            return deferred
-        algorithm = ClusterMemJoin(budget, **kwargs)
-        algorithm.bitmap_filter = bitmap_filter
-        algorithm.merge_backend = merge_backend
-        algorithm.index_backend = index_backend
-        algorithm.index_path = index_path
-        return algorithm
     spec = _SPECS.get(name)
     if spec is None:
         raise ValueError(
-            f"unknown algorithm {name!r}; expected one of"
-            f" {sorted(_SPECS) + ['cluster-mem']}"
+            f"unknown algorithm {name!r}; expected one of {sorted(_SPECS)}"
         )
     cls, base = spec
     algorithm = cls(**{**base, **kwargs})
@@ -141,6 +107,7 @@ def make_algorithm(name: str, **kwargs):
     algorithm.merge_backend = merge_backend
     algorithm.index_backend = index_backend
     algorithm.index_path = index_path
+    algorithm.check_supported()
     return algorithm
 
 
@@ -157,7 +124,7 @@ def similarity_join(
     Args:
         dataset: the tokenized records.
         predicate: the join condition (see :mod:`repro.predicates`).
-        algorithm: a key of :data:`ALGORITHMS` or ``"cluster-mem"``.
+        algorithm: a key of :data:`ALGORITHMS`.
         context: optional :class:`~repro.runtime.context.JoinContext`
             carrying a deadline, cancellation token, memory budget,
             and/or checkpointer (see ``docs/operations.md``).

@@ -21,6 +21,8 @@ class NaiveJoin(SetJoinAlgorithm):
     """Quadratic all-pairs verification."""
 
     name = "naive"
+    shardable = True
+    resumable = True
 
     def _run(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters

@@ -47,10 +47,10 @@ shared :meth:`~repro.core.base.SetJoinAlgorithm._verify_pair`, so the
 emitted pairs are bit-identical to ``prefix-filter``/``naive`` — the
 stack only changes how much work it takes to get there. The driver
 protocol (deadlines, cancellation, checkpoint/resume, shard windows)
-and the bitmap/merge-backend knobs are inherited from the shared base;
-``merge_backend`` is accepted but has no effect here, since the stack
+and the bitmap knob are inherited from the shared base; the stack
 never merges posting lists (candidates accumulate one token at a
-time).
+time), so it declares ``merges = False`` and a ``merge_backend`` other
+than ``"auto"`` is refused.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from repro.core.base import SetJoinAlgorithm
+from repro.core.base import UNIT, SetJoinAlgorithm
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
-from repro.core.token_order import TokenOrder, ensure_unit_scores
+from repro.core.token_order import TokenOrder
 from repro.predicates.base import WEIGHT_EPS, BoundPredicate
 from repro.utils.counters import CostCounters
 
@@ -115,6 +115,9 @@ class PositionalFilterJoin(SetJoinAlgorithm):
     """
 
     name = "positional-filter"
+    shardable = True
+    resumable = True
+    requires_scores = UNIT
 
     def __init__(self, suffix_filter: bool = True, suffix_max_depth: int = 2):
         if suffix_max_depth < 0:
@@ -127,7 +130,6 @@ class PositionalFilterJoin(SetJoinAlgorithm):
     def _run(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
-        ensure_unit_scores(dataset, bound)
         n = len(dataset)
         if n == 0:
             return []

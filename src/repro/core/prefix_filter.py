@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import math
 
-from repro.core.base import SetJoinAlgorithm
+from repro.core.base import UNIT, SetJoinAlgorithm
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
-from repro.core.token_order import TokenOrder, ensure_unit_scores
+from repro.core.token_order import TokenOrder
 from repro.predicates.base import WEIGHT_EPS, BoundPredicate
 from repro.utils.counters import CostCounters
 
@@ -53,11 +53,13 @@ class PrefixFilterJoin(SetJoinAlgorithm):
     """AllPairs-style prefix-filtered join (unit-score predicates)."""
 
     name = "prefix-filter"
+    shardable = True
+    resumable = True
+    requires_scores = UNIT
 
     def _run(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
-        ensure_unit_scores(dataset, bound)
         if len(dataset) == 0:
             return []
         ordered_records = TokenOrder.for_dataset(dataset).canonicalize_all(dataset)

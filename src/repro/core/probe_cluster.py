@@ -54,6 +54,10 @@ class ProbeClusterJoin(SetJoinAlgorithm):
             cluster. Unlimited by default.
     """
 
+    shardable = True
+    resumable = True
+    merges = True
+
     def __init__(
         self,
         sort: bool = True,

@@ -29,6 +29,7 @@ from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
 from repro.predicates.base import WEIGHT_EPS, BoundPredicate
+from repro.storage.mmap_index import INDEX_BACKENDS
 from repro.utils.counters import CostCounters
 
 __all__ = ["ProbeCountJoin", "VARIANTS"]
@@ -49,12 +50,20 @@ class ProbeCountJoin(SetJoinAlgorithm):
             unit weights.
     """
 
+    shardable = True
+    resumable = True
+    merges = True
+
     def __init__(self, variant: str = "optmerge", stopword_budget_fraction: float = 1.0):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         self.variant = variant
         self.stopword_budget_fraction = stopword_budget_fraction
         self.name = f"probe-count-{variant}"
+        if variant not in ("online", "sort"):
+            # online/sort insert as they go; the write-once mapped file
+            # needs the full build pass the two-pass variants have.
+            self.index_backends = frozenset(INDEX_BACKENDS)
 
     # ------------------------------------------------------------------
 
@@ -64,11 +73,6 @@ class ProbeCountJoin(SetJoinAlgorithm):
         if self.variant in ("online", "sort"):
             return self._run_online(dataset, bound, counters)
         return self._run_two_pass(dataset, bound, counters)
-
-    def _supports_index_backend(self, backend: str) -> bool:
-        # online/sort insert as they go; the write-once mapped file
-        # needs the full build pass the two-pass variants have.
-        return self.variant in ("basic", "optmerge", "stopwords")
 
     # ------------------------------------------------------------------
     # Two-pass variants: basic / optmerge / stopwords (§2.1, §3.1)

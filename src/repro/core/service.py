@@ -253,7 +253,7 @@ class SimilarityIndex:
         #: maintained alongside the inverted index — grown on every
         #: ``add``, rebuilt on ``rebind``, persisted in snapshots. None
         #: while the filter is off, the index is empty, or the predicate
-        #: has no sound adapter.
+        #: declares no soundness argument for it.
         self._bitmap_config = resolve_bitmap_filter(bitmap_filter)
         self._pruner: BitmapPruner | None = None
         #: Monotonic mutation stamp: bumped by every ``add``/``rebind``.

@@ -22,6 +22,7 @@ over the same dataset.
 from __future__ import annotations
 
 from repro.core.records import Dataset
+from repro.runtime.errors import UnsupportedConfiguration
 
 __all__ = ["TokenOrder", "ensure_unit_scores"]
 
@@ -82,14 +83,16 @@ def ensure_unit_scores(
     scanned — sampling a fixed head of the dataset would silently
     accept a corpus whose non-unit scores start past the sample.
 
-    ``what`` names the rejecting component in the error message; other
-    unit-score-only consumers (compressed join, disk index, word merge)
-    share this check.
+    ``what`` names the rejecting component in the error message; the
+    word-merged join shares this check with the algorithms declaring
+    ``requires_scores = UNIT``.
     """
     if not bound.record_independent_scores:
-        raise ValueError(f"{what} supports unit-score predicates only")
+        raise UnsupportedConfiguration(f"{what} supports unit-score predicates only")
     if getattr(bound, "unit_scores", False):
         return
     for rid in range(len(dataset)):
         if any(score != 1.0 for score in bound.cached_score_vector(rid)):
-            raise ValueError(f"{what} supports unit-score predicates only")
+            raise UnsupportedConfiguration(
+                f"{what} supports unit-score predicates only"
+            )

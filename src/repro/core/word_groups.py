@@ -36,7 +36,7 @@ cosine/TF-IDF is rejected.
 
 from __future__ import annotations
 
-from repro.core.base import SetJoinAlgorithm
+from repro.core.base import RECORD_INDEPENDENT, SetJoinAlgorithm
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
 from repro.mining.apriori import generate_candidates, intersect_sorted
@@ -62,6 +62,9 @@ class WordGroupsJoin(SetJoinAlgorithm):
             flushed exactly when it is hit (None = unbounded).
         seed: MinHash seed (results are independent of it; work is not).
     """
+
+    #: A word group carries one weight per word.
+    requires_scores = RECORD_INDEPENDENT
 
     def __init__(
         self,
@@ -89,11 +92,6 @@ class WordGroupsJoin(SetJoinAlgorithm):
     def _run(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
-        if not bound.record_independent_scores:
-            raise ValueError(
-                "Word-Groups needs record-independent word scores;"
-                f" predicate {bound.similarity_name()!r} is record-dependent"
-            )
         word_weight, min_threshold = self._word_weights(dataset, bound)
         large_words = self._large_word_set(dataset, word_weight, min_threshold)
         counters.extra["large_words"] = len(large_words)

@@ -1,13 +1,13 @@
 """Candidate-pruning filters that sit between generation and verification.
 
 See :mod:`repro.filters.bitmap` for the signature scheme and soundness
-argument, :mod:`repro.filters.adapters` for the per-predicate
-contracts, and :mod:`repro.filters.controller` for the adaptive on/off
-decision. Enable via ``similarity_join(..., bitmap_filter=True)``, the
-``--bitmap-filter`` CLI flag, or ``SimilarityIndex(bitmap_filter=...)``.
+argument, :mod:`repro.filters.pruner` for the rejection rule and the
+predicate flags that license it, and :mod:`repro.filters.controller`
+for the adaptive on/off decision. Enable via
+``similarity_join(..., bitmap_filter=True)``, the ``--bitmap-filter``
+CLI flag, or ``SimilarityIndex(bitmap_filter=...)``.
 """
 
-from repro.filters.adapters import SoundnessAdapter, adapter_for
 from repro.filters.bitmap import (
     BitmapFilterConfig,
     SignatureStore,
@@ -23,8 +23,6 @@ __all__ = [
     "BitmapPruner",
     "NullController",
     "SignatureStore",
-    "SoundnessAdapter",
-    "adapter_for",
     "bit_for_token",
     "resolve_bitmap_filter",
 ]

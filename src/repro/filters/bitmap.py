@@ -26,7 +26,8 @@ The weight cap multiplies the intersection bound by the two records'
 maximum token scores (all predicate scores in this package are
 non-negative), so ``weight(r, s) <= ub * max_score_r * max_score_s``.
 Whether "weight cap below threshold" licenses skipping verification is
-predicate-specific; :mod:`repro.filters.adapters` holds that argument.
+predicate-specific: each predicate declares it with its flags, read by
+:meth:`~repro.filters.pruner.BitmapPruner.for_join`.
 
 Bit assignment must be a pure function of the token id — parallel
 workers rebuild signatures in forked *and spawned* processes and their

@@ -11,11 +11,23 @@ the fly for an ephemeral query — and the exact pair threshold. Pairs it
 rejects never count as ``pairs_verified`` — that counter keeps meaning
 "exact verifications performed", which is what the perf gate holds; the
 filter's own traffic is visible in ``bitmap_checks``/``bitmap_rejects``.
+
+The rejection rule::
+
+    reject  iff  weight_cap(r, s) < threshold(r, s) - WEIGHT_EPS
+
+``verify`` accepts a pair when ``weight >= threshold - WEIGHT_EPS/10``
+(see :meth:`BoundPredicate.satisfied`); rejection requires
+``weight <= cap < threshold - WEIGHT_EPS < threshold - WEIGHT_EPS/10``,
+strictly below the acceptance line, so no accepted pair is ever
+rejected — regardless of float noise in the threshold itself. A
+non-positive threshold never rejects (the cap is never negative).
+Whether "cannot reach the threshold" means "verify fails" is the
+predicate's claim, declared by its flags (see :meth:`BitmapPruner.for_join`).
 """
 
 from __future__ import annotations
 
-from repro.filters.adapters import adapter_for
 from repro.filters.bitmap import BitmapFilterConfig, SignatureStore
 from repro.filters.controller import AdaptiveController, NullController
 from repro.predicates.base import WEIGHT_EPS
@@ -43,15 +55,23 @@ class BitmapPruner:
     def for_join(
         cls, bound, config: BitmapFilterConfig, counters=None, saved=None
     ) -> "BitmapPruner | None":
-        """Build a pruner over ``bound``'s dataset, or None when no sound
-        adapter exists.
+        """Build a pruner over ``bound``'s dataset, or None when the
+        predicate declares no soundness argument (the filter stays off).
+
+        Pruning is sound when ``verify`` is the match-weight threshold
+        test (``use_signature_prefilter``), or when ``threshold`` is a
+        necessary bound on the common-token count (edit distance's
+        q-gram lemma, ``bitmap_qgram_bound``). ``constant_threshold``
+        predicates pay for the threshold once per run.
 
         ``saved`` is a snapshot's ``{"width", "signatures"}`` state: its
         signatures are reused when the width matches ``config``, which
         skips the per-token hashing pass.
         """
-        adapter = adapter_for(bound)
-        if adapter is None:
+        if not (
+            bound.use_signature_prefilter
+            or getattr(bound, "bitmap_qgram_bound", False)
+        ):
             return None
         if saved is not None and saved["width"] == config.width:
             store = SignatureStore.restore(config.width, saved["signatures"], bound)
@@ -67,7 +87,7 @@ class BitmapPruner:
         else:
             controller = NullController()
         const_threshold = (
-            bound.threshold(0.0, 0.0) if adapter.constant_threshold else None
+            bound.threshold(0.0, 0.0) if bound.constant_threshold else None
         )
         return cls(store, controller, const_threshold)
 

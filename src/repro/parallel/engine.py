@@ -33,7 +33,7 @@ from dataclasses import fields as dataclass_fields
 
 import multiprocessing
 
-from repro.core.join import _SPECS
+from repro.core.join import ALGORITHMS, make_algorithm
 from repro.core.records import Dataset
 from repro.core.results import JoinResult, MatchPair
 from repro.predicates.base import SimilarityPredicate
@@ -44,6 +44,7 @@ from repro.runtime.errors import (
     JoinTimeout,
     MemoryBudgetExceeded,
     SnapshotCorrupted,
+    UnsupportedConfiguration,
 )
 from repro.utils.counters import CostCounters
 
@@ -51,28 +52,11 @@ from repro.parallel.worker import clear_shard_state, run_shard
 
 __all__ = ["PARALLEL_ALGORITHMS", "parallel_join", "shard_bounds"]
 
-#: Algorithms whose driven scan supports shard windows. Pair-Count and
-#: Word-Groups generate pairs from whole-index aggregation rather than
-#: a per-record scan, and ClusterMem's two-phase batch stream has no
-#: stable position space across workers; all three are refused rather
-#: than silently run serial.
+#: Registry names whose algorithms declare ``shardable``: their driven
+#: scan supports shard windows. The rest are refused rather than
+#: silently run serial.
 PARALLEL_ALGORITHMS = frozenset(
-    {
-        "naive",
-        "probe-count",
-        "probe-count-stopwords",
-        "probe-count-optmerge",
-        "probe-count-online",
-        "probe-count-sort",
-        "probe-cluster",
-        "prefix-filter",
-        "positional-filter",
-        # The approximate mode drives the same per-record scan (a pair
-        # is emitted at its larger rid's position) and its path forest
-        # is a pure function of the seed, so shard windows partition
-        # its pair set exactly like the exact algorithms'.
-        "approx",
-    }
+    name for name, factory in ALGORITHMS.items() if factory().shardable
 )
 
 # How long the parent keeps polling after its own deadline before
@@ -128,6 +112,8 @@ def _raise_shard_error(errors: dict, context) -> None:
     by_kind: dict[str, dict] = {}
     for kind, payload in errors.values():
         by_kind.setdefault(kind, payload)
+    if "unsupported" in by_kind:
+        raise UnsupportedConfiguration(by_kind["unsupported"]["message"])
     if "crash" in by_kind:
         raise JoinRuntimeError(
             f"parallel join worker crashed: {by_kind['crash']['message']}"
@@ -191,12 +177,17 @@ def parallel_join(
     Raises the same structured errors as a serial join; on
     interruption every worker has flushed its shard checkpoint (when
     configured), so re-invoking with the same arguments resumes.
+    :class:`UnsupportedConfiguration` for a non-``shardable`` algorithm
+    or an undeclared knob comes before any worker starts.
     """
-    if algorithm not in PARALLEL_ALGORITHMS:
-        raise ValueError(
+    # Built once here, before any worker starts, so an unknown kwarg or
+    # an unsupported knob fails in the caller's process.
+    instance = make_algorithm(algorithm, **kwargs)
+    if not instance.shardable:
+        raise UnsupportedConfiguration(
             f"algorithm {algorithm!r} does not support sharded execution;"
             f" expected one of {sorted(PARALLEL_ALGORITHMS)}"
-            + (" (run it serially via similarity_join)" if algorithm in _SPECS else "")
+            " (run it serially via similarity_join)"
         )
     if workers is None:
         workers = os.cpu_count() or 1
@@ -247,8 +238,7 @@ def parallel_join(
             "hi": hi,
             "dataset": dataset,
             "predicate": predicate,
-            "algorithm": algorithm,
-            "algorithm_kwargs": kwargs,
+            "algorithm": instance,
             "batch_size": batch_size,
             "deadline_seconds": remaining,
             "memory_budget_entries": (

@@ -1,11 +1,13 @@
 """Worker-process side of the parallel sharded join engine.
 
-Each worker runs one shard of the self-join: the full driven scan with
-:meth:`~repro.core.base.SetJoinAlgorithm.set_shard_window` restricting
-pair emission to the shard's position window. State-building work
-(index inserts, cluster assignment) is replayed for positions before
-the window, so every worker sees exactly the serial algorithm's state
-and its emitted pairs are exactly the serial pairs of its window.
+Each worker runs one shard of the self-join on its own copy of the
+algorithm instance the parent built and checked: the full driven scan
+with :meth:`~repro.core.base.SetJoinAlgorithm.set_shard_window`
+restricting pair emission to the shard's position window.
+State-building work (index inserts, cluster assignment) is replayed for
+positions before the window, so every worker sees exactly the serial
+algorithm's state and its emitted pairs are exactly the serial pairs of
+its window.
 
 Communication with the parent is a single message queue:
 
@@ -38,7 +40,6 @@ import os
 import signal
 import time
 
-from repro.core.join import make_algorithm
 from repro.runtime.checkpoint import JoinCheckpointer, dataset_fingerprint
 from repro.runtime.context import CancellationToken, JoinContext
 from repro.runtime.errors import (
@@ -47,6 +48,7 @@ from repro.runtime.errors import (
     JoinTimeout,
     MemoryBudgetExceeded,
     SnapshotCorrupted,
+    UnsupportedConfiguration,
 )
 from repro.runtime.snapshot import read_snapshot, write_snapshot
 
@@ -184,6 +186,10 @@ def run_shard(spec: dict, queue, cancel_event) -> None:
         queue.put(("error", shard, "checkpoint", {"message": str(exc)}))
     except SnapshotCorrupted as exc:
         queue.put(("error", shard, "corrupt", {"path": exc.path, "detail": exc.detail}))
+    except UnsupportedConfiguration as exc:
+        # Only what needs the bound predicate gets this far: the parent
+        # built and checked the algorithm before starting any worker.
+        queue.put(("error", shard, "unsupported", {"message": str(exc)}))
     except BaseException as exc:  # noqa: BLE001 - relayed, not swallowed
         queue.put(
             ("error", shard, "crash", {"message": f"{type(exc).__name__}: {exc}"})
@@ -197,7 +203,7 @@ def _run_shard(spec: dict, queue, cancel_event) -> None:
     predicate = spec["predicate"]
     batch_size = spec["batch_size"]
 
-    algorithm = make_algorithm(spec["algorithm"], **spec["algorithm_kwargs"])
+    algorithm = spec["algorithm"]
     algorithm.name = shard_algorithm_name(algorithm.name, shard, n_shards)
     algorithm.set_shard_window(spec["lo"], spec["hi"])
 

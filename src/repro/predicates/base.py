@@ -102,12 +102,21 @@ class BoundPredicate(ABC):
     #: :func:`repro.core.token_order.ensure_unit_scores`.
     unit_scores = False
 
-    #: Whether :meth:`SetJoinAlgorithm._verify_pair` may use the 64-bit
-    #: word-signature prefilter. Sound only for predicates whose verify
-    #: is the match-weight threshold test (zero common tokens => weight
-    #: zero => fails any positive threshold); predicates that verify on
-    #: payloads (edit distance) opt out.
+    #: True when verify is the match-weight threshold test, so a bound
+    #: on the weight below the threshold proves the pair fails. It
+    #: licenses the 64-bit word-signature prefilter of
+    #: :meth:`SetJoinAlgorithm._verify_pair` (zero common tokens =>
+    #: weight zero => fails any positive threshold) and the bitmap
+    #: filter (its weight cap is such a bound; see
+    #: :meth:`~repro.filters.BitmapPruner.for_join`). Jaccard, Dice,
+    #: overlap-coefficient and Hamming rewrite their measure as this
+    #: test with a threshold on the two norms (paper Table 1).
+    #: Predicates that verify on payloads (edit distance) opt out.
     use_signature_prefilter = True
+
+    #: True when ``threshold(r, s)`` ignores the norms, so the bitmap
+    #: filter evaluates it once per run instead of once per check.
+    constant_threshold = False
 
     #: Radius of the §5.3 band filter ``|l(r) - l(s)| <= radius``, or
     #: None when the predicate has no band filter. Predicates that set
@@ -133,10 +142,6 @@ class BoundPredicate(ABC):
     @abstractmethod
     def threshold(self, norm_r: float, norm_s: float) -> float:
         """``T(r, s)`` as a non-decreasing function of the two norms."""
-
-    @abstractmethod
-    def similarity_name(self) -> str:
-        """Human-readable name of the natural similarity value."""
 
     def band_key(self, rid: int) -> float:
         """``l(rid)`` of the band filter; a function of the record alone

@@ -21,6 +21,10 @@ __all__ = ["CosinePredicate"]
 
 class _BoundCosine(BoundPredicate):
     record_independent_scores = False
+    # Threshold f on the dot product of unit-normalized TF-IDF vectors.
+    # Scores are non-negative and at most each record's top score, so
+    # the bitmap filter's cap bounds the dot product.
+    constant_threshold = True
 
     def __init__(self, dataset: Dataset, f: float, stats: CorpusStats):
         super().__init__(dataset)
@@ -45,9 +49,6 @@ class _BoundCosine(BoundPredicate):
         # weights the bound is heuristic (a few rare tokens can carry
         # the cosine), so the planner flags it best-effort.
         return self.f * self.f
-
-    def similarity_name(self) -> str:
-        return "cosine"
 
 
 class CosinePredicate(SimilarityPredicate):

@@ -37,9 +37,6 @@ class _BoundDice(BoundPredicate):
     def threshold(self, norm_r: float, norm_s: float) -> float:
         return self.f * (norm_r + norm_s) / 2.0
 
-    def similarity_name(self) -> str:
-        return "dice"
-
     def natural_similarity(self, rid_r: int, rid_s: int, weight: float) -> float:
         total = self.norm(rid_r) + self.norm(rid_s)
         if total <= 0.0:
@@ -77,9 +74,6 @@ class _BoundOverlapCoefficient(BoundPredicate):
 
     def threshold(self, norm_r: float, norm_s: float) -> float:
         return self.f * min(norm_r, norm_s)
-
-    def similarity_name(self) -> str:
-        return "overlap-coefficient"
 
     def natural_similarity(self, rid_r: int, rid_s: int, weight: float) -> float:
         smaller = min(self.norm(rid_r), self.norm(rid_s))

@@ -66,9 +66,11 @@ class _BoundEditDistance(BoundPredicate):
     # Every numbered q-gram scores 1.0, so the prefix-filter stack may
     # generate candidates from the q-gram count bound.
     unit_scores = True
-    # The bitmap filter may still prune: threshold() is the q-gram
-    # lemma's *necessary* bound on the common numbered-gram count, so a
-    # weight cap below it proves ed > k (repro.filters.adapters).
+    # The bitmap filter may still prune: ed <= k implies the q-gram sets
+    # share at least threshold() = max(len_r, len_s) - 1 - q(k-1) grams
+    # (§5.2.3), and with unit scores the match weight is the common-gram
+    # count, so a weight cap below threshold() proves ed > k and the DP
+    # would reject.
     bitmap_qgram_bound = True
 
     def __init__(self, dataset: Dataset, k: int, q: int):
@@ -98,9 +100,6 @@ class _BoundEditDistance(BoundPredicate):
         length_r = norm_r - (self.q - 1)
         length_s = norm_s - (self.q - 1)
         return max(length_r, length_s) - 1.0 - self.q * (self.k - 1)
-
-    def similarity_name(self) -> str:
-        return "edit-distance"
 
     def verify(self, rid_r: int, rid_s: int) -> tuple[bool, float]:
         """Exact banded-DP verification on the source strings.

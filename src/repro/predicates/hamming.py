@@ -39,9 +39,6 @@ class _BoundHamming(BoundPredicate):
     def threshold(self, norm_r: float, norm_s: float) -> float:
         return (norm_r + norm_s - self.k) / 2.0
 
-    def similarity_name(self) -> str:
-        return "hamming"
-
     def natural_similarity(self, rid_r: int, rid_s: int, weight: float) -> float:
         """The symmetric-difference size (smaller is more similar)."""
         return self.norm(rid_r) + self.norm(rid_s) - 2.0 * weight

@@ -42,9 +42,6 @@ class _BoundJaccard(BoundPredicate):
     def threshold(self, norm_r: float, norm_s: float) -> float:
         return self.f * (norm_r + norm_s) / (1.0 + self.f)
 
-    def similarity_name(self) -> str:
-        return "jaccard"
-
     def natural_similarity(self, rid_r: int, rid_s: int, weight: float) -> float:
         union = self.norm(rid_r) + self.norm(rid_s) - weight
         if union <= 0.0:

@@ -28,6 +28,9 @@ class _BoundOverlap(BoundPredicate):
     """Unweighted T-overlap bound to a dataset: all scores are 1."""
 
     unit_scores = True
+    # Threshold T. With unit scores the match weight is the
+    # intersection size, so the bitmap filter's cap bounds it directly.
+    constant_threshold = True
 
     def __init__(self, dataset: Dataset, t: float):
         super().__init__(dataset)
@@ -38,9 +41,6 @@ class _BoundOverlap(BoundPredicate):
 
     def threshold(self, norm_r: float, norm_s: float) -> float:
         return self.t
-
-    def similarity_name(self) -> str:
-        return "overlap"
 
 
 class OverlapPredicate(SimilarityPredicate):
@@ -65,6 +65,11 @@ class OverlapPredicate(SimilarityPredicate):
 class _BoundWeightedOverlap(BoundPredicate):
     """Weighted T-overlap: score(w, r) = sqrt(weight(w))."""
 
+    # Threshold T. Scores sqrt(weight) are >= 0, so the bitmap filter's
+    # cap (common-token bound x both records' top scores) dominates any
+    # sum of that many score products.
+    constant_threshold = True
+
     def __init__(self, dataset: Dataset, t: float, weight_of: Callable[[int], float]):
         super().__init__(dataset)
         self.t = t
@@ -75,9 +80,6 @@ class _BoundWeightedOverlap(BoundPredicate):
 
     def threshold(self, norm_r: float, norm_s: float) -> float:
         return self.t
-
-    def similarity_name(self) -> str:
-        return "weighted-overlap"
 
 
 class WeightedOverlapPredicate(SimilarityPredicate):

@@ -46,6 +46,7 @@ from repro.runtime.errors import (
     ShardUnavailable,
     SnapshotCorrupted,
     SnapshotEncodingError,
+    UnsupportedConfiguration,
     WireProtocolError,
 )
 from repro.runtime.rwlock import NullRWLock, RWLock
@@ -74,6 +75,7 @@ __all__ = [
     "ShardUnavailable",
     "SnapshotCorrupted",
     "SnapshotEncodingError",
+    "UnsupportedConfiguration",
     "WireProtocolError",
     "dataset_fingerprint",
     "read_snapshot",

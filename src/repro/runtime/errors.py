@@ -3,7 +3,9 @@
 Every failure mode the runtime can surface has a dedicated type so
 callers can distinguish "ran out of time" from "the operator asked us to
 stop" from "a snapshot on disk is damaged" without string-matching.
-All types derive from :class:`JoinRuntimeError`.
+All runtime failures derive from :class:`JoinRuntimeError`; the one
+usage error, :class:`UnsupportedConfiguration`, is a ``ValueError``
+raised before any work starts.
 """
 
 from __future__ import annotations
@@ -27,12 +29,26 @@ __all__ = [
     "ShardUnavailable",
     "SnapshotCorrupted",
     "SnapshotEncodingError",
+    "UnsupportedConfiguration",
     "WireProtocolError",
 ]
 
 
 class JoinRuntimeError(Exception):
     """Base class for all hardened-runtime failures."""
+
+
+class UnsupportedConfiguration(ValueError):
+    """An algorithm was asked for something it does not declare.
+
+    Raised up front — by ``make_algorithm``, ``join()`` before any
+    record is scanned, or ``parallel_join`` before any worker starts —
+    for an ``index_backend`` outside the algorithm's ``index_backends``,
+    a ``merge_backend`` on an algorithm that merges no posting lists, a
+    predicate without the scores it ``requires_scores``, a checkpointer
+    on a non-``resumable`` algorithm, or ``workers > 1`` on a
+    non-``shardable`` one (see :class:`~repro.core.base.SetJoinAlgorithm`).
+    """
 
 
 class JoinInterrupted(JoinRuntimeError):

@@ -8,12 +8,14 @@ import os
 import pytest
 
 from repro import (
+    ALGORITHMS,
     JoinCancelled,
     JoinCheckpointer,
     JoinContext,
     JoinTimeout,
     MemoryBudget,
     OverlapPredicate,
+    UnsupportedConfiguration,
     make_algorithm,
 )
 from repro.runtime.errors import CheckpointMismatch
@@ -73,6 +75,26 @@ def _kill_then_resume(name, directory, *, data=None):
         checkpointer=JoinCheckpointer(directory, interval_records=7)
     )
     return _make(name).join(data, PREDICATE, context=resume)
+
+
+class TestDeclaredResumable:
+    def test_kill_points_cover_the_declared_algorithms(self):
+        declared = {name for name, factory in ALGORITHMS.items() if factory().resumable}
+        assert set(RESUMABLE) == declared
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(ALGORITHMS) - set(RESUMABLE))
+    )
+    def test_checkpointer_refused_before_any_work(self, tmp_path, name):
+        token = CountdownCancellation(after_checks=75)
+        context = JoinContext(
+            cancel_token=token,
+            checkpointer=JoinCheckpointer(str(tmp_path), interval_records=5),
+        )
+        with pytest.raises(UnsupportedConfiguration, match="checkpoint"):
+            _make(name).join(_data(), PREDICATE, context=context)
+        assert token.checks == 0
+        assert os.listdir(tmp_path) == []
 
 
 class TestKillAndResume:

@@ -15,7 +15,6 @@ from repro.filters import (
     BitmapPruner,
     NullController,
     SignatureStore,
-    adapter_for,
     bit_for_token,
     resolve_bitmap_filter,
 )
@@ -129,30 +128,31 @@ class TestSignatureStore:
 
 
 class TestAdapterDispatch:
+    """Soundness comes from the flags each predicate declares."""
+
     def test_constant_threshold_predicates(self):
         data = Dataset(list(RECORDS))
         for predicate in (OverlapPredicate(2), CosinePredicate(0.5)):
-            adapter = adapter_for(predicate.bind(data))
-            assert adapter is not None and adapter.constant_threshold
+            bound = predicate.bind(data)
+            pruner = BitmapPruner.for_join(bound, BitmapFilterConfig())
+            assert pruner is not None
+            assert pruner.const_threshold == bound.threshold(0.0, 0.0)
 
     def test_norm_dependent_predicates(self):
-        adapter = adapter_for(JaccardPredicate(0.5).bind(Dataset(list(RECORDS))))
-        assert adapter is not None and not adapter.constant_threshold
+        bound = JaccardPredicate(0.5).bind(Dataset(list(RECORDS)))
+        pruner = BitmapPruner.for_join(bound, BitmapFilterConfig())
+        assert pruner is not None and pruner.const_threshold is None
 
     def test_edit_distance_requires_qgram_flag(self):
         bound = EditDistancePredicate(k=1).bind(qgram_dataset(["abcdef", "abcdeg"]))
-        assert bound.bitmap_qgram_bound
-        adapter = adapter_for(bound)
-        assert adapter is not None and adapter.name == "edit-distance"
+        assert bound.bitmap_qgram_bound and not bound.use_signature_prefilter
+        assert BitmapPruner.for_join(bound, BitmapFilterConfig()) is not None
 
     def test_unknown_predicate_stays_off(self):
         class _Opaque:
             use_signature_prefilter = False
 
-            def similarity_name(self):
-                return "mystery-metric"
-
-        assert adapter_for(_Opaque()) is None
+        assert BitmapPruner.for_join(_Opaque(), BitmapFilterConfig()) is None
 
 
 class TestControllers:
@@ -221,9 +221,6 @@ class TestPrunerAndCounters:
     def test_for_join_returns_none_without_adapter(self):
         class _Opaque:
             use_signature_prefilter = False
-
-            def similarity_name(self):
-                return "mystery-metric"
 
         assert (
             BitmapPruner.for_join(_Opaque(), BitmapFilterConfig()) is None

@@ -606,3 +606,22 @@ class TestIndexBackendFlag:
         expected = capsys.readouterr().out
         assert main(base + ["--index-backend", "mmap", "--workers", "2"]) == 0
         assert capsys.readouterr().out == expected
+
+
+class TestUnsupportedPredicate:
+    """An algorithm x predicate the algorithm does not declare is a
+    one-line usage error, serial or sharded — never a traceback."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "algorithm", ["prefix-filter", "positional-filter", "word-groups"]
+    )
+    def test_cosine_is_usage_error(self, sample_file, capsys, algorithm, workers):
+        code = main(
+            ["join", "-i", sample_file, "--predicate", "cosine", "-t", "0.5",
+             "--algorithm", algorithm, "--workers", workers]
+        )
+        assert code == EXIT_USAGE
+        line = _one_error_line(capsys)
+        assert algorithm in line
+        assert "crashed" not in line

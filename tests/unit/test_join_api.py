@@ -1,16 +1,21 @@
 """Unit tests for the similarity_join dispatch API and results."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import (
     ALGORITHMS,
     Dataset,
+    JoinContext,
     JoinResult,
     MatchPair,
     OverlapPredicate,
     make_algorithm,
     similarity_join,
 )
+from repro.storage.mmap_index import INDEX_BACKENDS
 
 
 class TestMatchPair:
@@ -56,7 +61,11 @@ class TestDispatch:
 
     def test_every_registered_algorithm_runs(self, data):
         for name in ALGORITHMS:
-            result = similarity_join(data, OverlapPredicate(3), algorithm=name)
+            # cluster-mem is the one row without a default budget.
+            kwargs = {"memory_fraction": 1.0} if name == "cluster-mem" else {}
+            result = similarity_join(
+                data, OverlapPredicate(3), algorithm=name, **kwargs
+            )
             assert result.pair_set() == {(0, 1)}, name
 
     def test_unknown_algorithm(self, data):
@@ -64,8 +73,19 @@ class TestDispatch:
             similarity_join(data, OverlapPredicate(1), algorithm="quantum")
 
     def test_cluster_mem_needs_budget(self, data):
-        with pytest.raises(ValueError):
-            make_algorithm("cluster-mem")
+        algorithm = make_algorithm("cluster-mem")
+        with pytest.raises(ValueError, match="budget"):
+            algorithm.join(data, OverlapPredicate(3))
+        with pytest.raises(ValueError, match="not both"):
+            make_algorithm("cluster-mem", budget=5, memory_fraction=0.5)
+
+    def test_cluster_mem_takes_context_budget(self, data):
+        context = JoinContext(memory_budget_entries=5)
+        result = similarity_join(
+            data, OverlapPredicate(3), algorithm="cluster-mem", context=context
+        )
+        assert result.pair_set() == {(0, 1)}
+        assert not result.degraded
 
     def test_cluster_mem_with_fraction(self, data):
         result = similarity_join(
@@ -91,3 +111,45 @@ class TestDispatch:
         assert result.predicate == "overlap(T=3)"
         assert result.elapsed_seconds >= 0.0
         assert result.counters.pairs_output == len(result.pairs)
+
+
+class TestCapabilityTable:
+    """README's algorithm table states exactly what each class declares."""
+
+    @staticmethod
+    def _table() -> dict[str, dict[str, str]]:
+        readme = Path(__file__).resolve().parents[2] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index(
+            next(line for line in lines if line.startswith("| name | paper |"))
+        )
+        header = [cell.strip() for cell in lines[start].strip("|").split("|")]
+        rows = {}
+        for line in lines[start + 2 :]:
+            if not line.startswith("|"):
+                break
+            cells = dict(
+                zip(header, (cell.strip() for cell in line.strip("|").split("|")))
+            )
+            for name in re.findall(r"`([a-z-]+)`", cells["name"]):
+                rows[name] = cells
+        return rows
+
+    def test_table_matches_declarations(self):
+        table = self._table()
+        assert set(table) == set(ALGORITHMS)
+        for name, factory in ALGORITHMS.items():
+            algorithm = factory()
+            row = table[name]
+            declared = {
+                "workers": "any" if algorithm.shardable else "1",
+                "index backends": ", ".join(
+                    backend
+                    for backend in INDEX_BACKENDS
+                    if backend in algorithm.index_backends
+                ),
+                "merge backend": "any" if algorithm.merges else "auto",
+                "checkpoint": "yes" if algorithm.resumable else "no",
+                "predicate": algorithm.requires_scores or "any",
+            }
+            assert {key: row[key] for key in declared} == declared, name

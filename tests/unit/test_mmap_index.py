@@ -28,6 +28,7 @@ from repro import (
     JoinTimeout,
     NaiveJoin,
     OverlapPredicate,
+    UnsupportedConfiguration,
     WeightedOverlapPredicate,
 )
 from repro.compression.postings import CompressedPostingList
@@ -529,8 +530,16 @@ class TestIndexBackendKnob:
     @pytest.mark.parametrize("backend", ["mmap", "mmap-varbyte"])
     def test_unsupported_algorithms_raise_at_join(self, algorithm, backend):
         data = Dataset([(0, 1), (1, 2)])
-        algo = make_algorithm(algorithm, index_backend=backend)
-        with pytest.raises(ValueError, match="does not support index_backend"):
+        with pytest.raises(
+            UnsupportedConfiguration, match="does not support index_backend"
+        ):
+            make_algorithm(algorithm, index_backend=backend)
+        # A directly configured instance is refused by join() itself.
+        algo = make_algorithm(algorithm)
+        algo.index_backend = backend
+        with pytest.raises(
+            UnsupportedConfiguration, match="does not support index_backend"
+        ):
             algo.join(data, OverlapPredicate(1))
 
     @pytest.mark.parametrize(

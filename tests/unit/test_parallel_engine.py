@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro import OverlapPredicate, parallel_join, similarity_join
+from repro import (
+    CosinePredicate,
+    OverlapPredicate,
+    UnsupportedConfiguration,
+    parallel_join,
+    similarity_join,
+)
 from repro.core.records import Dataset
-from repro.parallel import PARALLEL_ALGORITHMS, shard_bounds
+from repro.parallel import PARALLEL_ALGORITHMS, engine, shard_bounds
 from repro.parallel.worker import shard_algorithm_name
 
 
@@ -65,6 +71,40 @@ class TestValidation:
         from repro.core.join import _SPECS
 
         assert PARALLEL_ALGORITHMS <= set(_SPECS)
+
+
+class TestFailsInTheParent:
+    """Configuration errors surface typed, not as a worker crash; the
+    ones the parent can see fail before any worker starts."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def refuse():
+            raise AssertionError("parallel_join started workers")
+
+        monkeypatch.setattr(engine, "_mp_context", refuse)
+
+    def test_unsupported_index_backend(self, no_fork):
+        with pytest.raises(UnsupportedConfiguration, match="index_backend='mmap'"):
+            parallel_join(
+                small_dataset(), OverlapPredicate(2), "prefix-filter",
+                workers=2, index_backend="mmap",
+            )
+
+    def test_unknown_kwarg(self, no_fork):
+        with pytest.raises(TypeError, match="bogus"):
+            parallel_join(
+                small_dataset(), OverlapPredicate(2), "probe-count",
+                workers=2, bogus=1,
+            )
+
+    def test_unsupported_predicate_relayed_typed(self):
+        # Only a bound predicate shows its scores: the worker finds it,
+        # the parent re-raises it typed with the worker's message.
+        with pytest.raises(UnsupportedConfiguration, match="unit-score"):
+            parallel_join(
+                small_dataset(), CosinePredicate(0.5), "prefix-filter", workers=2
+            )
 
 
 class TestShardNaming:

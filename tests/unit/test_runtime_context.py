@@ -1,8 +1,8 @@
 """JoinContext: deadlines, cancellation, memory budgets, degradation.
 
 The satellite requirement "deadline/cancel tests for every algorithm in
-ALGORITHMS" lives here: every registered algorithm (plus cluster-mem)
-must observe the context at record granularity.
+ALGORITHMS" lives here: every registered algorithm must observe the
+context at record granularity.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro import (
 from repro.runtime.faults import CountdownCancellation, FakeClock
 from tests.conftest import random_dataset
 
-ALL_ALGORITHMS = sorted(ALGORITHMS) + ["cluster-mem"]
+ALL_ALGORITHMS = sorted(ALGORITHMS)
 
 
 def _make(name):
