@@ -514,6 +514,7 @@ _SUITES = (
             Case("bitmap/prefix-filter/citation-3grams/jaccard-0.7", "citation-3grams", JaccardPredicate, 0.7, ("prefix-filter",), floors={"reduction": 0.25}),
             Case("bitmap/two-pass/citation-words/overlap-12", "citation-words", OverlapPredicate, 12, ("probe-count",), quick=True),
             Case("bitmap/cluster/citation-words/overlap-15", "citation-words", OverlapPredicate, 15, ("probe-cluster",)),
+            Case("bitmap/positional-filter/address-3grams/jaccard-0.6", "address-3grams", JaccardPredicate, 0.6, ("positional-filter",), floors={"reduction": 0.9}, quick=True),
         ),
         _run_bitmap_case,
         lambda row: f"reduction={row.get('reduction', 0.0):.1%}",

@@ -521,22 +521,16 @@ class SetJoinAlgorithm(ABC):
         counters: CostCounters,
         out: list[MatchPair],
     ) -> bool:
-        """Run exact verification and emit the pair if it matches.
+        """Bitmap-check, then exactly verify, the pair; emit it on a match.
 
         For the candidate generators outside :func:`probe_kernel`
-        (naive, pair-count, word-groups, the prefix/positional filters,
-        approx). With the bitmap filter armed (``bitmap_filter=`` knob), pairs
+        (naive, pair-count, word-groups, the prefix filter, approx).
+        With the bitmap filter armed (``bitmap_filter=`` knob), pairs
         whose popcount weight cap provably cannot reach the threshold
         are rejected first; those count as ``bitmap_checks``/
         ``bitmap_rejects``, never as ``pairs_verified`` — that counter
-        keeps meaning "exact verifications performed".
-
-        When the bound predicate supports it, a 64-bit word-signature
-        prefilter (Bloom-style OR of token bits) rejects pairs sharing
-        no tokens without computing the full match weight — sound
-        whenever the pair threshold is positive, because zero common
-        tokens means zero match weight. ``pairs_verified`` counts the
-        pair either way, so work counters stay comparable.
+        keeps meaning "exact verifications performed". The rest goes to
+        :meth:`_verify_exact`.
         """
         pruner = self._bitmap
         if pruner is not None and pruner.controller.active:
@@ -545,6 +539,28 @@ class SetJoinAlgorithm(ABC):
                 threshold = bound.threshold(bound.norm(rid_a), bound.norm(rid_b))
             if pruner.rejects(pruner.store.entry(rid_a), rid_b, threshold, counters):
                 return False
+        return self._verify_exact(bound, rid_a, rid_b, counters, out)
+
+    def _verify_exact(
+        self,
+        bound: BoundPredicate,
+        rid_a: int,
+        rid_b: int,
+        counters: CostCounters,
+        out: list[MatchPair],
+    ) -> bool:
+        """Run exact verification and emit the pair if it matches.
+
+        The step after the bitmap check: the positional filter calls it
+        directly, having run the bitmap earlier in its own cascade.
+
+        When the bound predicate supports it, a 64-bit word-signature
+        prefilter (Bloom-style OR of token bits) rejects pairs sharing
+        no tokens without computing the full match weight — sound
+        whenever the pair threshold is positive, because zero common
+        tokens means zero match weight. ``pairs_verified`` counts the
+        pair either way, so work counters stay comparable.
+        """
         counters.pairs_verified += 1
         if (
             bound.use_signature_prefilter

@@ -19,13 +19,35 @@ candidate before it reaches exact verification:
    candidate whose bound falls below the pair threshold is killed
    mid-scan (``candidate_rejections_position``), never reaching
    ``candidates_checked``.
-4. **Suffix filter (PPJoin+)** — survivors whose prefix overlap alone
+4. **Bitmap filter** (only with the ``bitmap_filter=`` knob) — the
+   popcount weight cap of :mod:`repro.filters`, checked with the
+   probe's signature entry (hoisted once per probe record) against the
+   exact pair threshold :meth:`~repro.core.base.SetJoinAlgorithm
+   ._verify_pair` would use. One check is a few big-int operations, far
+   cheaper than the suffix probe's recursion, and on dirty data it
+   rejects nearly everything the suffix probe would (address 3-grams,
+   Jaccard 0.6: suffix recursions 1,289,008 -> 9,996), so it runs
+   first. The adaptive controller may switch it off mid-run.
+5. **Suffix filter (PPJoin+)** — survivors whose prefix overlap alone
    does not already qualify get a divide-and-conquer Hamming-distance
    lower bound on their unmatched suffixes (recursion depth capped by
    ``suffix_max_depth``, recursions counted in
    ``extra["suffix_recursions"]``); a bound that caps the total
    overlap below the pair threshold rejects the candidate
    (``candidate_rejections_suffix``) without verification.
+
+Each position-filter survivor then runs one cheapest-reject-first
+cascade: band (when the predicate has one) -> bitmap -> suffix ->
+exact verify. Every layer is a sound necessary condition, so the order
+changes only the work, never the pairs; and with unit scores the
+bitmap's cap is the same integer from either side of the pair, so the
+probe-side entry gives the check ``_verify_pair`` would make. With the
+bitmap always on (``adaptive=False``) and no band, the counters close
+exactly::
+
+    bitmap_checks == candidates_checked
+    bitmap_checks - bitmap_rejects
+        == candidate_rejections_suffix + pairs_verified
 
 Soundness of the asymmetric prefixes: a record is indexed under the
 prefix for ``t_index = ceil(T(|s|, |s|))`` — every later prober has
@@ -43,7 +65,7 @@ k``) cannot surface from an inverted index; ``hamming_join`` brute-
 forces that corner.
 
 Every candidate that survives the stack is exactly verified by the
-shared :meth:`~repro.core.base.SetJoinAlgorithm._verify_pair`, so the
+shared :meth:`~repro.core.base.SetJoinAlgorithm._verify_exact`, so the
 emitted pairs are bit-identical to ``prefix-filter``/``naive`` — the
 stack only changes how much work it takes to get there. The driver
 protocol (deadlines, cancellation, checkpoint/resume, shard windows)
@@ -260,7 +282,8 @@ class PositionalFilterJoin(SetJoinAlgorithm):
         counters,
         pairs,
     ) -> None:
-        """One record's probe: scan, position-filter, suffix-filter, verify."""
+        """One record's probe: scan and position-filter, then per
+        candidate band -> bitmap -> suffix filter -> verify."""
         norm_r = float(size)
         threshold = bound.threshold
         ceil = math.ceil
@@ -319,12 +342,35 @@ class PositionalFilterJoin(SetJoinAlgorithm):
             band_keys = band.keys
             radius = band.radius + 1e-12
             key_r = band_keys[rid]
+        # The bitmap runs before the suffix probe (cheapest reject
+        # first), on the probe's entry hoisted once per record and the
+        # same exact pair threshold _verify_pair would compute.
+        pruner = self._bitmap
+        if pruner is not None and pruner.controller.active:
+            controller = pruner.controller
+            rejects = pruner.rejects
+            entry = pruner.entry_of(bound, rid)
+            const_threshold = pruner.const_threshold
+            norm = bound.norm
+            pair_norm_r = norm(rid)
+        else:
+            pruner = None
         for sid, overlap in acc.items():
             if overlap <= 0:
                 continue
             counters.candidates_checked += 1
             if band is not None and abs(band_keys[sid] - key_r) > radius:
                 continue
+            if pruner is not None and controller.active:
+                pair_threshold = const_threshold
+                if pair_threshold is None:
+                    pair_threshold = (
+                        threshold(norm(sid), pair_norm_r)
+                        if sid < rid
+                        else threshold(pair_norm_r, norm(sid))
+                    )
+                if rejects(entry, sid, pair_threshold, counters):
+                    continue
             size_s = sizes_of[sid]
             required = required_of[size_s]
             if do_suffix and overlap < required:
@@ -341,6 +387,6 @@ class PositionalFilterJoin(SetJoinAlgorithm):
                     counters.candidate_rejections_suffix += 1
                     continue
             if sid < rid:
-                self._verify_pair(bound, sid, rid, counters, pairs)
+                self._verify_exact(bound, sid, rid, counters, pairs)
             else:
-                self._verify_pair(bound, rid, sid, counters, pairs)
+                self._verify_exact(bound, rid, sid, counters, pairs)

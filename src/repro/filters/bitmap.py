@@ -67,13 +67,14 @@ class BitmapFilterConfig:
             per popcount; 128 bits covers typical record sizes of
             20-60 tokens well.
         adaptive: when True, an :class:`~repro.filters.controller.AdaptiveController`
-            samples the first ``sample_size`` checks and switches the
-            filter off for the rest of the run if the measured reject
-            rate is below ``min_reject_rate`` — data where candidates
-            almost always verify (e.g. MergeOpt's weight-complete
-            candidates) then pay only the sampling window.
-        sample_size: number of checks in the sampling window.
-        min_reject_rate: minimum sampled reject rate that keeps the
+            judges the checks in consecutive windows of ``sample_size``
+            and switches the filter off for the rest of the run at the
+            first window whose reject rate is below ``min_reject_rate``
+            — data where candidates almost always verify (e.g.
+            MergeOpt's weight-complete candidates) then pay only one
+            window, and a stream that stops paying later is cut then.
+        sample_size: number of checks in one window.
+        min_reject_rate: minimum reject rate per window that keeps the
             filter on. The default 0.05 reflects a check costing well
             under 1/20th of an exact verification.
     """

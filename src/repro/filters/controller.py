@@ -3,9 +3,15 @@
 A bitmap check is cheap but not free; on candidate streams that almost
 always verify (MergeOpt hands the driver candidates whose match weight
 is already known to clear the threshold) the filter is pure overhead.
-The controller samples the first ``sample_size`` checks and switches
-the filter off for the remainder of the run when the measured reject
-rate cannot pay for the checks.
+The controller judges the checks in consecutive windows of
+``sample_size`` and switches the filter off for the remainder of the
+run at the first window whose reject rate cannot pay for its checks.
+
+Judging every window, not just the first, matters because candidate
+streams drift: ``positional-filter`` scans records in ascending size,
+and small records are where the bitmap rejects most, so a first-window
+verdict would keep a layer on long after it stopped paying. The switch
+is one-way (on → off): a filter that stopped paying is not re-sampled.
 
 The decision is **count-based, never time-based**: it is a pure
 function of the (deterministic) reject sequence, so
@@ -24,6 +30,7 @@ class NullController:
     """Always-on stand-in used when ``adaptive=False``."""
 
     __slots__ = ()
+    adaptive = False
     active = True
     decided = True
 
@@ -35,15 +42,21 @@ class NullController:
 
 
 class AdaptiveController:
-    """Sample the first N checks; disable on a low reject rate.
+    """Judge each window of N checks; disable at the first low one.
+
+    ``decided`` turns true when the first window closes; ``checks`` and
+    ``rejects`` count the current (open) window, or the window that
+    switched the filter off.
 
     Thread-safety note: the serving path shares one controller across
     concurrent readers. ``observe`` races are benign — int updates may
-    lose a count, shifting the decision boundary by a few samples, but
+    lose a count, shifting a window boundary by a few samples, but
     both possible decisions are sound and results are unaffected.
     """
 
     __slots__ = ("sample_size", "min_reject_rate", "checks", "rejects", "active", "decided")
+
+    adaptive = True
 
     def __init__(self, sample_size: int = 512, min_reject_rate: float = 0.05):
         self.sample_size = sample_size
@@ -54,18 +67,22 @@ class AdaptiveController:
         self.decided = False
 
     def observe(self, rejected: bool, counters) -> None:
-        """Record one check outcome; decide once the window fills."""
-        if self.decided:
+        """Record one check outcome; judge the window once it fills."""
+        if not self.active:
             return
         self.checks += 1
         if rejected:
             self.rejects += 1
         if self.checks >= self.sample_size:
             self.decided = True
-            self.active = self.rejects >= self.min_reject_rate * self.checks
-            if not self.active and counters is not None:
-                extra = counters.extra
-                extra["bitmap_disabled"] = extra.get("bitmap_disabled", 0) + 1
+            if self.rejects < self.min_reject_rate * self.checks:
+                self.active = False
+                if counters is not None:
+                    extra = counters.extra
+                    extra["bitmap_disabled"] = extra.get("bitmap_disabled", 0) + 1
+            else:
+                self.checks = 0
+                self.rejects = 0
 
     def state(self) -> dict:
         """Introspection snapshot (serving health endpoint, tests)."""

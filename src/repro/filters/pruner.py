@@ -4,13 +4,15 @@ One :class:`BitmapPruner` serves one join execution (built in
 :meth:`SetJoinAlgorithm.join` / ``join_between``) or one
 :class:`~repro.core.service.SimilarityIndex` (grown on ``add``, rebuilt
 on ``rebind``, restored on ``load``). It is consulted by
-:func:`~repro.core.base.probe_kernel` and
-:meth:`SetJoinAlgorithm._verify_pair` before each exact verification,
-with the probe's signature entry — stored for indexed records, built on
-the fly for an ephemeral query — and the exact pair threshold. Pairs it
-rejects never count as ``pairs_verified`` — that counter keeps meaning
-"exact verifications performed", which is what the perf gate holds; the
-filter's own traffic is visible in ``bitmap_checks``/``bitmap_rejects``.
+:func:`~repro.core.base.probe_kernel`,
+:meth:`SetJoinAlgorithm._verify_pair` and the positional filter's
+cascade (:mod:`repro.core.positional_filter`) before each exact
+verification, with the probe's signature entry — stored for indexed
+records, built on the fly for an ephemeral query — and the exact pair
+threshold. Pairs it rejects never count as ``pairs_verified`` — that
+counter keeps meaning "exact verifications performed", which is what
+the perf gate holds; the filter's own traffic is visible in
+``bitmap_checks``/``bitmap_rejects``.
 
 The rejection rule::
 
@@ -112,6 +114,6 @@ class BitmapPruner:
         if rejected:
             counters.bitmap_rejects += 1
         controller = self.controller
-        if not controller.decided:
+        if controller.adaptive:
             controller.observe(rejected, counters)
         return rejected

@@ -128,3 +128,20 @@ class TestStackUnderWorkers:
         assert {
             (p.rid_a, p.rid_b): p.similarity for p in sharded.pairs
         } == similarity
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bitmap_without_suffix_filter_matches_naive(self, workers):
+        # The bitmap-on x suffix-off cell of the cascade, sharded.
+        data = random_dataset(seed=32, n_base=70, min_size=3)
+        predicate = JaccardPredicate(0.5)
+        expected = NaiveJoin().join(data, predicate).pair_set()
+        sharded = parallel_join(
+            data,
+            predicate,
+            algorithm="positional-filter",
+            workers=workers,
+            suffix_filter=False,
+            bitmap_filter=BITMAP,
+        )
+        assert sharded.counters.bitmap_checks > 0
+        assert sharded.pair_set() == expected

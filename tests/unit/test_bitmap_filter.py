@@ -176,6 +176,55 @@ class TestControllers:
         assert controller.decided and controller.active
         assert "bitmap_disabled" not in counters.extra
 
+    def test_later_low_window_disables(self):
+        # The first window pays, the second does not: judging only the
+        # first window would keep the filter on for the rest of the run.
+        controller = AdaptiveController(sample_size=10, min_reject_rate=0.5)
+        counters = CostCounters()
+        for _ in range(10):
+            controller.observe(True, counters)
+        assert controller.decided and controller.active
+        assert controller.state()["sampled_checks"] == 0
+        for i in range(10):
+            assert controller.active
+            controller.observe(i < 4, counters)
+        assert not controller.active
+        assert counters.extra["bitmap_disabled"] == 1
+        assert controller.state()["sampled_checks"] == 10
+        assert controller.state()["sampled_rejects"] == 4
+
+    def test_disable_is_one_way_and_recorded_once(self):
+        controller = AdaptiveController(sample_size=10, min_reject_rate=0.5)
+        counters = CostCounters()
+        for _ in range(10):
+            controller.observe(False, counters)
+        assert not controller.active
+        # Windows full of rejects after the switch never turn it back on
+        # and never count another disable.
+        for _ in range(50):
+            controller.observe(True, counters)
+        assert not controller.active
+        assert counters.extra["bitmap_disabled"] == 1
+        assert controller.state()["sampled_checks"] == 10
+
+    def test_pruner_observes_every_window(self):
+        # Through BitmapPruner.rejects: checks past the first window
+        # still reach the controller, so a later low window switches off.
+        data = Dataset([(0, 1), (0, 1), (5, 6)])
+        bound = OverlapPredicate(2).bind(data)
+        pruner = BitmapPruner.for_join(
+            bound, BitmapFilterConfig(width=64, sample_size=4, min_reject_rate=0.5)
+        )
+        counters = CostCounters()
+        entry = pruner.entry_of(bound, 0)
+        for _ in range(4):
+            assert pruner.rejects(entry, 2, 2, counters)
+        assert pruner.controller.decided and pruner.controller.active
+        for _ in range(4):
+            assert not pruner.rejects(entry, 1, 2, counters)
+        assert not pruner.controller.active
+        assert counters.extra["bitmap_disabled"] == 1
+
 
 class TestPrunerAndCounters:
     def test_counters_and_no_false_rejects(self):

@@ -136,6 +136,26 @@ class TestPositionalFilterJoin:
         assert filtered.pair_set() == plain.pair_set()
         assert filtered.counters.bitmap_checks > 0
 
+    @pytest.mark.parametrize("predicate", [JaccardPredicate(0.6), OverlapPredicate(4)])
+    def test_bitmap_runs_before_suffix_filter(self, predicate):
+        # Cascade order band -> bitmap -> suffix -> verify: every bitmap
+        # survivor is either a suffix reject or an exact verification.
+        data = random_dataset(seed=22, n_base=150)
+        plain = PositionalFilterJoin().join(data, predicate)
+        filtered_join = PositionalFilterJoin()
+        filtered_join.bitmap_filter = BitmapFilterConfig(width=64, adaptive=False)
+        filtered = filtered_join.join(data, predicate)
+        counters = filtered.counters
+        assert filtered.pair_set() == plain.pair_set()
+        assert counters.bitmap_checks == counters.candidates_checked
+        assert (
+            counters.bitmap_checks - counters.bitmap_rejects
+            == counters.candidate_rejections_suffix + counters.pairs_verified
+        )
+        assert counters.extra.get("suffix_recursions", 0) <= (
+            plain.counters.extra.get("suffix_recursions", 0)
+        )
+
     def test_unmatchable_records_skipped(self):
         data = Dataset([(0,), (0, 1, 2, 3, 4), (0, 1, 2, 3, 5)])
         result = PositionalFilterJoin().join(data, OverlapPredicate(4))
