@@ -291,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission queue bound; a full queue sheds (default 64)",
     )
     serving.add_argument(
-        "--process-pool", action="store_true",
-        help="run probes on a forked process pool (GIL-free CPU-bound"
-        " serving); the pool serves the corpus as indexed at startup",
-    )
-    serving.add_argument(
         "--query-deadline", metavar="SECONDS", type=float, default=None,
         help="per-query wall-clock budget, queue wait included",
     )
@@ -713,7 +708,7 @@ def _print_serve_health(server) -> None:
     print(
         f"# serve: {health['completed']} completed, {health['failed']} failed,"
         f" {health['shed']} shed, {health['retried']} retried,"
-        f" pool={pool['mode']} {pool['busy']}/{pool['total']} busy,"
+        f" pool {pool['busy']}/{pool['total']} busy,"
         f"{cache_note}"
         f" p50 {_ms(latency['p50_seconds'])}, p99 {_ms(latency['p99_seconds'])},"
         f" breaker={breaker['state'] if breaker else 'off'},"
@@ -856,8 +851,6 @@ def _serve(args, corpus: list[str]) -> int:
         ):
             if flag:
                 raise _CLIError(f"{name} requires --shards > 1")
-    elif args.process_pool:
-        raise _CLIError("--process-pool is not supported with sharded serving")
     try:
         predicate = _PREDICATES[args.predicate](args.threshold)
     except ValueError as exc:
@@ -928,7 +921,6 @@ def _serve(args, corpus: list[str]) -> int:
                 workers=args.workers,
                 queue_limit=args.queue_limit,
                 default_deadline=args.query_deadline,
-                executor="process" if args.process_pool else "thread",
                 query_cache=args.query_cache,
                 retry_policy=retry_policy,
                 breaker=CircuitBreaker(
@@ -937,7 +929,7 @@ def _serve(args, corpus: list[str]) -> int:
                 ),
             )
     except ValueError as exc:
-        # e.g. executor='process' on a platform without fork
+        # e.g. a --breaker-threshold or --breaker-cooldown out of range
         raise _CLIError(str(exc)) from exc
 
     if args.queries == "-":

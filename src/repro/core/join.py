@@ -22,7 +22,7 @@ from repro.core.prefix_filter import PrefixFilterJoin
 from repro.core.probe_cluster import ProbeClusterJoin
 from repro.core.probe_count import ProbeCountJoin
 from repro.core.records import Dataset
-from repro.core.results import JoinResult
+from repro.core.results import JoinResult, MatchPair
 from repro.core.word_groups import WordGroupsJoin
 from repro.predicates.base import SimilarityPredicate
 from repro.predicates.edit_distance import EditDistancePredicate, qgram_dataset
@@ -166,7 +166,6 @@ def hamming_join(
     verified among records of size <= k, keeping the join exact for any
     ``k``.
     """
-    from repro.core.results import MatchPair
     from repro.predicates.hamming import HammingPredicate
 
     predicate = HammingPredicate(k)
@@ -175,19 +174,7 @@ def hamming_join(
     )
     small = [rid for rid in range(len(dataset)) if len(dataset[rid]) <= k]
     if small:
-        bound = predicate.bind(dataset)
-        seen = result.pair_set()
-        for i, rid_a in enumerate(small):
-            for rid_b in small[i + 1 :]:
-                key = (min(rid_a, rid_b), max(rid_a, rid_b))
-                if key in seen:
-                    continue
-                result.counters.pairs_verified += 1
-                ok, distance = bound.verify(key[0], key[1])
-                if ok:
-                    seen.add(key)
-                    result.pairs.append(MatchPair(key[0], key[1], distance))
-        result.counters.pairs_output = len(result.pairs)
+        _verify_corner(result, predicate.bind(dataset), small)
     return result
 
 
@@ -220,18 +207,27 @@ def edit_distance_join(
         if bound.string_length(rid) <= cutoff
     ]
     if short:
-        seen = result.pair_set()
-        from repro.core.results import MatchPair
-
-        for i, rid_a in enumerate(short):
-            for rid_b in short[i + 1 :]:
-                key = (min(rid_a, rid_b), max(rid_a, rid_b))
-                if key in seen:
-                    continue
-                result.counters.pairs_verified += 1
-                ok, distance = bound.verify(key[0], key[1])
-                if ok:
-                    seen.add(key)
-                    result.pairs.append(MatchPair(key[0], key[1], distance))
-        result.counters.pairs_output = len(result.pairs)
+        _verify_corner(result, bound, short)
     return result
+
+
+def _verify_corner(result: JoinResult, bound, rids: list[int]) -> None:
+    """Brute-force every pair among ``rids`` the index join did not emit.
+
+    The short-record corner of :func:`hamming_join` and
+    :func:`edit_distance_join`: pairs the join already holds are
+    skipped, every other pair is verified (and counted), and matches
+    are appended to ``result`` in (smaller rid, larger rid) form.
+    """
+    seen = result.pair_set()
+    for i, rid_a in enumerate(rids):
+        for rid_b in rids[i + 1 :]:
+            key = (min(rid_a, rid_b), max(rid_a, rid_b))
+            if key in seen:
+                continue
+            result.counters.pairs_verified += 1
+            ok, distance = bound.verify(key[0], key[1])
+            if ok:
+                seen.add(key)
+                result.pairs.append(MatchPair(key[0], key[1], distance))
+    result.counters.pairs_output = len(result.pairs)

@@ -82,15 +82,6 @@ class _ProbeView:
             return self._payload
         return self._base.payload(rid)
 
-    def retarget(self, record: tuple[int, ...], payload) -> None:
-        """Point the view at a new probe (``query_batch`` clone reuse).
-
-        Only valid while the base dataset cannot grow (under the
-        service's read lock), since ``_n`` stays frozen.
-        """
-        self._record = record
-        self._payload = payload
-
 
 class _CacheOverlay:
     """Per-record cache list with a private slot for the probe record.
@@ -122,10 +113,6 @@ class _CacheOverlay:
         else:
             self._base[i] = value
 
-    def reset_tail(self) -> None:
-        """Forget the probe slot (``query_batch`` clone reuse)."""
-        self._tail = [None]
-
 
 #: The bound predicate's per-record caches a probe clone overlays.
 _PER_RECORD_CACHES = (
@@ -148,29 +135,10 @@ def _probe_bound(base_bound, record: tuple[int, ...], payload):
     clone.dataset = _ProbeView(base_bound.dataset, record, payload)
     for name in _PER_RECORD_CACHES:
         setattr(clone, name, _CacheOverlay(getattr(base_bound, name)))
-    _key_probe(clone)
-    return clone
-
-
-def _retarget_probe(clone, record: tuple[int, ...], payload) -> None:
-    """Reuse a :func:`_probe_bound` clone for the next batch item.
-
-    Clears exactly the per-probe state the clone owns — the view's tail
-    record and the overlay tail slots — and nothing shared. Only sound
-    while the base dataset length is fixed (``query_batch`` holds the
-    read lock for the whole batch).
-    """
-    clone.dataset.retarget(record, payload)
-    for name in _PER_RECORD_CACHES:
-        getattr(clone, name).reset_tail()
-    _key_probe(clone)
-
-
-def _key_probe(clone) -> None:
-    """Fill the probe's band key into the clone's private tail slot."""
     if clone.band_radius is not None:
         probe_rid = len(clone.dataset) - 1
         clone._band_keys[probe_rid] = clone.band_key(probe_rid)
+    return clone
 
 
 class SimilarityIndex:
@@ -474,30 +442,22 @@ class SimilarityIndex:
         """Query many items under one read-lock acquisition.
 
         Returns one result list per item, in order — each identical to
-        what :meth:`query` would return for that item. Besides the
-        single lock round-trip, the per-probe machinery (the dataset
-        view and cache overlays of the bound-predicate clone) is built
-        once and retargeted per item instead of rebuilt, which is the
-        point of batching: the per-query constant cost is paid once.
+        what :meth:`query` would return for that item: every item runs
+        the same probe as :meth:`query`, with its own bound-predicate
+        clone, and the batch saves the per-query lock round trip.
 
         A ``context`` deadline spans the whole batch (anchored at the
         first item, checked per verified candidate throughout).
         """
         with self._read_locked("query_batch"):
             counters = CostCounters()
-            reusable: list = []
             try:
-                return [
-                    self._query(item, counters, context, reusable)
-                    for item in items
-                ]
+                return [self._query(item, counters, context) for item in items]
             finally:
                 with self._counters_lock:
                     self.counters.merge(counters)
 
-    def _query(
-        self, item, counters: CostCounters, context, reusable: list | None = None
-    ) -> list[MatchPair]:
+    def _query(self, item, counters: CostCounters, context) -> list[MatchPair]:
         if context is not None:
             context.start()
             context.tick(counters, check_memory=False)
@@ -507,20 +467,14 @@ class SimilarityIndex:
         probe_rid = len(self._dataset)
         if probe_rid == 0:
             return []
-        if reusable:
-            bound = reusable[0]
-            _retarget_probe(bound, record, item)
-        else:
-            base_bound = self._bound
-            if base_bound is None:
-                # Cold path: records exist but no bound yet (cannot happen
-                # through the public API). Bind locally; do not publish —
-                # the read side must stay mutation-free.
-                base_bound = self.predicate.bind(self._dataset)
-                base_bound.band_filter()
-            bound = _probe_bound(base_bound, record, item)
-            if reusable is not None:
-                reusable.append(bound)
+        base_bound = self._bound
+        if base_bound is None:
+            # Cold path: records exist but no bound yet (cannot happen
+            # through the public API). Bind locally; do not publish —
+            # the read side must stay mutation-free.
+            base_bound = self.predicate.bind(self._dataset)
+            base_bound.band_filter()
+        bound = _probe_bound(base_bound, record, item)
         plan = ProbePlan(
             bound,
             self.merge_backend,

@@ -4,8 +4,9 @@ The thread-safe :class:`~repro.core.service.SimilarityIndex` makes
 concurrent queries *correct*; this server makes them *operable* under
 load:
 
-* **Bounded worker pool** — a fixed number of query threads, so a
-  traffic spike cannot fork the process to death.
+* **Bounded worker pool** — a fixed number of query threads, each
+  probing the shared index directly, so a traffic spike cannot spawn
+  unbounded threads and every answer reflects the index as it is now.
 * **Bounded admission queue with load shedding** — when the queue is
   full, requests fail immediately with
   :class:`~repro.runtime.errors.ServerOverloaded` instead of stacking
@@ -25,9 +26,12 @@ load:
   in-flight count, shed/completed/failed/retried tallies, breaker
   state, p50/p95/p99 latency, and the index's cost counters.
 
-The admission/worker/drain machinery lives in :class:`_QueueServer` so
-the sharded scatter-gather tier (:mod:`repro.serving.sharded`) reuses
-it unchanged — one server lifecycle, two execution strategies.
+The admission/worker/drain machinery and the breaker-and-retry step
+live in :class:`_QueueServer` so the sharded scatter-gather tier
+(:mod:`repro.serving.sharded`) reuses them unchanged — one server
+lifecycle, two execution strategies. Multi-process serving is the
+sharded tier's job: ``repro shard-serve`` nodes behind
+``--shard-endpoints`` stay exact under adds.
 
 Every clock in the stack is injectable
 (:class:`repro.runtime.faults.FakeClock`), so overload, timeout, and
@@ -36,7 +40,6 @@ breaker behaviour are deterministically testable.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
 import time
@@ -60,33 +63,31 @@ SERVING = "serving"
 DRAINING = "draining"
 CLOSED = "closed"
 
-#: The forked pool worker's index, installed by :func:`_pool_init`.
-#: Module-level because pool tasks must reference it without pickling
-#: the index (its locks are unpicklable; fork shares it by memory).
-_POOL_INDEX = None
 
+def _listed(item):
+    """A one-shot iterator query item as a list; anything else as given.
 
-def _pool_init(index) -> None:
-    global _POOL_INDEX
-    _POOL_INDEX = index
-
-
-def _pool_query(item):
-    return _POOL_INDEX.query(item)
-
-
-def _pool_query_batch(items):
-    return _POOL_INDEX.query_batch(items)
+    Cache keys and shard probes each iterate the item, so an iterator
+    must be read once, up front. Strings and containers iterate afresh
+    every time and keep their identity; an item that cannot be iterated
+    passes through untouched and fails in the probe, through its future.
+    """
+    try:
+        tokens = iter(item)
+    except TypeError:
+        return item
+    return list(tokens) if tokens is item else item
 
 
 @dataclass
 class _Request:
     """One admitted query: payload, runtime envelope, result slot.
 
-    ``batch=True`` marks ``item`` as a list of query items; the future
-    then resolves to one result list per item. ``require_complete`` is
-    the sharded tier's completeness demand (ignored by IndexServer,
-    whose single index is always complete).
+    ``item`` is re-iterable (see :func:`_listed`), so it can be keyed
+    and probed any number of times. ``batch=True`` marks it as a
+    list of such items; the future then resolves to one result list per
+    item. ``require_complete`` is the sharded tier's completeness demand
+    (ignored by IndexServer, whose single index is always complete).
     """
 
     item: object
@@ -102,12 +103,13 @@ class _QueueServer:
 
     Subclasses implement :meth:`_execute` (what one admitted request
     does) and may hook :meth:`_on_start` / :meth:`_on_drained` for
-    their own resources (process pools, shard pools). Everything else —
-    the load-shedding admission path, deadline anchoring at submit, the
-    worker loop, graceful drain with queued-request failure, and the
-    shed/completed/failed/retried accounting — is shared verbatim
-    between the single-index and sharded servers, so the two tiers
-    cannot drift apart operationally.
+    their own resources (the sharded tier's shard pools and heartbeat).
+    Everything else — the load-shedding admission path, deadline
+    anchoring at submit, the worker loop, the breaker-and-retry step
+    around each dependency call (:meth:`_guarded`), graceful drain with
+    queued-request failure, and the shed/completed/failed/retried
+    accounting — is shared verbatim between the single-index and
+    sharded servers, so the two tiers cannot drift apart operationally.
     """
 
     #: Thread-name prefix for this server's workers.
@@ -149,10 +151,9 @@ class _QueueServer:
     def start(self):
         """Spawn the worker pool and begin accepting queries.
 
-        A failed start (``_on_start`` raising — e.g. a process pool
-        that cannot fork) rolls the server back to ``closed`` before
-        re-raising, so ``stop()`` after a failed start is a safe no-op
-        and a fixed configuration can ``start()`` again.
+        A failed start (``_on_start`` raising) rolls the server back to
+        ``closed`` before re-raising, so ``stop()`` after a failed start
+        is a safe no-op and a fixed configuration can ``start()`` again.
         """
         with self._cond:
             if self._state != CLOSED:
@@ -173,7 +174,7 @@ class _QueueServer:
         return self
 
     def _on_start(self) -> None:
-        """Subclass hook: build executors before workers spawn.
+        """Subclass hook: start resources before workers spawn.
 
         On failure the base class resets the server to ``closed`` and
         re-raises; implementations must leave no half-built resources
@@ -229,7 +230,7 @@ class _QueueServer:
         return self.drain(timeout)
 
     def _on_drained(self) -> None:
-        """Subclass hook: tear down executors after workers stop.
+        """Subclass hook: tear down resources after workers stop.
 
         May run more than once (repeated ``drain``/``stop`` calls);
         implementations must be idempotent.
@@ -267,7 +268,8 @@ class _QueueServer:
 
         Args:
             item: what to query (same forms ``SimilarityIndex.query``
-                accepts).
+                accepts). An iterator is read into a list here, so a
+                one-shot generator is safe to pass.
             deadline: per-query wall-clock budget in seconds, measured
                 from now (queue wait included); defaults to the server's
                 ``default_deadline``.
@@ -306,7 +308,7 @@ class _QueueServer:
         if context is not None:
             context.start()  # anchor the deadline at admission
         request = _Request(
-            item=item,
+            item=[_listed(one) for one in item] if batch else _listed(item),
             context=context,
             enqueued_at=self.clock(),
             batch=batch,
@@ -373,6 +375,29 @@ class _QueueServer:
         with self._cond:
             self._retried += 1
 
+    def _guarded(self, attempt, breaker, retry_policy, on_retry, context):
+        """One dependency call behind ``breaker``, retried per ``retry_policy``.
+
+        The breaker admits first (an open circuit raises ``CircuitOpen``
+        without recording anything); then ``retry_policy`` runs
+        ``attempt`` (``None`` = exactly one attempt), and the outcome is
+        recorded on the breaker as one failure or one success.
+        """
+        if breaker is not None:
+            breaker.admit()
+        try:
+            if retry_policy is not None:
+                result = retry_policy.run(attempt, on_retry=on_retry, context=context)
+            else:
+                result = attempt()
+        except BaseException:
+            if breaker is not None:
+                breaker.record_failure()
+            raise
+        if breaker is not None:
+            breaker.record_success()
+        return result
+
     def _finish(
         self, completed: bool = False, failed: bool = False, shed: bool = False
     ) -> None:
@@ -416,6 +441,13 @@ class _QueueServer:
 class IndexServer(_QueueServer):
     """A bounded, self-protecting query server over a SimilarityIndex.
 
+    Every probe runs on a worker thread against the live index, so an
+    ``add`` is visible to the next query, exactly as
+    :meth:`SimilarityIndex.query` would answer it. For serving across
+    processes, put ``repro shard-serve`` nodes behind a
+    :class:`~repro.serving.sharded.ShardedIndexServer` with
+    ``shard_endpoints``.
+
     Args:
         index: the (thread-safe) :class:`SimilarityIndex` to serve.
         workers: query worker threads.
@@ -430,21 +462,12 @@ class IndexServer(_QueueServer):
             latency; injectable for tests.
         latency_capacity: latency reservoir size (see
             :class:`LatencyTracker`).
-        executor: ``"thread"`` (default) runs probes on the worker
-            threads; ``"process"`` dispatches each probe to a forked
-            process pool of the same size, sidestepping the GIL for
-            CPU-bound query bursts. Process mode serves the index as it
-            was at :meth:`start` (later ``add``/``extend`` calls are
-            not visible to the forked pool), enforces deadlines at the
-            dispatch boundary (an expired probe keeps burning its pool
-            slot until it finishes), and needs a platform with the
-            ``fork`` start method.
         query_cache: capacity of the LRU query-result cache
             (:class:`~repro.serving.cache.QueryCache`); 0 disables it.
             Entries are invalidated wholesale whenever the index
             mutates (its ``generation`` stamp moves), so cached results
             are always what a fresh probe would return. Hits bypass the
-            index, the breaker, and — in process mode — the pool.
+            index and the breaker.
 
     Start with :meth:`start` (or use as a context manager); stop with
     :meth:`drain`. ``submit`` returns a ``concurrent.futures.Future``
@@ -463,57 +486,15 @@ class IndexServer(_QueueServer):
         breaker: CircuitBreaker | None = None,
         clock: Callable[[], float] = time.monotonic,
         latency_capacity: int = 2048,
-        executor: str = "thread",
         query_cache: int = 0,
     ):
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
-        if (
-            executor == "process"
-            and "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            raise ValueError(
-                "executor='process' needs the fork start method (the index"
-                " is shared with pool workers by forked memory); this"
-                " platform only offers"
-                f" {multiprocessing.get_all_start_methods()}"
-            )
         super().__init__(workers, queue_limit, default_deadline, clock, latency_capacity)
         self.index = index
         self.retry_policy = retry_policy
         self.breaker = breaker
-        self.executor = executor
-        self._pool = None
         if query_cache < 0:
             raise ValueError(f"query_cache must be >= 0, got {query_cache}")
         self.cache = QueryCache(query_cache) if query_cache else None
-
-    # ------------------------------------------------------------------
-    # Lifecycle hooks
-    # ------------------------------------------------------------------
-
-    def _on_start(self) -> None:
-        if self.executor == "process":
-            # Fork-only: workers inherit the index by memory, so the
-            # unpicklable lock state never crosses a pipe. Each query
-            # worker thread then blocks on its pool slot, keeping the
-            # admission/deadline/breaker path identical to thread mode.
-            context = multiprocessing.get_context("fork")
-            self._pool = context.Pool(
-                processes=self.n_workers,
-                initializer=_pool_init,
-                initargs=(self.index,),
-            )
-
-    def _on_drained(self) -> None:
-        if self._pool is not None:
-            # Admitted queries have already resolved (or been failed);
-            # anything still on a pool slot belongs to a wedged worker.
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
 
     # ------------------------------------------------------------------
     # Admission
@@ -532,11 +513,11 @@ class IndexServer(_QueueServer):
         have produced for that item alone. The batch occupies a single
         admission-queue slot and worker, and the underlying
         :meth:`SimilarityIndex.query_batch` takes the index read lock
-        once and reuses the per-probe machinery across items, so large
-        batches cost markedly less than the equivalent singleton
-        submissions. One ``deadline`` covers the whole batch.
+        once, so a batch skips the per-request queue, hand-off and lock
+        round trips of the equivalent singleton submissions. One
+        ``deadline`` covers the whole batch.
         """
-        return self._admit(list(items), deadline, context, batch=True)
+        return self._admit(items, deadline, context, batch=True)
 
     def query_batch(
         self, items, deadline: float | None = None, timeout: float | None = None
@@ -553,12 +534,12 @@ class IndexServer(_QueueServer):
         # Expired while queued: don't touch the index or the breaker.
         self._check_not_expired(context)
 
-        # Cache consult, before the breaker: a hit touches neither the
-        # index nor the pool, so it is not a dependency call and must
-        # stay servable while the circuit is open. The generation is
-        # read *before* the probe runs — if a mutation slips in between,
-        # the store below tags the result with a stale generation and
-        # the cache simply drops it (never a stale hit).
+        # Cache consult, before the breaker: a hit does not touch the
+        # index, so it is not a dependency call and must stay servable
+        # while the circuit is open. The generation is read *before* the
+        # probe runs — if a mutation slips in between, the store below
+        # tags the result with a stale generation and the cache simply
+        # drops it (never a stale hit).
         cache = self.cache
         generation = None
         keys = None
@@ -587,32 +568,11 @@ class IndexServer(_QueueServer):
                     if hit:
                         return value
 
-        if self.breaker is not None:
-            self.breaker.admit()  # raises CircuitOpen
-
         if request.batch:
             # With cache hits above, only the missed items hit the index.
             pending = (
                 [request.item[i] for i in misses] if cache is not None else request.item
             )
-            probe, args = _pool_query_batch, (pending,)
-        else:
-            pending = request.item
-            probe, args = _pool_query, (pending,)
-
-        if self._pool is not None:
-
-            def attempt():
-                handle = self._pool.apply_async(probe, args)
-                timeout = context.remaining() if context is not None else None
-                try:
-                    return handle.get(timeout=timeout)
-                except multiprocessing.TimeoutError:
-                    raise JoinTimeout(
-                        context.elapsed(), context.deadline_seconds
-                    ) from None
-
-        elif request.batch:
 
             def attempt():
                 return self.index.query_batch(pending, context=context)
@@ -620,21 +580,11 @@ class IndexServer(_QueueServer):
         else:
 
             def attempt():
-                return self.index.query(pending, context=context)
+                return self.index.query(request.item, context=context)
 
-        try:
-            if self.retry_policy is not None:
-                fresh = self.retry_policy.run(
-                    attempt, on_retry=self._count_retry, context=context
-                )
-            else:
-                fresh = attempt()
-        except BaseException:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
+        fresh = self._guarded(
+            attempt, self.breaker, self.retry_policy, self._count_retry, context
+        )
 
         if cache is None:
             return fresh
@@ -657,9 +607,8 @@ class IndexServer(_QueueServer):
 
         Keys: ``state``, ``workers``, ``queue_depth``, ``queue_limit``,
         ``in_flight``, ``shed``, ``completed``, ``failed``, ``retried``,
-        ``pool`` (executor mode + busy/total/saturation of the worker
-        pool — saturation pinned at 1.0 is the signal to add capacity
-        or shed earlier), ``breaker`` (state + times_opened, or None),
+        ``pool`` (busy/total/saturation of the worker pool — saturation
+        pinned at 1.0 is the signal to add capacity or shed earlier), ``breaker`` (state + times_opened, or None),
         ``cache`` (capacity/size/hits/misses/hit_rate/invalidations, or
         None when disabled), ``latency`` (count/p50/p95/p99 seconds),
         ``index`` (record count + cost counters — including
@@ -669,7 +618,6 @@ class IndexServer(_QueueServer):
         snapshot = self._base_health()
         busy = min(snapshot["in_flight"], self.n_workers)
         snapshot["pool"] = {
-            "mode": self.executor,
             "busy": busy,
             "total": self.n_workers,
             "saturation": busy / self.n_workers,

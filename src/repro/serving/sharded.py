@@ -568,24 +568,16 @@ class ShardedIndexServer(_QueueServer):
             for shard in self._shards:
                 if not shard.remote or shard.quarantined is not None:
                     continue
-                breaker = shard.breaker
-                if breaker is not None:
-                    try:
-                        breaker.admit()
-                    except CircuitOpen:
-                        continue  # cooldown running; recheck next beat
                 with shard.rwlock.read_locked():
                     client = shard.index
                 try:
-                    client.ping()
+                    self._guarded(client.ping, shard.breaker, None, None, None)
+                except CircuitOpen:
+                    continue  # cooldown running; recheck next beat
                 except BaseException:  # noqa: BLE001 — any failure is a miss
-                    if breaker is not None:
-                        breaker.record_failure()
                     with self._cond:
                         shard.heartbeats_failed += 1
                 else:
-                    if breaker is not None:
-                        breaker.record_success()
                     with self._cond:
                         shard.heartbeats_ok += 1
 
@@ -798,8 +790,6 @@ class ShardedIndexServer(_QueueServer):
             raise ShardUnavailable(
                 shard.name, f"quarantined: {shard.quarantined}"
             )
-        if shard.breaker is not None:
-            shard.breaker.admit()  # CircuitOpen: fail fast, not recorded
         with shard.rwlock.read_locked():
             index = shard.index
             stamp = (shard.epoch, index.generation)
@@ -815,22 +805,16 @@ class ShardedIndexServer(_QueueServer):
                 shard.retries += 1
             self._count_retry(attempt_no, exc, delay)
 
-        try:
-            # Remote shards retry inside their client (same policy,
-            # same deadline clamp, plus reconnect-on-failure) — running
-            # the outer policy too would square the attempt count.
-            if self.retry_policy is not None and not shard.remote:
-                local = self.retry_policy.run(
-                    attempt, on_retry=count_retry, context=context
-                )
-            else:
-                local = attempt()
-        except BaseException:
-            if shard.breaker is not None:
-                shard.breaker.record_failure()
-            raise
-        if shard.breaker is not None:
-            shard.breaker.record_success()
+        # Remote shards retry inside their client (same policy, same
+        # deadline clamp, plus reconnect-on-failure) — running the outer
+        # policy too would square the attempt count.
+        local = self._guarded(
+            attempt,
+            shard.breaker,
+            None if shard.remote else self.retry_policy,
+            count_retry,
+            context,
+        )
         shard.latency.observe(self.clock() - started)
         if key is not None and shard.cache is not None:
             shard.cache.store(key, stamp, local)

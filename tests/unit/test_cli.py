@@ -234,11 +234,15 @@ class TestServeShardedCommand:
             (["--shards", "2", "--hedge-delay", "0"], "--hedge-delay"),
             (["--require-complete"], "--shards"),
             (["--hedge-delay", "0.1"], "--shards"),
-            (["--shards", "2", "--process-pool"], "--process-pool"),
         ]:
             code = main(["serve", "-i", sample_file, "-t", "0.5", *extra])
             assert code == EXIT_USAGE
             assert message in capsys.readouterr().err
+        # No process-pool flag: multi-process serving is shard-serve.
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "-i", sample_file, "-t", "0.5", "--process-pool"])
+        assert err.value.code == EXIT_USAGE
+        assert "--process-pool" in capsys.readouterr().err
 
     def test_sharded_with_hedging_and_require_complete(
         self, sample_file, tmp_path, capsys

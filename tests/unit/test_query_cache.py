@@ -6,7 +6,7 @@ import pytest
 
 from repro import OverlapPredicate
 from repro.core.service import SimilarityIndex
-from repro.serving import IndexServer, QueryCache
+from repro.serving import IndexServer, QueryCache, ShardedIndexServer
 from repro.text.tokenizers import tokenize_words
 
 WAIT = 10.0
@@ -16,6 +16,12 @@ TEXTS = [
     "set joins with similarity predicates made efficient",
     "completely different words entirely",
     "probe count optimized merge joins",
+]
+
+#: Extra records so the sharded tier holds matches on both shards.
+SHARD_TEXTS = [
+    "efficient set joins revisited",
+    "joins over set data made efficient",
 ]
 
 
@@ -232,3 +238,104 @@ class TestIndexQueryBatch:
         ] == [[p.rid_b for p in row] for row in plain.query_batch(TEXTS)]
         snapshot = filtered.counters_snapshot()
         assert snapshot["bitmap_checks"] > 0
+
+
+class TestIteratorItems:
+    """A one-shot iterator item answers like its list, cache on or off.
+
+    The cache key and every shard probe read the item, so a server that
+    let the key use the iterator up would probe an empty record and
+    cache ``[]`` under the tokens' key.
+    """
+
+    TOKENS = ["efficient", "set", "joins"]
+
+    def _serve(self, tier: str, cache: int):
+        if tier == "single":
+            return IndexServer(_index(), workers=2, query_cache=cache).start()
+        server = ShardedIndexServer(
+            OverlapPredicate(2),
+            shards=2,
+            tokenizer=tokenize_words,
+            workers=2,
+            query_cache=cache,
+        )
+        for text in TEXTS + SHARD_TEXTS:
+            server.add(text)
+        return server.start()
+
+    @staticmethod
+    def _pairs(answer) -> list[tuple]:
+        return [(p.rid_a, p.rid_b, p.similarity) for p in answer]
+
+    @pytest.mark.parametrize("cache", [0, 8])
+    @pytest.mark.parametrize("tier", ["single", "sharded"])
+    def test_iterator_equals_list(self, tier, cache):
+        server = self._serve(tier, cache)
+        try:
+            expected = self._pairs(server.query(list(self.TOKENS), timeout=WAIT))
+            assert len(expected) >= 2
+            if tier == "sharded":
+                # The matches sit on both shards, so both probes must
+                # see the tokens.
+                sids = {server._locations[p[0]][0] for p in expected}
+                assert sids == {0, 1}
+            if cache:
+                server.drain()
+                server = self._serve(tier, cache)  # cold caches
+            fresh = server.query(iter(self.TOKENS), timeout=WAIT)
+            assert self._pairs(fresh) == expected
+            # No bad entry was left under the tokens' key.
+            again = server.query(list(self.TOKENS), timeout=WAIT)
+            assert self._pairs(again) == expected
+        finally:
+            server.drain()
+
+    @pytest.mark.parametrize("cache", [0, 8])
+    def test_batch_of_iterators_equals_lists(self, cache):
+        server = IndexServer(_index(), workers=2, query_cache=cache).start()
+        try:
+            batch = [iter(self.TOKENS), iter(["probe", "count", "merge"])]
+            answers = server.query_batch(batch, timeout=WAIT)
+            lists = [list(self.TOKENS), ["probe", "count", "merge"]]
+            assert answers == server.query_batch(lists, timeout=WAIT)
+            assert answers == [server.index.query(tokens) for tokens in lists]
+            assert all(answers)
+        finally:
+            server.drain()
+
+    def test_container_item_reaches_execute_as_given(self):
+        # Only iterators are copied: a list keeps its identity, which
+        # per-request tracing uses to follow a query across threads.
+        seen = []
+
+        class _Spy(IndexServer):
+            def _execute(self, request):
+                seen.append(request.item)
+                return super()._execute(request)
+
+        tokens = list(self.TOKENS)
+        server = _Spy(_index(), workers=1).start()
+        try:
+            server.query(tokens, timeout=WAIT)
+        finally:
+            server.drain()
+        assert seen == [tokens] and seen[0] is tokens
+
+    def test_uniterable_item_fails_through_its_future(self):
+        server = self._serve("single", 8)
+        try:
+            future = server.submit(7)  # admitted, not refused at submit
+            with pytest.raises(TypeError):
+                future.result(timeout=WAIT)
+        finally:
+            server.drain()
+
+    def test_uniterable_item_fails_every_shard(self):
+        server = self._serve("sharded", 8)
+        try:
+            answer = server.submit(7).result(timeout=WAIT)
+            assert answer.shards_failed == (0, 1)
+            assert not answer.matches
+        finally:
+            server.drain()

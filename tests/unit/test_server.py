@@ -69,6 +69,20 @@ class TestEndToEnd:
             for query, future in zip(queries, futures):
                 assert future.result(timeout=WAIT) == index.query(query)
 
+    def test_add_is_visible_after_drain_and_restart(self):
+        index = _real_index()
+        server = IndexServer(index, workers=1, query_cache=8).start()
+        try:
+            before = server.query("efficient joins set", timeout=WAIT)
+            index.add("efficient joins set appended later")
+            server.drain(timeout=WAIT)
+            server.start()
+            after = server.query("efficient joins set", timeout=WAIT)
+            assert after == index.query("efficient joins set")
+            assert len(after) == len(before) + 1
+        finally:
+            server.drain(timeout=WAIT)
+
     def test_sync_wrapper(self):
         with IndexServer(_real_index(), workers=1) as server:
             [match] = server.query("set joins similarity", timeout=WAIT)
@@ -239,7 +253,6 @@ class TestHealth:
         assert health["index"]["records"] == 2
         assert "unknown_query_tokens" in health["index"]["counters"]
         assert health["pool"] == {
-            "mode": "thread",
             "busy": 0,
             "total": 2,
             "saturation": 0.0,
@@ -265,57 +278,6 @@ class TestHealth:
             scripted.gate.set()
             server.drain(timeout=WAIT)
         assert server.health()["pool"]["busy"] == 0
-
-
-class TestProcessPool:
-    def test_process_results_match_thread_results(self):
-        index = _real_index()
-        queries = ["set joins similarity", "different words entirely", "zzz qqq"]
-        with IndexServer(index, workers=2, executor="process") as server:
-            futures = [server.submit(q) for q in queries]
-            for query, future in zip(queries, futures):
-                assert future.result(timeout=WAIT) == index.query(query)
-            health = server.health()
-        assert health["pool"]["mode"] == "process"
-        assert health["pool"]["total"] == 2
-        assert health["completed"] == 3
-
-    def test_process_pool_serves_startup_snapshot(self):
-        # Fork shares the index as of start(); later adds are served by
-        # the in-process index but not the forked pool — the documented
-        # point-in-time semantics.
-        index = _real_index()
-        with IndexServer(index, workers=1, executor="process") as server:
-            index.add("set joins similarity predicates appended later")
-            matches = server.submit("set joins similarity").result(timeout=WAIT)
-        rids = {pair.rid_a for pair in matches}
-        assert 2 not in rids  # the post-start record is invisible to the pool
-
-    def test_process_pool_deadline_enforced_at_dispatch(self):
-        # The pool cannot run the injected-clock deadline inside the
-        # child, so expiry is enforced at the dispatch boundary: either
-        # before dispatch (expired while queued) or on the pool-result
-        # wait. A microscopic real deadline exercises that boundary.
-        with IndexServer(_real_index(), workers=1, executor="process") as server:
-            future = server.submit("set joins similarity", deadline=0.000001)
-            with pytest.raises(JoinTimeout):
-                future.result(timeout=WAIT)
-            assert server.health()["failed"] == 1
-
-    def test_restart_after_drain_rebuilds_the_pool(self):
-        server = IndexServer(_real_index(), workers=1, executor="process")
-        server.start()
-        assert server.submit("set joins similarity").result(timeout=WAIT)
-        server.drain(timeout=WAIT)
-        server.start()
-        try:
-            assert server.submit("set joins similarity").result(timeout=WAIT)
-        finally:
-            server.drain(timeout=WAIT)
-
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            IndexServer(_real_index(), executor="coroutine")
 
 
 class TestDrain:
