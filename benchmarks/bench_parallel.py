@@ -2,8 +2,10 @@
 
 Runs the pinned citation workload serially and under ``parallel_join``
 with increasing worker counts, asserts the pair sets are identical, and
-records wall-clock, speedup, and the machine-independent ``work``
-counters into ``BENCH_parallel.json`` at the repo root.
+records wall-clock, speedup, each worker's wall time
+(``shard_seconds``, in shard order — how evenly the shards split the
+scan), and the machine-independent ``work`` counters into
+``BENCH_parallel.json`` at the repo root.
 
 Wall-clock numbers are machine-dependent by nature; the report embeds
 the machine profile (cpu count, platform, python) so the perf
@@ -92,6 +94,9 @@ def run(n: int, worker_counts: list[int], repeats: int) -> dict:
                 "workers": workers,
                 "seconds": round(result.elapsed_seconds, 4),
                 "speedup": round(serial.elapsed_seconds / result.elapsed_seconds, 3),
+                "shard_seconds": [
+                    round(seconds, 4) for seconds in result.extra["shard_seconds"]
+                ],
                 "work": result.counters.total_work(),
                 "pairs": len(result.pairs),
                 "exact_match": exact,
@@ -131,7 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         marker = "" if row["exact_match"] else "  PAIR-SET MISMATCH"
         print(
             f"  workers={row['workers']:<2} {row['seconds']:8.3f}s"
-            f"  speedup={row['speedup']:.2f}x  work={row['work']}{marker}"
+            f"  speedup={row['speedup']:.2f}x  work={row['work']}"
+            f"  shards={row['shard_seconds']}{marker}"
         )
     print(f"wrote {args.output}")
     return 0 if report["exact"] else 1

@@ -26,7 +26,7 @@ Because candidates flow through the shared
 :meth:`SetJoinAlgorithm._verify_pair` / :meth:`_drive` machinery, the
 exact side's composition points all work unchanged: the bitmap
 prefilter, merge backends, ``JoinContext`` deadlines / cancellation /
-memory budgets / checkpoints, and ``parallel_join`` shard windows.
+memory budgets / checkpoints, and ``parallel_join`` shards.
 """
 
 from repro.approx.floor import pair_jaccard_floor

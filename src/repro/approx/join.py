@@ -8,9 +8,9 @@ the shared :meth:`SetJoinAlgorithm._verify_pair` — the same exact
 verifier, bitmap prefilter and word-signature shortcut every exact
 algorithm uses. A pair is therefore emitted at exactly one scan
 position (its larger rid), which is what makes the scan compose with
-the parallel engine's shard windows: disjoint windows partition the
-emitted pair set, and a fixed seed gives identical pairs at any worker
-count.
+the parallel engine's shards: the shards own disjoint scan positions,
+so they partition the emitted pair set, and a fixed seed gives
+identical pairs at any worker count.
 
 Counter semantics: ``pairs_generated`` and ``candidates_checked``
 both count the *distinct* candidates materialized per record (the
@@ -55,7 +55,7 @@ class ApproxJoin(SetJoinAlgorithm):
             ``approx_recall_capped`` in ``JoinResult.extra``.
         recall_sample: records sampled for the post-join recall
             estimate reported in ``JoinResult.extra`` (0 disables it;
-            it is skipped automatically under a shard window, where a
+            it is skipped automatically in a parallel shard, where a
             single worker only sees its slice of the pair set).
     """
 
@@ -94,7 +94,7 @@ class ApproxJoin(SetJoinAlgorithm):
         plan = self._plan_snapshot
         if plan is not None:
             result.extra.update(plan.as_extra())
-        sharded = self._shard_lo != 0 or self._shard_hi is not None
+        sharded = self._n_shards > 1
         if self.recall_sample and not sharded and not result.degraded and len(dataset):
             result.extra.update(
                 estimate_recall(

@@ -532,7 +532,7 @@ def _run_join(args, dataset: Dataset, predicate, context: JoinContext | None):
                 **_approx_kwargs(args),
             )
         if args.algorithm == "approx" and not result.degraded and len(dataset):
-            # Workers run under shard windows and skip the per-shard
+            # Workers run as parallel shards and skip the per-shard
             # estimate (it would only see a slice of the pair set), so
             # sample recall here against the merged pairs instead.
             from repro.approx import estimate_recall

@@ -7,27 +7,16 @@ partitioning method is orthogonal to them. This subpackage supplies
 those techniques from scratch:
 
 * :mod:`repro.compression.varbyte` — variable-byte codes,
-* :mod:`repro.compression.elias` — Elias gamma/delta bit-level codes,
 * :mod:`repro.compression.postings` — delta-encoded posting lists with
   block skip pointers, which the ``index_backend='mmap-varbyte'`` join
   index (:mod:`repro.storage.mmap_index`) stores as mapped regions.
 """
 
-from repro.compression.elias import (
-    elias_delta_decode,
-    elias_delta_encode,
-    elias_gamma_decode,
-    elias_gamma_encode,
-)
 from repro.compression.postings import CompressedPostingList
 from repro.compression.varbyte import varbyte_decode, varbyte_encode
 
 __all__ = [
     "CompressedPostingList",
-    "elias_delta_decode",
-    "elias_delta_encode",
-    "elias_gamma_decode",
-    "elias_gamma_encode",
     "varbyte_decode",
     "varbyte_encode",
 ]

@@ -68,7 +68,7 @@ Every candidate that survives the stack is exactly verified by the
 shared :meth:`~repro.core.base.SetJoinAlgorithm._verify_exact`, so the
 emitted pairs are bit-identical to ``prefix-filter``/``naive`` — the
 stack only changes how much work it takes to get there. The driver
-protocol (deadlines, cancellation, checkpoint/resume, shard windows)
+protocol (deadlines, cancellation, checkpoint/resume, parallel shards)
 and the bitmap knob are inherited from the shared base; the stack
 never merges posting lists (candidates accumulate one token at a
 time), so it declares ``merges = False`` and a ``merge_backend`` other

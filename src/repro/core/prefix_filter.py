@@ -13,7 +13,7 @@ Implementation notes:
 
 * Online (probe before insert), like §3.2, driven through the shared
   runtime loop, so deadlines, cancellation, checkpoint/resume, and
-  shard windows all work here.
+  parallel shards all work here.
 * The global ordering and record canonicalization come from
   :class:`~repro.core.token_order.TokenOrder` (shared with the full
   PPJoin+ stack of :mod:`repro.core.positional_filter`).

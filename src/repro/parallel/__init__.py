@@ -6,6 +6,6 @@ sharding and resume protocol. ``docs/operations.md`` covers worker
 sizing and the per-shard checkpoint layout.
 """
 
-from repro.parallel.engine import PARALLEL_ALGORITHMS, parallel_join, shard_bounds
+from repro.parallel.engine import PARALLEL_ALGORITHMS, parallel_join
 
-__all__ = ["PARALLEL_ALGORITHMS", "parallel_join", "shard_bounds"]
+__all__ = ["PARALLEL_ALGORITHMS", "parallel_join"]

@@ -1,13 +1,19 @@
 """Parent-process side of the parallel sharded join engine.
 
 ``parallel_join`` shards a self-join by scan position: worker ``i`` of
-``N`` gets the contiguous window ``[lo_i, hi_i)`` of the driven scan
+``N`` owns the positions ``p`` with ``p % N == i`` of the driven scan
 and emits exactly the pairs the serial algorithm emits at those
-positions (earlier positions are replayed for state, later ones are
-not scanned). Disjoint windows therefore *partition* the serial pair
-set, and the deterministic merge below — deduplicate on RID pair, sort
-by ``(rid_a, rid_b)`` — returns a result pair-for-pair identical to
-:func:`repro.core.join.similarity_join` for every supported algorithm.
+positions (every other position before its last owned one is replayed
+for state; later ones are not scanned). The shards therefore
+*partition* the serial pair set, and the deterministic merge below —
+deduplicate on RID pair, sort by ``(rid_a, rid_b)`` — returns a result
+pair-for-pair identical to :func:`repro.core.join.similarity_join` for
+every supported algorithm.
+
+Round-robin ownership rather than contiguous windows is what balances
+the shards: an online scan's index grows as it advances, so a late
+probe costs more than an early one, and a contiguous split hands the
+last worker most of the work (naive's split is skewed the other way).
 
 Deduplication matters beyond belt-and-braces: a worker whose memory
 budget trips under the default ``degrade`` policy finishes via the
@@ -21,7 +27,8 @@ shared ``multiprocessing.Event``, and per-shard checkpoints live in
 the resume protocol). Counters are merged with
 :meth:`CostCounters.merge`; note that state-replay work (index builds)
 is *performed per worker*, so merged build-side counters scale with the
-worker count while probe-side counters match the serial run.
+worker count while probe-side counters match the serial run. Each
+worker's wall time lands in ``result.extra["shard_seconds"]``.
 """
 
 from __future__ import annotations
@@ -50,10 +57,10 @@ from repro.utils.counters import CostCounters
 
 from repro.parallel.worker import clear_shard_state, run_shard
 
-__all__ = ["PARALLEL_ALGORITHMS", "parallel_join", "shard_bounds"]
+__all__ = ["PARALLEL_ALGORITHMS", "parallel_join"]
 
 #: Registry names whose algorithms declare ``shardable``: their driven
-#: scan supports shard windows. The rest are refused rather than
+#: scan can be split over shards. The rest are refused rather than
 #: silently run serial.
 PARALLEL_ALGORITHMS = frozenset(
     name for name, factory in ALGORITHMS.items() if factory().shardable
@@ -63,24 +70,6 @@ PARALLEL_ALGORITHMS = frozenset(
 # hard-terminating workers that failed to honour theirs.
 _DEADLINE_GRACE_SECONDS = 10.0
 _POLL_SECONDS = 0.05
-
-
-def shard_bounds(n_records: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous scan-position windows, one per worker.
-
-    The remainder is spread over the leading shards so window sizes
-    differ by at most one.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    base, remainder = divmod(n_records, workers)
-    bounds = []
-    lo = 0
-    for shard in range(workers):
-        hi = lo + base + (1 if shard < remainder else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 def _counters_from_dict(payload: dict) -> CostCounters:
@@ -165,7 +154,7 @@ def parallel_join(
         predicate: the join condition.
         algorithm: a member of :data:`PARALLEL_ALGORITHMS`.
         workers: shard count; defaults to ``os.cpu_count()``. Clamped
-            to the record count so no worker gets an empty window.
+            to the record count so every worker owns a position.
         context: optional :class:`~repro.runtime.context.JoinContext`.
             Deadline and cancellation propagate to every worker; a
             checkpointer makes each shard resumable under
@@ -217,6 +206,7 @@ def parallel_join(
             predicate=predicate.name,
             counters=merged_counters,
             elapsed_seconds=time.perf_counter() - start,
+            extra={"shard_seconds": []},  # no worker started
         )
 
     checkpoint_base = None
@@ -228,14 +218,11 @@ def parallel_join(
     mp_ctx = _mp_context()
     cancel_event = mp_ctx.Event()
     result_queue = mp_ctx.Queue()
-    bounds = shard_bounds(len(dataset), workers)
     processes = []
-    for shard, (lo, hi) in enumerate(bounds):
+    for shard in range(workers):
         spec = {
             "shard": shard,
             "n_shards": workers,
-            "lo": lo,
-            "hi": hi,
             "dataset": dataset,
             "predicate": predicate,
             "algorithm": instance,
@@ -376,4 +363,9 @@ def parallel_join(
         elapsed_seconds=time.perf_counter() - start,
         degraded_from=degraded_from,
         degradation_reason=degradation_reason,
+        extra={
+            "shard_seconds": [
+                infos[shard]["elapsed_seconds"] for shard in range(workers)
+            ]
+        },
     )

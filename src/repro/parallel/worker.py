@@ -1,13 +1,13 @@
 """Worker-process side of the parallel sharded join engine.
 
 Each worker runs one shard of the self-join on its own copy of the
-algorithm instance the parent built and checked: the full driven scan
-with :meth:`~repro.core.base.SetJoinAlgorithm.set_shard_window`
-restricting pair emission to the shard's position window.
+algorithm instance the parent built and checked: the driven scan with
+:meth:`~repro.core.base.SetJoinAlgorithm.set_shard` restricting pair
+emission to the positions the shard owns (``p % n_shards == shard``).
 State-building work (index inserts, cluster assignment) is replayed for
-positions before the window, so every worker sees exactly the serial
-algorithm's state and its emitted pairs are exactly the serial pairs of
-its window.
+every other position up to the last owned one, so every worker sees
+exactly the serial algorithm's state and its emitted pairs are exactly
+the serial pairs of its positions.
 
 Communication with the parent is a single message queue:
 
@@ -26,12 +26,13 @@ in the worker's own :class:`~repro.runtime.context.JoinContext`.
 
 When the parent context has a checkpointer, each shard checkpoints into
 its own subdirectory, with the shard geometry baked into the algorithm
-name (``probe-count@shard2.4``) so a resume with a different worker
-count is refused by :meth:`JoinCheckpointer.validate` instead of
-silently producing wrong pairs. A shard that completes while a sibling
-is interrupted persists its finished result as a *done marker*
-snapshot, so resuming the whole parallel join replays nothing for
-already-finished shards.
+name (``probe-count@shard2%4``) so a resume with a different worker
+count, or of a checkpoint written under the older contiguous-window
+geometry (``probe-count@shard2.4``), is refused by
+:meth:`JoinCheckpointer.validate` instead of silently producing wrong
+pairs. A shard that completes while a sibling is interrupted persists
+its finished result as a *done marker* snapshot, so resuming the whole
+parallel join replays nothing for already-finished shards.
 """
 
 from __future__ import annotations
@@ -89,11 +90,15 @@ class EventCancellationToken(CancellationToken):
 def shard_algorithm_name(base_name: str, shard: int, n_shards: int) -> str:
     """Checkpoint identity of one shard of a parallel join.
 
+    ``probe-count@shard2%4`` reads "the positions ``p % 4 == 2``".
     Embedding the shard geometry means a checkpoint written by shard 2
-    of 4 can never be resumed as shard 2 of 8 — the window differs, so
-    the pair set would be wrong. ``validate()`` compares names exactly.
+    of 4 can never be resumed as shard 2 of 8 — the owned positions
+    differ, so the pair set would be wrong. The ``%`` also sets these
+    names apart from the ``@shard2.4`` of contiguous-window shards,
+    whose checkpoints must not resume under round-robin ownership.
+    ``validate()`` compares names exactly.
     """
-    return f"{base_name}@shard{shard}.{n_shards}"
+    return f"{base_name}@shard{shard}%{n_shards}"
 
 
 def _done_marker_path(checkpoint_dir: str) -> str:
@@ -205,7 +210,7 @@ def _run_shard(spec: dict, queue, cancel_event) -> None:
 
     algorithm = spec["algorithm"]
     algorithm.name = shard_algorithm_name(algorithm.name, shard, n_shards)
-    algorithm.set_shard_window(spec["lo"], spec["hi"])
+    algorithm.set_shard(shard, n_shards)
 
     checkpointer = None
     checkpoint_dir = spec["checkpoint_dir"]
@@ -249,7 +254,6 @@ def _run_shard(spec: dict, queue, cancel_event) -> None:
         "degraded_from": result.degraded_from,
         "degradation_reason": result.degradation_reason,
         "elapsed_seconds": time.perf_counter() - start,
-        "window": [spec["lo"], spec["hi"]],
     }
     if checkpoint_dir is not None:
         # Persist the finished shard so a resume of the *whole* parallel

@@ -3,17 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.elias import (
-    elias_delta_decode,
-    elias_delta_encode,
-    elias_gamma_decode,
-    elias_gamma_encode,
-)
 from repro.compression.postings import CompressedPostingList
 from repro.compression.varbyte import varbyte_decode, varbyte_encode
 
 non_negative = st.lists(st.integers(min_value=0, max_value=1 << 50), max_size=200)
-positive = st.lists(st.integers(min_value=1, max_value=1 << 50), max_size=200)
 sorted_ids = st.lists(
     st.integers(min_value=0, max_value=1 << 30), max_size=150, unique=True
 ).map(sorted)
@@ -24,16 +17,6 @@ class TestCodecRoundtrips:
     @given(non_negative)
     def test_varbyte(self, values):
         assert varbyte_decode(varbyte_encode(values)) == values
-
-    @settings(max_examples=200, deadline=None)
-    @given(positive)
-    def test_elias_gamma(self, values):
-        assert elias_gamma_decode(elias_gamma_encode(values), len(values)) == values
-
-    @settings(max_examples=200, deadline=None)
-    @given(positive)
-    def test_elias_delta(self, values):
-        assert elias_delta_decode(elias_delta_encode(values), len(values)) == values
 
 
 class TestPostingListProperties:

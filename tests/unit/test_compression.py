@@ -4,14 +4,6 @@ import random
 
 import pytest
 
-from repro.compression.elias import (
-    BitReader,
-    BitWriter,
-    elias_delta_decode,
-    elias_delta_encode,
-    elias_gamma_decode,
-    elias_gamma_encode,
-)
 from repro.compression.postings import CompressedPostingList
 from repro.compression.varbyte import (
     varbyte_decode,
@@ -54,52 +46,6 @@ class TestVarbyte:
         rng = random.Random(1)
         values = [rng.randrange(0, 1 << 40) for _ in range(500)]
         assert varbyte_decode(varbyte_encode(values)) == values
-
-
-class TestBitIO:
-    def test_roundtrip_bits(self):
-        writer = BitWriter()
-        writer.write_bits(0b1011, 4)
-        writer.write_bits(0b1, 1)
-        reader = BitReader(writer.getvalue())
-        assert reader.read_bits(4) == 0b1011
-        assert reader.read_bit() == 1
-
-    def test_exhausted_stream_raises(self):
-        reader = BitReader(b"")
-        with pytest.raises(ValueError):
-            reader.read_bit()
-
-
-class TestElias:
-    VALUES = [1, 2, 3, 4, 7, 8, 100, 1000, 2**20, 2**33]
-
-    def test_gamma_roundtrip(self):
-        data = elias_gamma_encode(self.VALUES)
-        assert elias_gamma_decode(data, len(self.VALUES)) == self.VALUES
-
-    def test_delta_roundtrip(self):
-        data = elias_delta_encode(self.VALUES)
-        assert elias_delta_decode(data, len(self.VALUES)) == self.VALUES
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            elias_gamma_encode([0])
-        with pytest.raises(ValueError):
-            elias_delta_encode([0])
-
-    def test_gamma_of_one_is_single_bit(self):
-        assert elias_gamma_encode([1] * 8) == b"\xff"
-
-    def test_delta_beats_gamma_for_large_values(self):
-        values = [2**20 + i for i in range(50)]
-        assert len(elias_delta_encode(values)) < len(elias_gamma_encode(values))
-
-    def test_roundtrip_random(self):
-        rng = random.Random(2)
-        values = [rng.randrange(1, 1 << 30) for _ in range(300)]
-        assert elias_gamma_decode(elias_gamma_encode(values), 300) == values
-        assert elias_delta_decode(elias_delta_encode(values), 300) == values
 
 
 class TestCompressedPostingList:

@@ -2,9 +2,12 @@
 
 from dataclasses import fields
 
-from repro import OverlapPredicate
+import pytest
+
+from repro import JaccardPredicate, OverlapPredicate
 from repro.core.join import make_algorithm
 from repro.core.records import Dataset
+from repro.parallel import PARALLEL_ALGORITHMS
 from repro.utils.counters import CostCounters
 
 
@@ -67,20 +70,16 @@ class TestCostCounters:
                 assert getattr(a, name) == 3 * (i + 1), name
 
 
-def _shard_counters(algorithm_name, dataset, predicate, n_shards):
-    """Run the serial algorithm once per shard window and merge counters."""
+def _shard_counters(algorithm_name, dataset, predicate, n_shards, **options):
+    """Run the serial algorithm once per shard and merge counters."""
     merged = CostCounters()
     pairs = []
-    base, remainder = divmod(len(dataset), n_shards)
-    lo = 0
     for shard in range(n_shards):
-        hi = lo + base + (1 if shard < remainder else 0)
-        algorithm = make_algorithm(algorithm_name)
-        algorithm.set_shard_window(lo, hi)
+        algorithm = make_algorithm(algorithm_name, **options)
+        algorithm.set_shard(shard, n_shards)
         result = algorithm.join(dataset, predicate)
         merged.merge(result.counters)
         pairs.extend(result.pairs)
-        lo = hi
     return merged, pairs
 
 
@@ -88,8 +87,8 @@ class TestShardCounterAudit:
     """Shard-summed counters must reconcile with one serial run.
 
     This is the contract ``parallel_join`` relies on when it merges
-    worker counters: probe-phase work partitions exactly across shard
-    windows. Index-build work replays per shard, so build-side fields
+    worker counters: probe-phase work partitions exactly across the
+    shards' owned positions. Index-build work replays per shard, so build-side fields
     are compared with that replay factored in rather than ignored.
     """
 
@@ -129,6 +128,41 @@ class TestShardCounterAudit:
             "pairs_output",
         ):
             assert getattr(merged, name) == getattr(serial.counters, name), name
+
+    # Work done once per worker whatever it owns: index and cluster
+    # state, bitmap signatures, stopword selection, the LSH forest.
+    BUILD_SIDE = {
+        "index_entries",
+        "bitmap_signatures_built",
+        "stopwords",
+        "path_leaves",
+        "path_hash_tokens",
+    }
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        # probe-cluster's cluster probe rebuilds cluster state, so it
+        # runs on replay too and counts into probe-side fields.
+        sorted(PARALLEL_ALGORITHMS - {"probe-cluster"}),
+    )
+    def test_every_probe_counter_partitions(self, algorithm):
+        """Every counter but the build side sums to serial, the bitmap's
+        and the filter stack's rejections included."""
+        predicate = JaccardPredicate(0.3)
+        serial = make_algorithm(algorithm, bitmap_filter=True).join(
+            self.dataset, predicate
+        )
+        assert serial.counters.bitmap_checks > 0
+        assert "bitmap_disabled" not in serial.counters.extra
+        merged, _pairs = _shard_counters(
+            algorithm, self.dataset, predicate, 3, bitmap_filter=True
+        )
+        expected = serial.counters.as_dict()
+        got = merged.as_dict()
+        for name in self.BUILD_SIDE:
+            expected.pop(name, None)
+            got.pop(name, None)
+        assert got == expected
 
     def test_build_counters_replay_per_shard(self):
         """Index inserts replay once per shard — documented, not hidden."""
