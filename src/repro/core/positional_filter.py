@@ -20,10 +20,12 @@ candidate before it reaches exact verification:
    mid-scan (``candidate_rejections_position``), never reaching
    ``candidates_checked``.
 4. **Bitmap filter** (only with the ``bitmap_filter=`` knob) — the
-   popcount weight cap of :mod:`repro.filters`, checked with the
-   probe's signature entry (hoisted once per probe record) against the
-   exact pair threshold :meth:`~repro.core.base.SetJoinAlgorithm
-   ._verify_pair` would use. One check is a few big-int operations, far
+   popcount weight cap of :mod:`repro.filters`, one
+   :meth:`~repro.filters.pruner.BitmapPruner.screen` call per probe
+   over its band-surviving candidates, each checked with the probe's
+   signature entry against the exact pair threshold
+   :meth:`~repro.core.base.SetJoinAlgorithm._verify_pair` would use.
+   One check is a few big-int operations, far
    cheaper than the suffix probe's recursion, and on dirty data it
    rejects nearly everything the suffix probe would (address 3-grams,
    Jaccard 0.6: suffix recursions 1,289,008 -> 9,996), so it runs
@@ -36,9 +38,10 @@ candidate before it reaches exact verification:
    overlap below the pair threshold rejects the candidate
    (``candidate_rejections_suffix``) without verification.
 
-Each position-filter survivor then runs one cheapest-reject-first
-cascade: band (when the predicate has one) -> bitmap -> suffix ->
-exact verify. Every layer is a sound necessary condition, so the order
+The position-filter survivors then run one cheapest-reject-first
+cascade: band (when the predicate has one) and bitmap over the probe's
+candidate list, then suffix -> exact verify per survivor, in scan
+order. Every layer is a sound necessary condition, so the order
 changes only the work, never the pairs; and with unit scores the
 bitmap's cap is the same integer from either side of the pair, so the
 probe-side entry gives the check ``_verify_pair`` would make. With the
@@ -282,8 +285,9 @@ class PositionalFilterJoin(SetJoinAlgorithm):
         counters,
         pairs,
     ) -> None:
-        """One record's probe: scan and position-filter, then per
-        candidate band -> bitmap -> suffix filter -> verify."""
+        """One record's probe: scan and position-filter, band-filter
+        the candidates, screen them through the bitmap in one call,
+        then suffix-filter and verify each survivor."""
         norm_r = float(size)
         threshold = bound.threshold
         ceil = math.ceil
@@ -306,24 +310,22 @@ class PositionalFilterJoin(SetJoinAlgorithm):
             if entry is None:
                 continue
             post_sizes, post_rids, post_positions = entry
-            count = len(post_rids)
             cut = bisect_left(post_sizes, size_lo)
             searches += 1
-            touched += count - cut
+            touched += len(post_rids) - cut
             remaining_r = size - i - 1
-            for k in range(cut, count):
-                sid = post_rids[k]
+            for sid, size_s, j in zip(
+                post_rids[cut:], post_sizes[cut:], post_positions[cut:]
+            ):
                 overlap = acc_get(sid, 0)
                 if overlap < 0:
                     continue
-                size_s = post_sizes[k]
                 required = required_get(size_s)
                 if required is None:
                     required = ceil(threshold(norm_r, float(size_s)) - WEIGHT_EPS)
                     if required < 1:
                         required = 1
                     required_of[size_s] = required
-                j = post_positions[k]
                 remaining_s = size_s - j - 1
                 upper = overlap + 1 + (
                     remaining_r if remaining_r < remaining_s else remaining_s
@@ -338,41 +340,31 @@ class PositionalFilterJoin(SetJoinAlgorithm):
         counters.list_items_touched += touched
         counters.candidate_rejections_position += position_kills
 
+        # Band first, then the bitmap over the whole band-surviving list
+        # in one call (cheapest reject first; the pruner takes each pair
+        # threshold as _verify_pair would), then the suffix probe and
+        # exact verify per survivor, in scan order.
         if band is not None:
             band_keys = band.keys
             radius = band.radius + 1e-12
             key_r = band_keys[rid]
-        # The bitmap runs before the suffix probe (cheapest reject
-        # first), on the probe's entry hoisted once per record and the
-        # same exact pair threshold _verify_pair would compute.
-        pruner = self._bitmap
-        if pruner is not None and pruner.controller.active:
-            controller = pruner.controller
-            rejects = pruner.rejects
-            entry = pruner.entry_of(bound, rid)
-            const_threshold = pruner.const_threshold
-            norm = bound.norm
-            pair_norm_r = norm(rid)
-        else:
-            pruner = None
+        checked = 0
+        candidates = []
         for sid, overlap in acc.items():
             if overlap <= 0:
                 continue
-            counters.candidates_checked += 1
+            checked += 1
             if band is not None and abs(band_keys[sid] - key_r) > radius:
                 continue
-            if pruner is not None and controller.active:
-                pair_threshold = const_threshold
-                if pair_threshold is None:
-                    pair_threshold = (
-                        threshold(norm(sid), pair_norm_r)
-                        if sid < rid
-                        else threshold(pair_norm_r, norm(sid))
-                    )
-                if rejects(entry, sid, pair_threshold, counters):
-                    continue
+            candidates.append(sid)
+        counters.candidates_checked += checked
+        pruner = self._bitmap
+        if pruner is not None:
+            candidates = pruner.screen(bound, rid, candidates, counters)
+        for sid in candidates:
             size_s = sizes_of[sid]
             required = required_of[size_s]
+            overlap = acc[sid]
             if do_suffix and overlap < required:
                 i_last, j_last = last_match[sid]
                 other = canon[sid]

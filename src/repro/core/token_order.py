@@ -61,11 +61,8 @@ class TokenOrder:
 
     def canonicalize_all(self, dataset: Dataset) -> list[tuple[int, ...]]:
         """Every record of ``dataset``, canonicalized (indexed by rid)."""
-        rank = self.rank
-        return [
-            tuple(sorted(rank[token] for token in record))
-            for record in dataset.records
-        ]
+        rank_of = self.rank.__getitem__
+        return [tuple(sorted(map(rank_of, record))) for record in dataset.records]
 
 
 def ensure_unit_scores(

@@ -38,6 +38,9 @@ on hash randomization is allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 __all__ = [
     "BitmapFilterConfig",
@@ -166,11 +169,29 @@ class SignatureStore:
 
     def extend_from(self, bound, start: int) -> None:
         """Append entries for records ``start..len(dataset)`` (incremental
-        maintenance after :meth:`SimilarityIndex.add`)."""
+        maintenance after :meth:`SimilarityIndex.add`).
+
+        Equal to :meth:`components_for` per record, with each distinct
+        token's bit hashed once per call and the OR over a record's
+        bits folded in C (``reduce(or_, ...)``).
+        """
         dataset = bound.dataset
-        for rid in range(start, len(dataset)):
-            self._entries.append(
-                self.components_for(dataset[rid], bound.cached_score_vector(rid))
+        width = self.width
+        records = [dataset[rid] for rid in range(start, len(dataset))]
+        bit_of = {
+            token: 1 << (((token + 1) * _MIX & _MASK64) >> 32) % width
+            for token in set(chain.from_iterable(records))
+        }.__getitem__
+        append = self._entries.append
+        for rid, tokens in enumerate(records, start):
+            sig = reduce(or_, map(bit_of, tokens), 0)
+            append(
+                (
+                    sig,
+                    sig.bit_count(),
+                    len(tokens),
+                    max(bound.cached_score_vector(rid), default=0.0),
+                )
             )
 
     @classmethod
@@ -203,7 +224,8 @@ class SignatureStore:
     def weight_cap(self, entry: tuple[int, int, int, float], rid_b: int) -> float:
         """Upper bound on the match weight of the record behind ``entry``
         (stored, or an unstored probe entry) and ``rid_b``; see module
-        doc."""
+        doc. The pruner's check loop computes the same cap inline; this
+        scalar form is the reference its tests hold it to."""
         sig_a, pop_a, size_a, max_a = entry
         sig_b, pop_b, size_b, max_b = self._entries[rid_b]
         inter = (sig_a & sig_b).bit_count()

@@ -23,6 +23,8 @@ pair set is identical either way, because the filter is sound.
 
 from __future__ import annotations
 
+import sys
+
 __all__ = ["AdaptiveController", "NullController"]
 
 
@@ -30,9 +32,14 @@ class NullController:
     """Always-on stand-in used when ``adaptive=False``."""
 
     __slots__ = ()
-    adaptive = False
     active = True
     decided = True
+
+    def room(self) -> int:
+        return sys.maxsize
+
+    def record(self, checks: int, rejects: int, counters) -> None:
+        pass
 
     def observe(self, rejected: bool, counters) -> None:
         pass
@@ -49,14 +56,12 @@ class AdaptiveController:
     switched the filter off.
 
     Thread-safety note: the serving path shares one controller across
-    concurrent readers. ``observe`` races are benign — int updates may
+    concurrent readers. ``record`` races are benign — int updates may
     lose a count, shifting a window boundary by a few samples, but
     both possible decisions are sound and results are unaffected.
     """
 
     __slots__ = ("sample_size", "min_reject_rate", "checks", "rejects", "active", "decided")
-
-    adaptive = True
 
     def __init__(self, sample_size: int = 512, min_reject_rate: float = 0.05):
         self.sample_size = sample_size
@@ -66,13 +71,22 @@ class AdaptiveController:
         self.active = True
         self.decided = False
 
+    def room(self) -> int:
+        """Checks left before the open window closes (at least 1)."""
+        room = self.sample_size - self.checks
+        return room if room > 0 else 1
+
     def observe(self, rejected: bool, counters) -> None:
         """Record one check outcome; judge the window once it fills."""
-        if not self.active:
-            return
-        self.checks += 1
-        if rejected:
-            self.rejects += 1
+        if self.active:
+            self.record(1, 1 if rejected else 0, counters)
+
+    def record(self, checks: int, rejects: int, counters) -> None:
+        """Record a run of ``checks`` outcomes, ``rejects`` of them
+        rejects, that fits in the open window (``checks <= room()``);
+        judge the window once it fills."""
+        self.checks += checks
+        self.rejects += rejects
         if self.checks >= self.sample_size:
             self.decided = True
             if self.rejects < self.min_reject_rate * self.checks:

@@ -92,7 +92,8 @@ class ShardServer:
         backlog: TCP listen backlog.
 
     Start with :meth:`start` (or as a context manager); :meth:`stop` is
-    idempotent and tears down the listener and every open connection.
+    idempotent, tears down the listener and every open connection, and
+    waits up to a second for the connection-handler threads to exit.
     """
 
     def __init__(
@@ -114,6 +115,7 @@ class ShardServer:
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._connections: set[socket.socket] = set()
+        self._handlers: set[threading.Thread] = set()
         self._lock = threading.Lock()
         self._stopping = False
         self._started = False
@@ -169,7 +171,8 @@ class ShardServer:
         return self
 
     def stop(self) -> None:
-        """Close the listener and every open connection; idempotent."""
+        """Close the listener and every open connection, then join the
+        handler threads (bounded); idempotent."""
         with self._lock:
             if self._stopping:
                 return
@@ -190,6 +193,13 @@ class ShardServer:
             _close_quietly(conn)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=1.0)
+        # Wait (bounded) for the connection handlers, so one that dies
+        # surfaces while its caller is still stopping the node.
+        with self._lock:
+            handlers = list(self._handlers)
+        deadline = time.monotonic() + 1.0
+        for handler in handlers:
+            handler.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "ShardServer":
         return self.start()
@@ -207,18 +217,26 @@ class ShardServer:
                 conn, _peer = self._listener.accept()
             except OSError:
                 return  # listener closed by stop()
-            if self._stopping:
-                _close_quietly(conn)
-                return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
+                # Checked under the lock stop() takes, so every
+                # connection it misses is closed here instead.
+                if self._stopping:
+                    _close_quietly(conn)
+                    return
                 self._connections.add(conn)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="shard-server-conn",
-                daemon=True,
-            ).start()
+                # A handler leaves the set only once it is dead, which
+                # is after any exception it died of was reported; it is
+                # started before stop() can see it, so stop() can join it.
+                self._handlers = {h for h in self._handlers if h.is_alive()}
+                handler = threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn,),
+                    name="shard-server-conn",
+                    daemon=True,
+                )
+                handler.start()
+                self._handlers.add(handler)
 
     def _serve_connection(self, conn: socket.socket) -> None:
         reader = wire.socket_reader(conn)

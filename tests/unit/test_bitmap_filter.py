@@ -1,5 +1,7 @@
 """Unit coverage for the bitmap-signature pruning layer (repro.filters)."""
 
+import random
+
 import pytest
 
 from repro import (
@@ -18,8 +20,10 @@ from repro.filters import (
     bit_for_token,
     resolve_bitmap_filter,
 )
+from repro.predicates.base import WEIGHT_EPS
 from repro.predicates.edit_distance import qgram_dataset
 from repro.utils.counters import CostCounters
+from tests.conftest import random_dataset
 
 RECORDS = [
     (0, 1, 2, 3),
@@ -125,6 +129,24 @@ class TestSignatureStore:
         assert len(restored) == len(store)
         for rid in range(len(RECORDS)):
             assert restored.entry(rid) == store.entry(rid)
+
+    @pytest.mark.parametrize("width", [8, 64, 128, 1000])
+    @pytest.mark.parametrize("make_predicate", [JaccardPredicate, CosinePredicate])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_build_equals_per_record_components(self, width, make_predicate, seed):
+        # build hashes each distinct token once per call;
+        # components_for hashes every token of one record. Cosine
+        # brings non-unit max scores.
+        data = random_dataset(seed=seed, universe=400, max_size=40)
+        bound = make_predicate(0.5).bind(data)
+        store = SignatureStore.build(bound, width)
+        entries = [store.entry(rid) for rid in range(len(store))]
+        assert entries == [
+            store.components_for(data[rid], bound.cached_score_vector(rid))
+            for rid in range(len(data))
+        ]
+        restored = SignatureStore.restore(width, store.signatures(), bound)
+        assert [restored.entry(rid) for rid in range(len(restored))] == entries
 
 
 class TestAdapterDispatch:
@@ -281,3 +303,124 @@ class TestPrunerAndCounters:
         b.bitmap_checks, b.bitmap_rejects = 7, 3
         a.merge(b)
         assert (a.bitmap_checks, a.bitmap_rejects) == (12, 5)
+
+
+def _one_at_a_time(pruner, bound, rid, candidates, counters):
+    """:meth:`BitmapPruner.screen`'s reference: one ``rejects`` call
+    per candidate while the controller is on, the pair threshold in
+    canonical orientation, each decision held against ``weight_cap``."""
+    entry = pruner.entry_of(bound, rid)
+    survivors = []
+    for sid in candidates:
+        if pruner.controller.active:
+            threshold = pruner.const_threshold
+            if threshold is None:
+                low, high = (sid, rid) if sid < rid else (rid, sid)
+                threshold = bound.threshold(bound.norm(low), bound.norm(high))
+            rejected = pruner.rejects(entry, sid, threshold, counters)
+            assert rejected == (
+                pruner.store.weight_cap(entry, sid) < threshold - WEIGHT_EPS
+            )
+            if rejected:
+                continue
+        survivors.append(sid)
+    return survivors
+
+
+class TestScreen:
+    """One call per probe checks exactly what the one-at-a-time loop
+    checks: same survivors, counters, and controller state."""
+
+    def _compare(self, bound, config, probes, store_bound=None):
+        batch, single = (
+            BitmapPruner.for_join(store_bound or bound, config) for _ in range(2)
+        )
+        batch_counters, single_counters = CostCounters(), CostCounters()
+        cut_mid_list = False
+        for rid, candidates in probes:
+            before = batch_counters.bitmap_checks
+            survivors = batch.screen(bound, rid, list(candidates), batch_counters)
+            checked = batch_counters.bitmap_checks - before
+            cut_mid_list |= 0 < checked < len(candidates)
+            assert survivors == _one_at_a_time(
+                single, bound, rid, candidates, single_counters
+            )
+        assert batch_counters.bitmap_checks == single_counters.bitmap_checks
+        assert batch_counters.bitmap_rejects == single_counters.bitmap_rejects
+        assert batch_counters.extra.get("bitmap_disabled") == (
+            single_counters.extra.get("bitmap_disabled")
+        )
+        assert batch.controller.state() == single.controller.state()
+        return batch_counters, cut_mid_list
+
+    @staticmethod
+    def _probes(n, seed):
+        # Every record probes all others, lower and higher rids mixed
+        # (both threshold orientations), in a seeded order.
+        rng = random.Random(seed)
+        probes = []
+        for rid in range(n):
+            candidates = [sid for sid in range(n) if sid != rid]
+            rng.shuffle(candidates)
+            probes.append((rid, candidates))
+        return probes
+
+    @pytest.mark.parametrize("sample_size", [1, 8, 512])
+    def test_switch_off_lands_mid_list(self, sample_size):
+        data = random_dataset(seed=5)
+        bound = JaccardPredicate(0.5).bind(data)
+        config = BitmapFilterConfig(
+            width=64, sample_size=sample_size, min_reject_rate=1.0
+        )
+        counters, cut_mid_list = self._compare(
+            bound, config, self._probes(len(data), seed=sample_size)
+        )
+        assert counters.extra.get("bitmap_disabled") == 1
+        assert cut_mid_list
+
+    def test_constant_threshold(self):
+        data = random_dataset(seed=8)
+        bound = OverlapPredicate(3).bind(data)
+        assert bound.constant_threshold
+        counters, _ = self._compare(
+            bound, BitmapFilterConfig(width=32), self._probes(len(data), seed=1)
+        )
+        assert counters.bitmap_rejects
+
+    def test_null_controller_checks_everything(self):
+        data = random_dataset(seed=9)
+        bound = JaccardPredicate(0.6).bind(data)
+        config = BitmapFilterConfig(width=64, adaptive=False)
+        counters, _ = self._compare(bound, config, self._probes(len(data), seed=2))
+        assert counters.bitmap_checks == len(data) * (len(data) - 1)
+        assert "bitmap_disabled" not in counters.extra
+
+    def test_ephemeral_probe(self):
+        # The probe sits one past the stored records (a served query):
+        # its entry is built on the fly, its norm read from the full
+        # binding.
+        data = random_dataset(seed=10)
+        probe = len(data) - 1
+        indexed = JaccardPredicate(0.5).bind(Dataset(list(data.records[:probe])))
+        bound = JaccardPredicate(0.5).bind(data)
+        counters, _ = self._compare(
+            bound,
+            BitmapFilterConfig(width=64, sample_size=16),
+            [(probe, list(range(probe)))],
+            store_bound=indexed,
+        )
+        assert counters.bitmap_checks
+
+    def test_empty_and_switched_off_lists_pass_through(self):
+        bound = OverlapPredicate(2).bind(Dataset(list(RECORDS)))
+        pruner = BitmapPruner.for_join(
+            bound, BitmapFilterConfig(width=64, sample_size=1, min_reject_rate=1.0)
+        )
+        counters = CostCounters()
+        assert pruner.screen(bound, 0, [], counters) == []
+        # (0, 1) share three tokens: kept, and the window of one check
+        # without a reject switches the filter off.
+        assert pruner.screen(bound, 0, [1], counters) == [1]
+        assert not pruner.controller.active
+        assert pruner.screen(bound, 0, [2, 4], counters) == [2, 4]
+        assert (counters.bitmap_checks, counters.bitmap_rejects) == (1, 0)

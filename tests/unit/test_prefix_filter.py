@@ -11,6 +11,7 @@ from repro import (
     WeightedOverlapPredicate,
 )
 from repro.core.prefix_filter import PrefixFilterJoin
+from repro.core.token_order import TokenOrder
 from repro.predicates.hamming import HammingPredicate
 from tests.conftest import random_dataset
 
@@ -69,3 +70,13 @@ class TestPrefixFilterJoin:
         full = similarity_join(data, OverlapPredicate(6), algorithm="probe-count-online")
         assert prefix.pair_set() == full.pair_set()
         assert prefix.counters.index_entries < full.counters.index_entries
+
+
+class TestTokenOrder:
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_canonicalize_all_equals_per_record(self, seed):
+        data = random_dataset(seed=seed, universe=200)
+        order = TokenOrder.for_dataset(data)
+        canon = order.canonicalize_all(data)
+        assert canon == [order.canonicalize(record) for record in data.records]
+        assert all(list(record) == sorted(set(record)) for record in canon)
