@@ -11,27 +11,36 @@ functions:
 * :func:`accumulate_merge` ≡ :func:`~repro.core.heap_merge.heap_merge`
 * :func:`accumulate_merge_opt` ≡ :func:`~repro.core.merge_opt.merge_opt`
 
-**Two scans, both driven by CPython builtins.** When every contribution
-of a probe is exactly 1.0 — probe score 1.0 and every list's score
-range pinned to ``[1.0, 1.0]`` by its ``min_score``/``max_score`` — the
-weight of an entity is the number of lists holding it, so the scan is
-one C-level ``Counter`` over the chained id columns and the weight is
+**One scan, one screen.** When every contribution of a probe is
+exactly 1.0 — probe score 1.0 and every list's score range pinned to
+``[1.0, 1.0]`` by its ``min_score``/``max_score`` — the weight of an
+entity is the number of lists holding it, so the scan is one C-level
+``Counter`` over the chained id columns and the weight is
 ``float(count)`` (bit-identical to summing 1.0s). Weighted probes sum
-``probe_score * score`` into a dict. Either way the optional ``accept``
-filter depends only on the entity, so it runs once per distinct entity
-(``filter`` over the keys), not once per posting.
+``probe_score * score`` into a dict. One plain loop then screens every
+scanned entity once, inline: the band test against the probe's
+:class:`~repro.predicates.base.BandWindow` keys, the
+``candidates_checked``/``accum_writes``/``list_items_touched``
+bookkeeping, the pair limit ``T(r, s) - WEIGHT_EPS`` read from the
+probe's :class:`~repro.predicates.base.PairThreshold` once per distinct
+partner norm, and the Algorithm 1 first bound ``weight +
+cumulative[k-1] >= limit``. Only the survivors are sorted. A plain
+callable filter or threshold (unit tests) is wrapped once per call to
+the same fields, never served by a second loop.
 
 **Rare-word skip path.** :func:`accumulate_merge_opt` reuses
 :func:`~repro.core.merge_opt.split_lists` (§3.1 Algorithm 1): only the
-short S lists are scanned; candidates are then completed against the
-long L lists smallest-first with the same early-termination bound the
-heap path uses. Each completion search is a C ``bisect_left`` resuming
-at the list's frontier (a mapped varbyte column supplies its own
-``bisect_from`` that bisects the block-first column and decodes one
+short S lists are scanned; the screen's survivors are then completed
+against the long L lists smallest-first with the same early-termination
+bound the heap path uses. Each completion search is a C ``bisect_left``
+resuming at the list's frontier (a mapped varbyte column supplies its
+own ``bisect_from`` that bisects the block-first column and decodes one
 block). ``counters.gallop_steps`` reports the bracket doublings a
 galloping search from the same frontier would take —
 ``(d - 1).bit_length()`` for a jump of ``d > 1`` positions — so the
-counter is an exact function of the positions found.
+counter is an exact function of the positions found. An entity the
+screen drops fails the first bound, so it is never searched and never
+a candidate, on either backend.
 
 **Result identity.** For a given entity, both backends sum the same
 contributions in the same order — the heap pops equal RIDs in
@@ -52,6 +61,7 @@ separately as ``accum_scans`` (postings scanned) and ``accum_writes``
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
@@ -60,7 +70,7 @@ from itertools import chain
 
 from repro.core.inverted_index import PostingList
 from repro.core.merge_opt import split_lists
-from repro.predicates.base import WEIGHT_EPS
+from repro.predicates.base import WEIGHT_EPS, BandWindow, PairThreshold
 from repro.utils.counters import CostCounters
 
 __all__ = [
@@ -126,8 +136,10 @@ def accumulate_merge(
     """
     if not lists:
         return []
-    touched, weights = _scan_lists(lists, accept, counters)
-    return _reaching(touched, weights, threshold_of)
+    return [
+        (entity, float(weight))
+        for entity, weight, _limit in _screen(lists, 0.0, threshold_of, accept, counters)
+    ]
 
 
 def accumulate_merge_opt(
@@ -139,11 +151,11 @@ def accumulate_merge_opt(
 ) -> list[tuple[int, float]]:
     """Threshold-optimized counting merge; same contract as ``merge_opt``.
 
-    S lists (short) are scanned; each touched entity is then completed
-    against the L lists (long) smallest-first with frontier-resuming
-    binary searches, bailing out early once even full membership in the
-    remaining L lists cannot reach ``T(r, m)`` — exactly Algorithm 1
-    steps 8–11, with the heap replaced by the scan.
+    S lists (short) are scanned and screened; each survivor is then
+    completed against the L lists (long) smallest-first with
+    frontier-resuming binary searches, bailing out early once even full
+    membership in the remaining L lists cannot reach ``T(r, m)`` —
+    exactly Algorithm 1 steps 8–11, with the heap replaced by the scan.
     """
     if not lists:
         return []
@@ -151,11 +163,13 @@ def accumulate_merge_opt(
     if k == len(ordered):
         # Entities appearing only in L lists cannot reach the threshold.
         return []
-    touched, weights = _scan_lists(ordered[k:], accept, counters)
+    survivors = _screen(
+        ordered[k:], cumulative[k - 1] if k else 0.0, threshold_of, accept, counters
+    )
     if k == 0:
-        return _reaching(touched, weights, threshold_of)
+        return [(entity, float(weight)) for entity, weight, _limit in survivors]
 
-    # Per-L-list search state: touched ids are visited in increasing
+    # Per-L-list search state: survivors are visited in increasing
     # order, so each search resumes where the previous one ended.
     search = []
     ids_of = []
@@ -171,26 +185,23 @@ def accumulate_merge_opt(
         probe_of.append(probe_score)
         sizes.append(len(ids))
     search_from = [0] * k
-    first_bound = cumulative[k - 1]
     searches = 0
     gallop_steps = 0
     candidates: list[tuple[int, float]] = []
     append = candidates.append
-    for entity, weight in zip(touched, map(weights.__getitem__, touched)):
-        limit = threshold_of(entity) - WEIGHT_EPS
-        if weight + first_bound >= limit:
-            for i in range(k - 1, -1, -1):
-                if weight + cumulative[i] < limit:
-                    break
-                searches += 1
-                frontier = search_from[i]
-                position = search[i](entity, frontier)
-                jump = position - frontier
-                if jump > 1:
-                    gallop_steps += (jump - 1).bit_length()
-                search_from[i] = position
-                if position < sizes[i] and ids_of[i][position] == entity:
-                    weight += probe_of[i] * scores_of[i][position]
+    for entity, weight, limit in survivors:
+        for i in range(k - 1, -1, -1):
+            if weight + cumulative[i] < limit:
+                break
+            searches += 1
+            frontier = search_from[i]
+            position = search[i](entity, frontier)
+            jump = position - frontier
+            if jump > 1:
+                gallop_steps += (jump - 1).bit_length()
+            search_from[i] = position
+            if position < sizes[i] and ids_of[i][position] == entity:
+                weight += probe_of[i] * scores_of[i][position]
         if weight >= limit:
             append((entity, float(weight)))
     counters.binary_searches += searches
@@ -198,28 +209,21 @@ def accumulate_merge_opt(
     return candidates
 
 
-def _reaching(touched, weights, threshold_of) -> list[tuple[int, float]]:
-    """The touched entities whose scanned weight reaches ``T(r, s)``."""
-    candidates: list[tuple[int, float]] = []
-    append = candidates.append
-    for entity, weight in zip(touched, map(weights.__getitem__, touched)):
-        if weight >= threshold_of(entity) - WEIGHT_EPS:
-            append((entity, float(weight)))
-    return candidates
-
-
 # ----------------------------------------------------------------------
-# Scan phase (shared by both entry points)
+# Scan and screen (shared by both entry points)
 # ----------------------------------------------------------------------
 
 
-def _scan_lists(lists, accept, counters):
-    """Accumulate every list entry; returns (sorted touched ids, weights).
+def _screen(lists, first_bound, threshold_of, accept, counters):
+    """Scan ``lists`` and screen each scanned entity once.
 
-    ``weights`` maps each returned id to its accumulated weight — an int
-    count on the unit path (callers emit ``float(count)``), a float sum
-    otherwise. Rejected ids may also hold weights; only the returned ids
-    are ever read.
+    Returns the survivors as ``(entity, weight, limit)`` in increasing
+    entity order: the entities ``accept`` passes whose scanned weight
+    plus ``first_bound`` (what the unscanned lists can still add)
+    reaches ``limit = (T(r, s) - cut) - WEIGHT_EPS``. ``weight`` is an
+    int count on the unit path (callers emit ``float(weight)``), a float
+    sum otherwise. Contributions are non-negative, so an entity
+    screened out could never have reached its limit.
     """
     scans = 0
     unit = True
@@ -239,16 +243,74 @@ def _scan_lists(lists, accept, counters):
         for plist, probe_score in lists:
             for entity, score in zip(plist.ids, plist.scores):
                 weights[entity] = get(entity, 0.0) + probe_score * score
-    if accept is None:
-        touched = sorted(weights)
-        accepted = scans
-    else:
-        touched = sorted(filter(accept, weights))
+    if not isinstance(threshold_of, PairThreshold):
+        threshold_of = _per_entity(threshold_of)
+    threshold = threshold_of.threshold
+    norm_r = threshold_of.norm_r
+    norms = threshold_of.norms
+    cut = threshold_of.cut
+    band = accept is not None
+    if band:
+        if not isinstance(accept, BandWindow):
+            accept = _verdict_window(accept)
+        keys = accept.keys
+        key_r = accept.key_r
+        radius = accept.radius
         if counts is None:
             counts = Counter(chain.from_iterable(columns))
-        accepted = sum(map(counts.__getitem__, touched))
+        touched = 0
+    else:
+        touched = scans
+    rejected = 0
+    # partner norm -> (T(r, s) - cut) - WEIGHT_EPS
+    limits: dict[float, float] = {}
+    survivors = []
+    keep = survivors.append
+    for entity, weight in weights.items():
+        if band:
+            # ``not <=`` so that a NaN gap rejects, as the window does.
+            if not abs(keys[entity] - key_r) <= radius:
+                rejected += 1
+                continue
+            touched += counts[entity]
+        norm_s = norms[entity]
+        limit = limits.get(norm_s)
+        if limit is None:
+            limit = limits[norm_s] = threshold(norm_r, norm_s) - cut - WEIGHT_EPS
+        if weight + first_bound >= limit:
+            keep((entity, weight, limit))
+    accepted = len(weights) - rejected
     counters.accum_scans += scans
-    counters.accum_writes += len(touched)
-    counters.list_items_touched += accepted
-    counters.candidates_checked += len(touched)
-    return touched, weights
+    counters.accum_writes += accepted
+    counters.list_items_touched += touched
+    counters.candidates_checked += accepted
+    survivors.sort()
+    return survivors
+
+
+#: ``_ENTITIES[entity] == entity``: the norms of :func:`_per_entity`.
+_ENTITIES = range(sys.maxsize)
+
+
+def _per_entity(threshold_of) -> PairThreshold:
+    """A plain ``entity -> threshold`` callable as a
+    :class:`PairThreshold` whose "norm" is the entity itself."""
+    return PairThreshold(lambda _norm_r, entity: threshold_of(entity), 0.0, _ENTITIES)
+
+
+def _verdict_window(accept) -> BandWindow:
+    """A plain ``entity -> bool`` filter as a :class:`BandWindow`: key
+    0.0 for accepted entities, 1.0 for the rest, radius 0."""
+    return BandWindow(_Verdicts(accept), 0.0, 0.0)
+
+
+class _Verdicts:
+    """``accept`` as a key sequence for :func:`_verdict_window`."""
+
+    __slots__ = ("accept",)
+
+    def __init__(self, accept):
+        self.accept = accept
+
+    def __getitem__(self, entity: int) -> float:
+        return 0.0 if self.accept(entity) else 1.0

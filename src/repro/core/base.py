@@ -52,7 +52,12 @@ from repro.core.results import JoinResult, MatchPair
 from repro.core.token_order import ensure_unit_scores
 from repro.filters.bitmap import resolve_bitmap_filter
 from repro.filters.pruner import BitmapPruner
-from repro.predicates.base import WEIGHT_EPS, BoundPredicate, SimilarityPredicate
+from repro.predicates.base import (
+    WEIGHT_EPS,
+    BoundPredicate,
+    PairThreshold,
+    SimilarityPredicate,
+)
 from repro.runtime.errors import (
     JoinInterrupted,
     MemoryBudgetExceeded,
@@ -690,12 +695,15 @@ class ProbePlan:
         pruner: the bitmap pruner, or None.
         context: a :class:`~repro.runtime.context.JoinContext` ticked
             once per candidate (the query service), or None.
-        band: the §5 band filter, derived from ``bound``.
+        band: the §5 band filter, derived from ``bound`` (keyed by
+            position under ``order``).
+        norms: entity -> norm: the bound's gap-free norm cache, or the
+            norms by processing position under ``order``.
     """
 
     __slots__ = (
         "bound", "merge_mode", "optmerge", "order", "orient", "offset",
-        "pruner", "context", "band",
+        "pruner", "context", "band", "norms",
     )
 
     def __init__(
@@ -718,7 +726,15 @@ class ProbePlan:
         self.offset = offset
         self.pruner = pruner
         self.context = context
-        self.band = bound.band_filter()
+        band = bound.band_filter()
+        if order is None:
+            self.norms = bound.filled_norms()
+        else:
+            norm = bound.norm
+            self.norms = [norm(rid) for rid in order]
+            if band is not None:
+                band = band.for_order(order)
+        self.band = band
 
 
 def run_merge(mode, lists, index_threshold, threshold_of, counters, accept=None):
@@ -771,29 +787,14 @@ def probe_kernel(
     norm = bound.norm
     norm_r = norm(rid)
     order = plan.order
-    if order is not None:
-
-        def threshold_of(pos: int) -> float:
-            return threshold(norm_r, norm(order[pos]))
-
-    elif cut:
-
-        def threshold_of(sid: int) -> float:
-            return threshold(norm_r, norm(sid)) - cut
-
-    else:
-
-        def threshold_of(sid: int) -> float:
-            return threshold(norm_r, norm(sid))
-
     band = plan.band
     candidates = run_merge(
         plan.merge_mode,
         lists,
         bound.index_threshold(norm_r, index.min_norm) if plan.optmerge else None,
-        threshold_of,
+        PairThreshold(threshold, norm_r, plan.norms, cut),
         counters,
-        band.acceptor(rid, order) if band is not None else None,
+        band.acceptor(rid) if band is not None else None,
     )
     pruner = plan.pruner
     entry = None

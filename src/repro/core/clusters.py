@@ -96,6 +96,8 @@ class ClusterSet:
 
     def __init__(self):
         self.clusters: list[Cluster] = []
+        #: cid -> the summary ||C|| used in threshold computations.
+        self.norms: list[float] = []
         self.index = ScoredInvertedIndex()
 
     def __len__(self) -> int:
@@ -107,11 +109,8 @@ class ClusterSet:
     def new_cluster(self) -> Cluster:
         cluster = Cluster(len(self.clusters))
         self.clusters.append(cluster)
+        self.norms.append(cluster.min_member_norm)
         return cluster
-
-    def cluster_norm(self, cid: int) -> float:
-        """The summary ||C|| used in threshold computations."""
-        return self.clusters[cid].min_member_norm
 
     def assign(
         self,
@@ -124,6 +123,7 @@ class ClusterSet:
     ) -> None:
         """Add a record to a cluster and refresh the cluster-level index."""
         updates = cluster.add_record(position, rid, tokens, scores, norm)
+        self.norms[cluster.cid] = cluster.min_member_norm
         added = 0
         for token, score in updates:
             # insert_sorted reports whether the entry is new; only those

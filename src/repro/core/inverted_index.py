@@ -182,6 +182,8 @@ class ScoredInvertedIndex:
 
         ``norm`` is the entity's ``||s||`` (Eq. 1); for clusters, callers
         pass the cluster summary ``||C|| = min over members`` (§5.1.3).
+        Each word's append is :meth:`PostingList.append` inline, with
+        the same checks and errors.
         """
         postings = self._postings
         for token, score in zip(tokens, scores):
@@ -189,7 +191,20 @@ class ScoredInvertedIndex:
             if plist is None:
                 plist = PostingList()
                 postings[token] = plist
-            plist.append(entity_id, score)
+            elif plist.sealed:
+                raise ValueError("posting list is sealed; no further inserts")
+            ids = plist.ids
+            if ids and entity_id <= ids[-1]:
+                raise ValueError(
+                    f"entities must be inserted in increasing id order"
+                    f" (got {entity_id} after {ids[-1]})"
+                )
+            ids.append(entity_id)
+            plist.scores.append(score)
+            if score > plist.max_score:
+                plist.max_score = score
+            if score < plist.min_score:
+                plist.min_score = score
         self.n_entries += len(tokens)
         self.n_entities += 1
         if norm < self.min_norm:

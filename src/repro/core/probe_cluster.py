@@ -32,7 +32,7 @@ from repro.core.clusters import Cluster, ClusterSet
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
-from repro.predicates.base import BoundPredicate
+from repro.predicates.base import BoundPredicate, PairThreshold
 from repro.utils.counters import CostCounters
 
 __all__ = ["ProbeClusterJoin"]
@@ -178,7 +178,7 @@ class ProbeClusterJoin(SetJoinAlgorithm):
             plan.merge_mode,
             lists,
             bound.index_threshold(norm_r, clusters.index.min_norm),
-            lambda cid: bound.threshold(norm_r, clusters.cluster_norm(cid)),
+            PairThreshold(bound.threshold, norm_r, clusters.norms),
             counters,
         )
         nr_cap = self.max_cluster_records

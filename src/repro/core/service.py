@@ -345,8 +345,10 @@ class SimilarityIndex:
             self._generation += 1
 
     def _rebind(self) -> None:
-        """Bind afresh, filling the band keys while no reader can see it."""
+        """Bind afresh, filling the norm and band-key caches while no
+        reader can see it."""
         self._bound = self.predicate.bind(self._dataset)
+        self._bound.filled_norms()
         self._bound.band_filter()
 
     def _rebuild_index(self) -> None:

@@ -86,7 +86,7 @@ class TopKJoin:
 
         order = sorted(range(len(dataset)), key=lambda rid: (-bound.norm(rid), rid))
         index = ScoredInvertedIndex()
-        band = bound.band_filter()
+        band = _band_by_position(bound, order)
         for position, rid in enumerate(order):
             tokens = dataset[rid]
             scores = bound.cached_score_vector(rid)
@@ -98,7 +98,7 @@ class TopKJoin:
                 def threshold_of(pos: int, _n=norm_r) -> float:
                     return bound.threshold(_n, bound.norm(order[pos]))
 
-                accept = band.acceptor(rid, order) if band is not None else None
+                accept = band.acceptor(rid) if band is not None else None
 
                 index_threshold = bound.index_threshold(norm_r, index.min_norm)
                 for pos, _weight in merge_opt(
@@ -118,7 +118,7 @@ class TopKJoin:
                         # Ratchet: tighten the predicate to the k-th best.
                         current = best[0][0]
                         bound = self._retighten(bound, current)
-                        band = bound.band_filter()
+                        band = _band_by_position(bound, order)
             index.insert(position, tokens, scores, norm_r, counters)
 
         pairs = [
@@ -142,3 +142,9 @@ class TopKJoin:
         new_bound._norms = old_bound._norms
         new_bound._score_maps = old_bound._score_maps
         return new_bound
+
+
+def _band_by_position(bound, order):
+    """``bound``'s band filter over the position-keyed index, or None."""
+    band = bound.band_filter()
+    return band.for_order(order) if band is not None else None

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 from repro.core.records import Dataset
 
-__all__ = ["WEIGHT_EPS", "BandFilter", "BoundPredicate", "SimilarityPredicate"]
+__all__ = [
+    "WEIGHT_EPS",
+    "BandFilter",
+    "BandWindow",
+    "BoundPredicate",
+    "PairThreshold",
+    "SimilarityPredicate",
+]
 
 # Accumulated-vs-canonical match weights differ only by float summation
 # order; this slack makes candidate generation a guaranteed superset.
@@ -41,39 +48,83 @@ class BandFilter:
     ``keys`` is the bound predicate's key cache itself, read-only here:
     filled by the first :meth:`BoundPredicate.band_filter` on a static
     dataset, grown one key per ``add`` by :meth:`BoundPredicate.extend_to`.
+    ``entity_keys`` holds the keys by indexed entity when entities are
+    not record ids (:meth:`for_order`); None means ``keys``.
     """
 
     keys: Sequence[float]
     radius: float
+    entity_keys: Sequence[float] | None = None
 
     def accepts(self, rid_a: int, rid_b: int) -> bool:
         """True when the pair survives the filter."""
         return abs(self.keys[rid_a] - self.keys[rid_b]) <= self.radius + 1e-12
 
-    def acceptor(
-        self, rid: int, order: Sequence[int] | None = None
-    ) -> Callable[[int], bool]:
-        """The in-merge filter for probe record ``rid``.
-
-        The returned callable maps an indexed entity to "the pair with
-        ``rid`` survives": entities are record ids, or — when ``order``
-        is given — processing positions, ``order[pos]`` being the record
-        id at each position.
-        """
+    def for_order(self, order: Sequence[int]) -> "BandFilter":
+        """This filter over an index keyed by processing position,
+        ``order[pos]`` being the record id at each position."""
         keys = self.keys
-        key_r = keys[rid]
-        radius = self.radius + 1e-12
-        if order is None:
+        return BandFilter(keys, self.radius, [keys[rid] for rid in order])
 
-            def accept(sid: int) -> bool:
-                return abs(keys[sid] - key_r) <= radius
+    def acceptor(self, rid: int) -> "BandWindow":
+        """The in-merge filter for probe record ``rid``: a window that
+        maps an indexed entity to "the pair with ``rid`` survives"."""
+        keys = self.keys
+        entity_keys = self.entity_keys
+        return BandWindow(
+            keys if entity_keys is None else entity_keys,
+            keys[rid],
+            self.radius + 1e-12,
+        )
 
-        else:
 
-            def accept(pos: int) -> bool:
-                return abs(keys[order[pos]] - key_r) <= radius
+class BandWindow:
+    """The band around one probe: accepts entity ``s`` when
+    ``abs(keys[s] - key_r) <= radius``.
 
-        return accept
+    Callable per entity (the heap merges); the score accumulator reads
+    ``keys``/``key_r``/``radius`` and tests every scanned entity inline.
+    """
+
+    __slots__ = ("keys", "key_r", "radius")
+
+    def __init__(self, keys: Sequence[float], key_r: float, radius: float):
+        self.keys = keys
+        self.key_r = key_r
+        self.radius = radius
+
+    def __call__(self, entity: int) -> bool:
+        return abs(self.keys[entity] - self.key_r) <= self.radius
+
+
+class PairThreshold:
+    """``T(r, s) - cut`` for one probe ``r``, as a function of the
+    indexed entity ``s``.
+
+    ``norms[entity]`` is the entity's norm — the bound predicate's
+    gap-free norm cache (:meth:`BoundPredicate.filled_norms`) when
+    entities are record ids, norms by processing position or cluster
+    norms otherwise. Callable per entity (the heap merges); the score
+    accumulator reads the fields and computes each limit once per
+    distinct partner norm. ``cut`` is subtracted before any epsilon.
+    """
+
+    __slots__ = ("threshold", "norm_r", "norms", "cut")
+
+    def __init__(
+        self,
+        threshold: Callable[[float, float], float],
+        norm_r: float,
+        norms: Sequence[float],
+        cut: float = 0.0,
+    ):
+        self.threshold = threshold
+        self.norm_r = norm_r
+        self.norms = norms
+        self.cut = cut
+
+    def __call__(self, entity: int) -> float:
+        return self.threshold(self.norm_r, self.norms[entity]) - self.cut
 
 
 class BoundPredicate(ABC):
@@ -127,6 +178,7 @@ class BoundPredicate(ABC):
         self.dataset = dataset
         self._score_vectors: list[tuple[float, ...] | None] = [None] * len(dataset)
         self._norms: list[float | None] = [None] * len(dataset)
+        self._norms_filled = 0  # _norms[:_norms_filled] holds no None
         self._score_maps: list[dict[int, float] | None] = [None] * len(dataset)
         self._signatures: list[int | None] = [None] * len(dataset)
         self._band_keys: list[float] = []  # gap-free prefix of band_key(rid)
@@ -202,6 +254,7 @@ class BoundPredicate(ABC):
             self._norms.extend([None] * missing)
             self._score_maps.extend([None] * missing)
             self._signatures.extend([None] * missing)
+        self.filled_norms()
         if self.band_radius is not None:
             self._filled_band_keys()
 
@@ -250,6 +303,19 @@ class BoundPredicate(ABC):
             self._norms[rid] = value
         return value
 
+    def filled_norms(self) -> Sequence[float]:
+        """The norm cache with no gaps: ``norms[rid] == norm(rid)`` for
+        every record. Fills missing norms — all of them on the first
+        call over a static dataset; none while :meth:`extend_to` keeps
+        a growing one filled."""
+        n_records = len(self.dataset)
+        if self._norms_filled < n_records:
+            norm = self.norm
+            for rid in range(self._norms_filled, n_records):
+                norm(rid)
+            self._norms_filled = n_records
+        return self._norms
+
     def index_threshold(self, norm_r: float, min_norm: float) -> float:
         """``T(r, I) = min_s T(r, s) = T(r, minS)`` by monotonicity (§5.1.1)."""
         return self.threshold(norm_r, min_norm)
@@ -259,13 +325,16 @@ class BoundPredicate(ABC):
 
         Iterates the smaller record against the larger one's score map so
         the summation order is deterministic regardless of which algorithm
-        asks.
+        asks. With unit scores the weight is the common-token count (a
+        sum of 1.0s is exact, so counting is bit-identical).
         """
         if len(self.dataset[rid_r]) > len(self.dataset[rid_s]):
             rid_r, rid_s = rid_s, rid_r
         other = self.score_map(rid_s)
-        total = 0.0
         tokens = self.dataset[rid_r]
+        if self.unit_scores:
+            return float(sum(map(other.__contains__, tokens)))
+        total = 0.0
         scores = self.cached_score_vector(rid_r)
         for token, score in zip(tokens, scores):
             score_s = other.get(token)

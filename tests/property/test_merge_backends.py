@@ -8,6 +8,7 @@ predicate, serially, sharded over workers, and with the bitmap filter
 armed.
 """
 
+import math
 from bisect import bisect_left
 
 import pytest
@@ -24,7 +25,7 @@ from repro.core.heap_merge import heap_merge
 from repro.core.inverted_index import PostingList
 from repro.core.join import edit_distance_join, make_algorithm
 from repro.core.merge_opt import merge_opt, split_lists
-from repro.predicates.base import WEIGHT_EPS
+from repro.predicates.base import WEIGHT_EPS, BandFilter, PairThreshold
 from repro.utils.counters import CostCounters
 from tests.conftest import random_dataset
 
@@ -65,6 +66,51 @@ probe = st.one_of(
 )
 thresholds = st.floats(min_value=0.2, max_value=8.0, allow_nan=False)
 accepts = st.sampled_from([None, lambda e: e % 3 != 0])
+# 0.0 puts every list in S (k == 0); the rest usually leave some in L.
+index_thresholds = st.one_of(st.just(0.0), thresholds)
+
+#: Posting ids are drawn from ``range(ENTITIES)``.
+ENTITIES = 61
+#: A few norms for many entities: the screen's per-norm limit cache
+#: both hits and misses within one merge.
+NORMS = [1.0, 2.0, 3.5, 5.0, 8.0]
+entity_norms = st.lists(st.sampled_from(NORMS), min_size=ENTITIES, max_size=ENTITIES)
+
+
+def _jaccard_threshold(fraction):
+    """Jaccard's ``T(r, s)``: non-decreasing in both norms."""
+    return lambda norm_r, norm_s: fraction / (1.0 + fraction) * (norm_r + norm_s)
+
+
+@st.composite
+def plans(draw):
+    """``(threshold_of, accept)`` for one probe: plain callables (a
+    constant threshold, a modular filter), or what the probe kernel
+    builds — a :class:`PairThreshold` over per-entity norms, with or
+    without a ``cut``, and with or without a band window, for entities
+    that are rids or processing positions (an ``order`` plan)."""
+    if draw(st.booleans()):
+        threshold = draw(thresholds)
+        return (lambda _s: threshold), draw(accepts)
+    norms = draw(entity_norms)
+    keys = [math.log(norm) for norm in draw(entity_norms)]
+    rid = draw(st.integers(min_value=0, max_value=ENTITIES - 1))
+    order = draw(st.none() | st.permutations(range(ENTITIES)))
+    cut = draw(st.just(0.0) | st.floats(min_value=0.05, max_value=2.0))
+    band = None
+    if draw(st.booleans()):
+        band = BandFilter(keys, draw(st.floats(min_value=0.0, max_value=1.5)))
+    if order is not None:
+        norms = [norms[sid] for sid in order]
+        if band is not None:
+            band = band.for_order(order)
+    threshold_of = PairThreshold(
+        _jaccard_threshold(draw(st.floats(min_value=0.1, max_value=0.9))),
+        draw(st.sampled_from(NORMS)),
+        norms,
+        cut,
+    )
+    return threshold_of, band.acceptor(rid) if band is not None else None
 
 
 def build(lists_spec):
@@ -127,10 +173,10 @@ def reference_counters(lists, index_threshold, threshold_of, accept):
 
 class TestMergeLevelEquivalence:
     @settings(max_examples=300, deadline=None)
-    @given(probe, thresholds, accepts)
-    def test_accumulate_merge_equals_heap_merge(self, lists_spec, threshold, accept):
+    @given(probe, plans())
+    def test_accumulate_merge_equals_heap_merge(self, lists_spec, plan):
         lists = build(lists_spec)
-        threshold_of = lambda _s: threshold  # noqa: E731
+        threshold_of, accept = plan
         expected = heap_merge(lists, threshold_of, CostCounters(), accept)
         counters = CostCounters()
         got = accumulate_merge(lists, threshold_of, counters, accept)
@@ -140,19 +186,22 @@ class TestMergeLevelEquivalence:
         assert all(type(weight) is float for _entity, weight in got)
         assert counters == reference_counters(lists, None, threshold_of, accept)
 
-    @settings(max_examples=300, deadline=None)
-    @given(probe, thresholds, thresholds, accepts)
+    @settings(max_examples=400, deadline=None)
+    @given(probe, index_thresholds, plans())
     def test_accumulate_merge_opt_equals_merge_opt(
-        self, lists_spec, index_threshold, pair_threshold, accept
+        self, lists_spec, index_threshold, plan
     ):
         lists = build(lists_spec)
-        threshold_of = lambda _s: pair_threshold  # noqa: E731
+        threshold_of, accept = plan
         heap_counters = CostCounters()
         expected = merge_opt(lists, index_threshold, threshold_of, heap_counters, accept)
         counters = CostCounters()
         got = accumulate_merge_opt(lists, index_threshold, threshold_of, counters, accept)
         assert got == expected
         assert all(type(weight) is float for _entity, weight in got)
+        # Every field — binary_searches, gallop_steps, candidates_checked,
+        # list_items_touched, accum_scans, accum_writes — by the
+        # per-posting formulas.
         assert counters == reference_counters(
             lists, index_threshold, threshold_of, accept
         )

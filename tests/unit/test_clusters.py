@@ -75,7 +75,7 @@ class TestClusterSet:
         clusters.assign(cluster, 0, 0, (1,), (1.0,), norm=4.0)
         clusters.assign(cluster, 1, 1, (2,), (1.0,), norm=2.0)
         assert clusters.index.min_norm == 2.0
-        assert clusters.cluster_norm(0) == 2.0
+        assert clusters.norms[0] == 2.0
 
     def test_assign_score_raise_does_not_duplicate_entry(self):
         clusters = ClusterSet()

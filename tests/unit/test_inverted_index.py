@@ -140,6 +140,34 @@ class TestSealedPostings:
         with pytest.raises(ValueError):
             index.get(1).append(5, 1.0)
 
+    def test_index_insert_rejects_after_seal(self):
+        index = ScoredInvertedIndex()
+        index.insert(0, (1, 2), (1.0, 1.0), norm=2.0)
+        index.seal()
+        with pytest.raises(ValueError, match="posting list is sealed"):
+            index.insert(1, (2,), (1.0,), norm=1.0)
+        # A word with no list yet gets a fresh, unsealed one.
+        index.insert(1, (7,), (1.0,), norm=1.0)
+        assert list(index.get(7).ids) == [1]
+
+    def test_index_insert_rejects_out_of_order_entity(self):
+        index = ScoredInvertedIndex()
+        index.insert(3, (1, 2), (1.0, 1.0), norm=2.0)
+        with pytest.raises(ValueError, match=r"increasing id order \(got 3 after 3\)"):
+            index.insert(3, (2,), (1.0,), norm=1.0)
+        with pytest.raises(ValueError, match=r"increasing id order \(got 2 after 3\)"):
+            index.insert(2, (1,), (1.0,), norm=1.0)
+        assert list(index.get(1).ids) == [3]
+        assert list(index.get(2).ids) == [3]
+
+    def test_index_insert_tracks_score_range(self):
+        index = ScoredInvertedIndex()
+        index.insert(0, (1,), (0.5,), norm=1.0)
+        index.insert(1, (1,), (2.0,), norm=1.0)
+        plist = index.get(1)
+        assert list(plist.scores) == [0.5, 2.0]
+        assert (plist.min_score, plist.max_score) == (0.5, 2.0)
+
     def test_sealed_lists_still_readable(self):
         index = ScoredInvertedIndex()
         index.insert(0, (1,), (1.0,), norm=1.0)

@@ -86,7 +86,7 @@ class TestJaccardFilter:
         order = [3, 1, 0, 2]  # record id at each processing position
         for rid in range(len(data)):
             by_id = band.acceptor(rid)
-            by_position = band.acceptor(rid, order)
+            by_position = band.for_order(order).acceptor(rid)
             for sid in range(len(data)):
                 assert by_id(sid) == band.accepts(rid, sid)
             for pos, sid in enumerate(order):

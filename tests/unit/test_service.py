@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import JaccardPredicate, OverlapPredicate
+from repro import HammingPredicate, JaccardPredicate, OverlapPredicate
 from repro.core.service import SimilarityIndex
 from repro.text.tokenizers import tokenize_words
 
@@ -222,3 +222,104 @@ class TestProbeCostIsTouchedOnly:
         calls.clear()
         service.query(items[n + 1])
         assert calls == [n + 1]
+
+
+def _symmetric_difference(query, record):
+    return len(set(query) ^ set(record))
+
+
+class TestQueryAfterAdd:
+    """A query right after an ``add`` screens the new record's norm: the
+    accumulator reads the norm cache directly, so a record whose norm
+    was never filled would surface as a missing norm, not a miss.
+    Hamming's threshold reads both norms and its band keys are record
+    lengths, so nothing but the norm cache itself supplies them."""
+
+    RECORDS = [
+        "alpha beta gamma delta",
+        "alpha beta gamma delta epsilon",
+        "beta gamma delta epsilon",
+        "gamma delta epsilon zeta",
+        "alpha beta gamma epsilon",
+        "alpha beta gamma delta zeta",
+    ]
+
+    def _expected(self, query, added):
+        got = []
+        for rid, record in enumerate(added):
+            distance = _symmetric_difference(
+                tokenize_words(query), tokenize_words(record)
+            )
+            if distance <= 2:
+                got.append((rid, float(distance)))
+        return got
+
+    @pytest.mark.parametrize("topology", ["single", "sharded", "remote"])
+    def test_each_query_sees_the_record_just_added(self, topology):
+        from repro.serving import ShardedIndexServer
+        from repro.serving.transport import ShardServer
+
+        def index():
+            return SimilarityIndex(
+                HammingPredicate(2), tokenizer=tokenize_words,
+                merge_backend="accumulator",
+            )
+
+        nodes = []
+        if topology == "single":
+            server = index()
+            query = server.query
+        else:
+            if topology == "remote":
+                nodes = [ShardServer(index()).start() for _ in range(2)]
+            server = ShardedIndexServer(
+                HammingPredicate(2),
+                shards=2,
+                tokenizer=tokenize_words,
+                workers=1,
+                shard_workers=1,
+                merge_backend="accumulator",
+                shard_endpoints=(
+                    [f"127.0.0.1:{node.port}" for node in nodes] if nodes else None
+                ),
+            ).start()
+
+            def query(item):
+                answer = server.query(item, timeout=30.0)
+                assert not answer.partial
+                return answer
+
+        try:
+            added = []
+            for record in self.RECORDS:
+                server.add(record)
+                added.append(record)
+                got = [(m.rid_a, m.similarity) for m in query(record)]
+                assert sorted(got) == self._expected(record, added)
+        finally:
+            if topology != "single":
+                server.drain(timeout=30.0)
+            for node in nodes:
+                node.stop()
+        if topology == "single":
+            # The accumulator ran: its screen wrote every touched entity.
+            assert server.counters.accum_writes > 0
+
+    def test_mmap_loaded_index_has_every_norm(self, tmp_path):
+        service = SimilarityIndex(
+            HammingPredicate(2), tokenizer=tokenize_words, merge_backend="accumulator"
+        )
+        for record in self.RECORDS:
+            service.add(record)
+        path = str(tmp_path / "index.rpmx")
+        service.save(path, format="mmap")
+        opened = SimilarityIndex.load(
+            path, HammingPredicate(2), tokenizer=tokenize_words, mmap=True,
+            merge_backend="accumulator",
+        )
+        try:
+            for record in self.RECORDS:
+                got = [(m.rid_a, m.similarity) for m in opened.query(record)]
+                assert sorted(got) == self._expected(record, self.RECORDS)
+        finally:
+            opened.close()
