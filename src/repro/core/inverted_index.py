@@ -212,41 +212,6 @@ class ScoredInvertedIndex:
         if counters is not None:
             counters.index_entries += len(tokens)
 
-    def add_entity_tokens(
-        self,
-        entity_id: int,
-        tokens: Sequence[int],
-        scores: Sequence[float],
-        counters: CostCounters | None = None,
-    ) -> None:
-        """Append extra words for an existing entity (cluster growth).
-
-        Used by Probe-Cluster when a record joins a cluster and brings
-        new words (§3.4 / §4 step 3). The entity must still be the
-        largest id in each touched posting list **or** already present;
-        words whose list already ends with this entity get their score
-        raised to the max (the §5.1.3 cluster summary
-        ``score(w, C) = max over members``).
-        """
-        postings = self._postings
-        added = 0
-        for token, score in zip(tokens, scores):
-            plist = postings.get(token)
-            if plist is None:
-                plist = PostingList()
-                postings[token] = plist
-            if plist.ids and plist.ids[-1] == entity_id:
-                if score > plist.scores[-1]:
-                    plist.scores[-1] = score
-                    if score > plist.max_score:
-                        plist.max_score = score
-            else:
-                plist.append(entity_id, score)
-                added += 1
-        self.n_entries += added
-        if counters is not None:
-            counters.index_entries += added
-
     def update_min_norm(self, norm: float) -> None:
         """Lower the index-wide minimum norm (cluster summaries shrink)."""
         if norm < self.min_norm:

@@ -440,25 +440,6 @@ class SimilarityIndex:
                 with self._counters_lock:
                     self.counters.merge(counters)
 
-    def query_batch(self, items, context=None) -> list[list[MatchPair]]:
-        """Query many items under one read-lock acquisition.
-
-        Returns one result list per item, in order — each identical to
-        what :meth:`query` would return for that item: every item runs
-        the same probe as :meth:`query`, with its own bound-predicate
-        clone, and the batch saves the per-query lock round trip.
-
-        A ``context`` deadline spans the whole batch (anchored at the
-        first item, checked per verified candidate throughout).
-        """
-        with self._read_locked("query_batch"):
-            counters = CostCounters()
-            try:
-                return [self._query(item, counters, context) for item in items]
-            finally:
-                with self._counters_lock:
-                    self.counters.merge(counters)
-
     def _query(self, item, counters: CostCounters, context) -> list[MatchPair]:
         if context is not None:
             context.start()

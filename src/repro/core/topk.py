@@ -137,10 +137,12 @@ class TopKJoin:
     def _retighten(self, old_bound, new_threshold: float):
         """Rebind at the tighter threshold, keeping cached score state."""
         new_bound = self.predicate_factory(new_threshold).bind(old_bound.dataset)
-        # Score vectors and norms are threshold-independent; reuse them.
+        # Score vectors, norms and band keys are threshold-independent
+        # (the band radius carries the threshold); reuse them.
         new_bound._score_vectors = old_bound._score_vectors
         new_bound._norms = old_bound._norms
         new_bound._score_maps = old_bound._score_maps
+        new_bound._band_keys = old_bound._band_keys
         return new_bound
 
 

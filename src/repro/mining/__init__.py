@@ -1,20 +1,18 @@
 """Frequent-itemset mining and MinHash substrates.
 
 The Word-Groups join (paper §2.3) maps the set join to frequent-itemset
-mining with words as items and RIDs as transactions; it needs a low-
-support Apriori miner with tid-lists, an FP-growth alternative, and
-MinHash signatures for compacting groups with overlapping RID lists.
-All three are implemented from scratch here.
+mining with words as items and RIDs as transactions. Its level-wise
+loop needs the Apriori candidate join and tid-list intersection
+(:mod:`repro.mining.apriori`), plus MinHash signatures for compacting
+groups with overlapping RID lists (:mod:`repro.mining.minhash`). Both
+are implemented from scratch here.
 """
 
-from repro.mining.apriori import AprioriMiner, generate_candidates
-from repro.mining.fpgrowth import fpgrowth
+from repro.mining.apriori import generate_candidates
 from repro.mining.minhash import MinHasher, compact_groups
 
 __all__ = [
-    "AprioriMiner",
     "MinHasher",
     "compact_groups",
-    "fpgrowth",
     "generate_candidates",
 ]

@@ -1,20 +1,20 @@
-"""Apriori frequent-itemset mining with tid-lists (Agrawal & Srikant).
+"""Apriori building blocks over tid-lists (Agrawal & Srikant).
 
-A vertical-format implementation: each itemset carries the sorted list of
-transaction ids (tid-list) containing it, so support counting is a sorted
-intersection — the natural fit for the Word-Groups join, which needs the
-record groups, not just supports.
-
-Word-Groups runs this at the unusually low support of 2, which mainstream
-miners are not designed for (the paper's point); the implementation is
-still careful to prune aggressively.
+Word-Groups (paper §2.3) mines word groups level by level in the
+vertical format: each itemset carries the sorted list of transaction ids
+(tid-list) containing it, so support counting is a sorted intersection —
+the natural fit for a join, which needs the record groups, not just
+supports. :class:`~repro.core.word_groups.WordGroupsJoin` runs its own
+level loop (at the unusually low support of 2, with early output and
+MinHash compaction) over the two steps here: the prefix join that forms
+candidates and the tid-list intersection that counts them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-__all__ = ["AprioriMiner", "generate_candidates", "intersect_sorted"]
+__all__ = ["generate_candidates", "intersect_sorted"]
 
 
 def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -51,60 +51,3 @@ def generate_candidates(level: list[tuple[int, ...]]) -> Iterable[tuple[tuple[in
                 a, b = members[i], members[j]
                 yield prefix + (a[-1], b[-1]), a, b
 
-
-class AprioriMiner:
-    """Level-wise miner over transactions of integer items.
-
-    Args:
-        min_support: minimum number of transactions per itemset.
-        max_items: optional cap on itemset cardinality.
-
-    ``mine`` returns ``{itemset: tidlist}`` for every frequent itemset.
-    """
-
-    def __init__(self, min_support: int = 2, max_items: int | None = None):
-        if min_support < 1:
-            raise ValueError(f"min_support must be >= 1, got {min_support}")
-        self.min_support = min_support
-        self.max_items = max_items
-
-    def first_level(
-        self, transactions: Sequence[Sequence[int]]
-    ) -> dict[tuple[int, ...], list[int]]:
-        """Frequent 1-itemsets with their tid-lists."""
-        tidlists: dict[int, list[int]] = {}
-        for tid, items in enumerate(transactions):
-            for item in set(items):
-                tidlists.setdefault(item, []).append(tid)
-        return {
-            (item,): tids
-            for item, tids in tidlists.items()
-            if len(tids) >= self.min_support
-        }
-
-    def next_level(
-        self, level: dict[tuple[int, ...], list[int]]
-    ) -> dict[tuple[int, ...], list[int]]:
-        """Grow one level: join, intersect tid-lists, prune by support."""
-        out: dict[tuple[int, ...], list[int]] = {}
-        keys = list(level.keys())
-        for candidate, parent_a, parent_b in generate_candidates(keys):
-            tids = intersect_sorted(level[parent_a], level[parent_b])
-            if len(tids) >= self.min_support:
-                out[candidate] = tids
-        return out
-
-    def mine(
-        self, transactions: Sequence[Sequence[int]]
-    ) -> dict[tuple[int, ...], list[int]]:
-        """All frequent itemsets (every level) with tid-lists."""
-        result: dict[tuple[int, ...], list[int]] = {}
-        level = self.first_level(transactions)
-        size = 1
-        while level:
-            result.update(level)
-            if self.max_items is not None and size >= self.max_items:
-                break
-            level = self.next_level(level)
-            size += 1
-        return result

@@ -84,17 +84,15 @@ class _Request:
     """One admitted query: payload, runtime envelope, result slot.
 
     ``item`` is re-iterable (see :func:`_listed`), so it can be keyed
-    and probed any number of times. ``batch=True`` marks it as a
-    list of such items; the future then resolves to one result list per
-    item. ``require_complete`` is the sharded tier's completeness demand
-    (ignored by IndexServer, whose single index is always complete).
+    and probed any number of times. ``require_complete`` is the sharded
+    tier's completeness demand (ignored by IndexServer, whose single
+    index is always complete).
     """
 
     item: object
     context: JoinContext | None
     future: Future = field(default_factory=Future)
     enqueued_at: float = 0.0
-    batch: bool = False
     require_complete: bool = False
 
 
@@ -281,16 +279,9 @@ class _QueueServer:
         Raises:
             ServerOverloaded: queue full, or the server is not serving.
         """
-        return self._admit(item, deadline, context, batch=False)
+        return self._admit(item, deadline, context)
 
-    def _admit(
-        self,
-        item,
-        deadline,
-        context,
-        batch: bool,
-        require_complete: bool = False,
-    ) -> Future:
+    def _admit(self, item, deadline, context, require_complete: bool = False) -> Future:
         if deadline is not None and context is not None:
             raise ValueError("pass either deadline or context, not both")
         with self._cond:
@@ -308,10 +299,9 @@ class _QueueServer:
         if context is not None:
             context.start()  # anchor the deadline at admission
         request = _Request(
-            item=[_listed(one) for one in item] if batch else _listed(item),
+            item=_listed(item),
             context=context,
             enqueued_at=self.clock(),
-            batch=batch,
             require_complete=require_complete,
         )
         with self._cond:
@@ -497,35 +487,6 @@ class IndexServer(_QueueServer):
         self.cache = QueryCache(query_cache) if query_cache else None
 
     # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
-
-    def submit_batch(
-        self,
-        items,
-        deadline: float | None = None,
-        context: JoinContext | None = None,
-    ) -> Future:
-        """Admit a batch of queries as one request; returns one Future.
-
-        The Future resolves to a list with one ``list[MatchPair]`` per
-        item, in order — each identical to what :meth:`submit` would
-        have produced for that item alone. The batch occupies a single
-        admission-queue slot and worker, and the underlying
-        :meth:`SimilarityIndex.query_batch` takes the index read lock
-        once, so a batch skips the per-request queue, hand-off and lock
-        round trips of the equivalent singleton submissions. One
-        ``deadline`` covers the whole batch.
-        """
-        return self._admit(items, deadline, context, batch=True)
-
-    def query_batch(
-        self, items, deadline: float | None = None, timeout: float | None = None
-    ):
-        """Synchronous convenience wrapper around :meth:`submit_batch`."""
-        return self.submit_batch(items, deadline=deadline).result(timeout=timeout)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
@@ -541,61 +502,23 @@ class IndexServer(_QueueServer):
         # tags the result with a stale generation and the cache simply
         # drops it (never a stale hit).
         cache = self.cache
-        generation = None
-        keys = None
+        key = None
         if cache is not None:
             generation = self.index.generation
-            if request.batch:
-                items = request.item
-                keys = [cache.key_for(item) for item in items]
-                results: list = [None] * len(items)
-                misses: list[int] = []
-                for i, key in enumerate(keys):
-                    hit = False
-                    if key is not None:
-                        hit, value = cache.lookup(key, generation)
-                    if hit:
-                        results[i] = value
-                    else:
-                        misses.append(i)
-                if not misses:
-                    return results
-            else:
-                key = cache.key_for(request.item)
-                keys = key
-                if key is not None:
-                    hit, value = cache.lookup(key, generation)
-                    if hit:
-                        return value
+            key = cache.key_for(request.item)
+            if key is not None:
+                hit, value = cache.lookup(key, generation)
+                if hit:
+                    return value
 
-        if request.batch:
-            # With cache hits above, only the missed items hit the index.
-            pending = (
-                [request.item[i] for i in misses] if cache is not None else request.item
-            )
-
-            def attempt():
-                return self.index.query_batch(pending, context=context)
-
-        else:
-
-            def attempt():
-                return self.index.query(request.item, context=context)
+        def attempt():
+            return self.index.query(request.item, context=context)
 
         fresh = self._guarded(
             attempt, self.breaker, self.retry_policy, self._count_retry, context
         )
-
-        if cache is None:
-            return fresh
-        if request.batch:
-            for slot, value in zip(misses, fresh):
-                results[slot] = value
-                if keys[slot] is not None:
-                    cache.store(keys[slot], generation, value)
-            return results
-        if keys is not None:
-            cache.store(keys, generation, fresh)
+        if key is not None:
+            cache.store(key, generation, fresh)
         return fresh
 
     # ------------------------------------------------------------------

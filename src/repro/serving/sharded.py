@@ -682,9 +682,7 @@ class ShardedIndexServer(_QueueServer):
         fails with :class:`~repro.runtime.errors.PartialResult` instead
         of resolving partial.
         """
-        return self._admit(
-            item, deadline, context, batch=False, require_complete=require_complete
-        )
+        return self._admit(item, deadline, context, require_complete=require_complete)
 
     def query(
         self,

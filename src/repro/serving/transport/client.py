@@ -3,11 +3,10 @@
 The front-end side of the remote shard transport. A
 :class:`RemoteShardClient` exposes the same probe surface the sharded
 tier already programs against for an in-process shard index —
-``query`` / ``query_batch`` / ``add`` / ``generation`` /
-``counters_snapshot`` / ``__len__`` — so
-:class:`~repro.serving.sharded.ShardedIndexServer` can hold one in a
-``_Shard`` slot and scatter-gather over a mix of local and remote
-shards without a single branch in the merge path.
+``query`` / ``add`` / ``generation`` / ``counters_snapshot`` /
+``__len__`` — so :class:`~repro.serving.sharded.ShardedIndexServer`
+can hold one in a ``_Shard`` slot and scatter-gather over a mix of
+local and remote shards without a single branch in the merge path.
 
 Robustness model, per the tentpole contract:
 
@@ -340,14 +339,6 @@ class RemoteShardClient:
         )
         matches, _offset = wire.decode_matches(frame.payload)
         return matches
-
-    def query_batch(self, items, context: JoinContext | None = None):
-        frame = self._call(
-            wire.OP_QUERY_BATCH,
-            wire.encode_json({"items": list(items)}),
-            context=context,
-        )
-        return wire.decode_match_lists(frame.payload)
 
     def add(self, item, payload=None, expected_rid: int | None = None) -> int:
         """Insert a record on the node; returns its shard-local rid.

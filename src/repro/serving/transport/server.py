@@ -330,14 +330,6 @@ class ShardServer:
             with self._shard.rwlock.read_locked():
                 index = self._shard.index
             return wire.encode_matches(index.query(body["item"], context=context))
-        if op == wire.OP_QUERY_BATCH:
-            body = wire.decode_json(frame.payload)
-            context = self._context_for(frame.deadline)
-            with self._shard.rwlock.read_locked():
-                index = self._shard.index
-            return wire.encode_match_lists(
-                index.query_batch(body["items"], context=context)
-            )
         if op == wire.OP_ADD:
             body = wire.decode_json(frame.payload)
             expected = body.get("rid")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core.results import MatchPair
 from repro.runtime.errors import FrameChecksumError, WireProtocolError
@@ -51,17 +51,14 @@ __all__ = [
     "OP_NAMES",
     "OP_PING",
     "OP_QUERY",
-    "OP_QUERY_BATCH",
     "OP_REINDEX",
     "VERSION",
     "decode_error",
     "decode_json",
-    "decode_match_lists",
     "decode_matches",
     "encode_error",
     "encode_frame",
     "encode_json",
-    "encode_match_lists",
     "encode_matches",
     "read_frame",
     "socket_reader",
@@ -82,8 +79,10 @@ _COUNT = struct.Struct(">I")
 #: triggering a gigabyte allocation.
 MAX_PAYLOAD = 16 * 1024 * 1024
 
+#: Op numbers are frozen: 2 (the retired batch query) is reserved
+#: and must never be reused, so a peer still sending it is refused as an
+#: unknown op instead of being misread as another request.
 OP_QUERY = 1
-OP_QUERY_BATCH = 2
 OP_ADD = 3
 OP_REINDEX = 4
 OP_HEALTH = 5
@@ -91,7 +90,6 @@ OP_PING = 6
 
 OP_NAMES = {
     OP_QUERY: "query",
-    OP_QUERY_BATCH: "query_batch",
     OP_ADD: "add",
     OP_REINDEX: "reindex",
     OP_HEALTH: "health",
@@ -243,26 +241,6 @@ def decode_matches(data: bytes, offset: int = 0) -> tuple[list[MatchPair], int]:
         matches.append(MatchPair(rid_a, rid_b, similarity))
         offset += _PAIR.size
     return matches, offset
-
-
-def encode_match_lists(lists: Iterable[Sequence[MatchPair]]) -> bytes:
-    """Pack a batch of MatchPair batches (query_batch response)."""
-    lists = list(lists)
-    parts = [_COUNT.pack(len(lists))]
-    parts.extend(encode_matches(matches) for matches in lists)
-    return b"".join(parts)
-
-
-def decode_match_lists(data: bytes) -> list[list[MatchPair]]:
-    if len(data) < _COUNT.size:
-        raise WireProtocolError("match-list batch truncated before its count")
-    (count,) = _COUNT.unpack_from(data, 0)
-    offset = _COUNT.size
-    lists = []
-    for _ in range(count):
-        matches, offset = decode_matches(data, offset)
-        lists.append(matches)
-    return lists
 
 
 def encode_json(obj) -> bytes:

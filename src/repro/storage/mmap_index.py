@@ -45,12 +45,12 @@ entries on first touch into ``counters.index_entries`` (see
 ``JoinContext`` memory budget tracks *directory + touched postings*
 rather than a fully materialized index — the whole point of mapping.
 
-The compressed encoding reuses the skip-block machinery of
-:class:`repro.compression.postings.CompressedPostingList` — same block
-size, same per-block varbyte gap coding — but stores the block
-directory (first ids, byte offsets) as two more mapped ``int64``
-columns, so skip metadata costs no decode either;
-:class:`_BlockedIds` decodes one block lazily per random access.
+The compressed encoding chops the id column into blocks of
+``_BLOCK_SIZE`` ids, varbyte-codes each block's gaps
+(:mod:`repro.compression.varbyte`), and stores the block directory
+(first ids, byte offsets) as two more mapped ``int64`` columns, so skip
+metadata costs no decode either; :func:`_encode_blocks` writes the
+blocks and :class:`_BlockedIds` decodes one lazily per random access.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 from zlib import crc32
 
-from repro.compression.postings import CompressedPostingList
-from repro.compression.varbyte import varbyte_decode_deltas
+from repro.compression.varbyte import varbyte_decode_deltas, varbyte_encode
 from repro.runtime.errors import SnapshotCorrupted
 from repro.utils.counters import CostCounters
 
@@ -184,17 +183,14 @@ class MappedIndexWriter:
             max_score = 1.0
         payload_length = 0
         if self.compressed:
-            # Reuse the exact skip-block construction of the in-memory
-            # compressed lists; its block directory becomes two more
-            # mapped int64 columns.
-            clist = CompressedPostingList(ids, block_size=_BLOCK_SIZE)
+            firsts, block_offsets, payload = _encode_blocks(ids)
             region = bytearray()
             if score_column is not None:
                 region += score_column.tobytes()
-            region += array("q", clist._block_first).tobytes()
-            region += array("q", clist._block_offset).tobytes()
-            payload_length = len(clist._data)
-            region += clist._data
+            region += firsts.tobytes()
+            region += block_offsets.tobytes()
+            payload_length = len(payload)
+            region += payload
         else:
             id_column = ids if isinstance(ids, array) else array("q", ids)
             previous = -1
@@ -329,6 +325,34 @@ class _ConstScores:
 
     def __iter__(self):
         return repeat(1.0, self._n)
+
+
+def _encode_blocks(ids: Sequence[int]) -> tuple[array, array, bytes]:
+    """Varbyte skip blocks over strictly increasing ``ids``.
+
+    Returns ``(firsts, offsets, payload)``: each ``_BLOCK_SIZE``-id
+    block's first id and byte offset (``int64`` columns) and the
+    concatenated blocks, each coded as gaps from its first id (so a
+    block's own first gap is 0) — the layout :class:`_BlockedIds` reads.
+    """
+    gaps: list[int] = []
+    previous = -1
+    for entity_id in ids:
+        if entity_id <= previous:
+            raise ValueError("posting ids must be strictly increasing")
+        gaps.append(entity_id - previous)
+        previous = entity_id
+    firsts = array("q")
+    offsets = array("q")
+    chunks: list[bytes] = []
+    size = 0
+    for start in range(0, len(gaps), _BLOCK_SIZE):
+        encoded = varbyte_encode([0, *gaps[start + 1 : start + _BLOCK_SIZE]])
+        firsts.append(ids[start])
+        offsets.append(size)
+        chunks.append(encoded)
+        size += len(encoded)
+    return firsts, offsets, b"".join(chunks)
 
 
 class _BlockedIds:

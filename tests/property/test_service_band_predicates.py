@@ -1,9 +1,9 @@
 """Hypothesis property: the service is exact under every band predicate.
 
-Random interleavings of ``add``, ``query`` and ``query_batch`` against a
+Random interleavings of ``add`` and ``query`` against a
 :class:`SimilarityIndex` must answer exactly what the naive join finds
 for the probe over the records added so far — same matched rids, same
-similarities — and a batch must equal its items queried one by one.
+similarities.
 The band filter's key cache grows with every ``add`` while probes
 overlay their own key, so these interleavings are what would expose a
 stale or misaligned key.
@@ -53,8 +53,7 @@ EDIT_PREDICATES = [EditDistancePredicate(1), EditDistancePredicate(2)]
 def _ops(item):
     add = st.tuples(st.just("add"), item)
     query = st.tuples(st.just("query"), item)
-    batch = st.tuples(st.just("batch"), st.lists(item, min_size=1, max_size=4))
-    return st.lists(st.one_of(add, add, query, batch), min_size=1, max_size=20)
+    return st.lists(st.one_of(add, add, query), min_size=1, max_size=20)
 
 
 def _token_sets(min_size: int):
@@ -79,16 +78,10 @@ def _run(service, predicate, ops, dataset_of):
             assert service.add(value) == len(added)
             added.append(value)
             continue
-        items = [value] if op == "query" else value
-        singles = [service.query(item) for item in items]
-        if op == "batch":
-            batch = service.query_batch(items)
-            assert [_answer(got) for got in batch] == [_answer(got) for got in singles]
-        for item, got in zip(items, singles):
-            probe = len(added)
-            truth = NaiveJoin().join(dataset_of(added + [item]), predicate)
-            expected = [pair for pair in truth.pairs if pair.rid_b == probe]
-            assert _answer(got) == _answer(expected)
+        probe = len(added)
+        truth = NaiveJoin().join(dataset_of(added + [value]), predicate)
+        expected = [pair for pair in truth.pairs if pair.rid_b == probe]
+        assert _answer(service.query(value)) == _answer(expected)
 
 
 class TestServiceMatchesNaive:

@@ -31,7 +31,6 @@ from repro import (
     UnsupportedConfiguration,
     WeightedOverlapPredicate,
 )
-from repro.compression.postings import CompressedPostingList
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.join import make_algorithm, similarity_join
 from repro.core.service import SimilarityIndex
@@ -45,6 +44,7 @@ from repro.storage.mmap_index import (
     mapped_blob_view,
     mapped_record_view,
     _BlockedIds,
+    _encode_blocks,
     resolve_index_backend,
 )
 from repro.utils.counters import CostCounters
@@ -157,13 +157,8 @@ class TestRoundtrip:
 
 def blocked_ids(ids):
     """A varbyte skip-block column over ``ids``, as the reader maps it."""
-    clist = CompressedPostingList(ids, block_size=_BLOCK_SIZE)
-    return _BlockedIds(
-        array("q", clist._block_first),
-        array("q", clist._block_offset),
-        memoryview(bytes(clist._data)),
-        len(ids),
-    )
+    firsts, offsets, payload = _encode_blocks(ids)
+    return _BlockedIds(firsts, offsets, memoryview(payload), len(ids))
 
 
 class TestBlockedBisect:
@@ -725,11 +720,6 @@ class TestMappedService:
             assert self.answers(mapped, queries) == self.answers(
                 from_snapshot, queries
             )
-            batched = mapped.query_batch(queries)
-            assert [
-                [(p.rid_a, p.rid_b, p.similarity) for p in matches]
-                for matches in batched
-            ] == self.answers(from_snapshot, queries)
             assert mapped.payload(3) == {"doc": 3}
             assert mapped.export_records() == from_snapshot.export_records()
             assert len(mapped) == len(self.DOCS)

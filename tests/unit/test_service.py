@@ -155,8 +155,8 @@ class TestEditDistanceService:
         got = {(m.rid_a, m.similarity) for m in service.query("similarity")}
         assert got == {(0, 0.0), (2, 1.0)}
         assert [
-            [m.rid_a for m in matches]
-            for matches in service.query_batch(["simularity", "similarly"])
+            [m.rid_a for m in service.query(word)]
+            for word in ("simularity", "similarly")
         ] == [[0, 2], [1]]
 
 
@@ -214,7 +214,8 @@ class TestProbeCostIsTouchedOnly:
         assert [m.rid_a for m in service.query(items[0])][:1] == [0]
         assert calls == [n]
         calls.clear()
-        service.query_batch(items[1:3])
+        for item in items[1:3]:
+            service.query(item)
         assert calls == [n, n]
         calls.clear()
         assert service.add(items[n]) == n

@@ -82,3 +82,23 @@ class TestTopKJoin:
 
         static = similarity_join(data, JaccardPredicate(0.05), algorithm="probe-count-sort")
         assert lazy.counters.pairs_verified <= static.counters.pairs_verified
+
+    def test_ratchets_reuse_band_keys(self, monkeypatch):
+        """Band keys do not depend on the threshold, so a ratchet shares
+        them with the tighter bound: one ``band_key`` call per record
+        over the whole run, not one per record per ratchet."""
+        from repro.predicates.jaccard import _BoundJaccard
+
+        data = random_dataset(seed=41, n_base=150)
+        expected = brute_force_topk(data, JaccardPredicate, 0.3, 50)
+        calls = []
+        band_key = _BoundJaccard.band_key
+
+        def counting(bound, rid):
+            calls.append(rid)
+            return band_key(bound, rid)
+
+        monkeypatch.setattr(_BoundJaccard, "band_key", counting)
+        result = TopKJoin(50, JaccardPredicate, floor=0.3).join(data)
+        assert [(p.similarity, p.rid_a, p.rid_b) for p in result.pairs] == expected
+        assert len(calls) <= len(data)
