@@ -96,3 +96,40 @@ class TestWordGroups:
     def test_empty_dataset(self):
         result = WordGroupsJoin().join(Dataset([]), OverlapPredicate(1))
         assert result.pairs == []
+
+    def test_level_loop_walks_the_lattice(self):
+        """With early output and the §3.1 skip off, a pair sharing three
+        words at T = 3 climbs the whole lattice: 3 singletons, 3 pairs,
+        and the qualifying triple."""
+        data = Dataset([(0, 1, 2), (0, 1, 2), (7,)])
+        result = WordGroupsJoin(
+            early_output_support=2, optimized=False, compaction=False
+        ).join(data, OverlapPredicate(3))
+        assert result.pair_set() == {(0, 1)}
+        assert result.counters.itemsets_generated == 3 + 3 + 1
+
+    @pytest.mark.parametrize("support", [2, 3, 8])
+    def test_early_output_support_is_exact(self, support):
+        data = random_dataset(seed=9, n_base=50)
+        predicate = JaccardPredicate(0.5)
+        truth = NaiveJoin().join(data, predicate).pair_set()
+        algorithm = WordGroupsJoin(early_output_support=support, compaction=False)
+        assert algorithm.join(data, predicate).pair_set() == truth
+
+    @pytest.mark.parametrize("max_level", [1, 3])
+    def test_every_max_level_is_exact(self, max_level):
+        data = random_dataset(seed=10, n_base=40)
+        predicate = OverlapPredicate(4)
+        truth = NaiveJoin().join(data, predicate).pair_set()
+        capped = WordGroupsJoin(max_level=max_level).join(data, predicate)
+        assert capped.pair_set() == truth
+
+    def test_compaction_merges_identical_groups(self):
+        # Six copies of one record: every word group has the same
+        # tid-list, so compaction merges them and emits the union once.
+        data = Dataset([tuple(range(6))] * 6 + [(50, 51)])
+        predicate = OverlapPredicate(6)
+        result = WordGroupsJoin(early_output_support=2).join(data, predicate)
+        assert result.pair_set() == NaiveJoin().join(data, predicate).pair_set()
+        assert len(result.pair_set()) == 15
+        assert result.counters.extra["groups_compacted"] > 0
