@@ -312,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument(
         "--query-cache", metavar="N", type=int, default=0,
-        help="LRU query-result cache capacity (default 0 = off); entries"
-        " are invalidated whenever the index mutates (per shard with"
-        " --shards > 1: a flip invalidates only that shard's entries)",
+        help="LRU query-result cache capacity (default 0 = off); an add"
+        " keeps the entries and a later hit probes only the appended"
+        " records, a rebind empties the cache (per shard with"
+        " --shards > 1 or --shard-endpoints: any add or flip empties"
+        " that shard's entries)",
     )
     sharding = serve_parser.add_argument_group("sharding")
     sharding.add_argument(

@@ -54,6 +54,7 @@ from repro.filters.bitmap import resolve_bitmap_filter
 from repro.filters.pruner import BitmapPruner
 from repro.predicates.base import (
     WEIGHT_EPS,
+    BandFilter,
     BoundPredicate,
     PairThreshold,
     SimilarityPredicate,
@@ -695,15 +696,23 @@ class ProbePlan:
         pruner: the bitmap pruner, or None.
         context: a :class:`~repro.runtime.context.JoinContext` ticked
             once per candidate (the query service), or None.
+        since: probe only the indexed entities ``>= since`` (the
+            query service extending an earlier answer; see
+            :meth:`ScoredInvertedIndex.probe_lists`); 0 probes all.
         band: the §5 band filter, derived from ``bound`` (keyed by
             position under ``order``).
         norms: entity -> norm: the bound's gap-free norm cache, or the
             norms by processing position under ``order``.
+
+    ``indexed`` (constructor only, rid entities) is the bound whose
+    gap-free caches cover every indexed entity when ``bound`` is a
+    per-probe clone (the query service): ``norms`` and the band's
+    entity keys are then its plain lists, not the clone's overlays.
     """
 
     __slots__ = (
         "bound", "merge_mode", "optmerge", "order", "orient", "offset",
-        "pruner", "context", "band", "norms",
+        "pruner", "context", "since", "band", "norms",
     )
 
     def __init__(
@@ -717,6 +726,8 @@ class ProbePlan:
         offset: int = 0,
         pruner: BitmapPruner | None = None,
         context=None,
+        since: int = 0,
+        indexed: BoundPredicate | None = None,
     ):
         self.bound = bound
         self.merge_mode = merge_mode
@@ -726,8 +737,13 @@ class ProbePlan:
         self.offset = offset
         self.pruner = pruner
         self.context = context
+        self.since = since
         band = bound.band_filter()
-        if order is None:
+        if indexed is not None:
+            self.norms = indexed.filled_norms()
+            if band is not None:
+                band = BandFilter(band.keys, band.radius, indexed.band_filter().keys)
+        elif order is None:
             self.norms = bound.filled_norms()
         else:
             norm = bound.norm
@@ -768,7 +784,8 @@ def probe_kernel(
 ) -> None:
     """Probe ``index`` with record ``rid``; append its verified pairs.
 
-    Probes the posting lists of ``tokens``/``scores``, merges them at
+    Probes the posting lists of ``tokens``/``scores`` (their entities
+    ``>= plan.since`` only, when set), merges them at
     ``T(r, s)`` (lowered by ``cut``, the stopwords variant's bound on
     the weight its unindexed words may add) with the band filter inside
     the merge, then per candidate: map the entity to a rid, orient the
@@ -779,7 +796,12 @@ def probe_kernel(
     :meth:`SetJoinAlgorithm._verify_pair`): a merge candidate shares a
     posting list's token with the probe, hence its signature bit.
     """
-    lists = index.probe_lists(tokens, scores)
+    since = plan.since
+    lists = (
+        index.probe_lists(tokens, scores, since)
+        if since
+        else index.probe_lists(tokens, scores)
+    )
     if not lists:
         return
     bound = plan.bound

@@ -76,6 +76,23 @@ class PostingList:
         if score < self.min_score:
             self.min_score = score
 
+    def tail(self, since: int) -> "PostingList":
+        """The entries with id ``>= since``, as a sealed list.
+
+        The ids and scores are copies of the tail; ``max_score`` and
+        ``min_score`` stay the whole list's bounds, which still bound
+        the tail, so a merge over tails splits and screens them exactly
+        as it would the whole lists.
+        """
+        position = bisect_left(self.ids, since)
+        tail = PostingList.__new__(PostingList)  # columns set just below
+        tail.ids = self.ids[position:]
+        tail.scores = self.scores[position:]
+        tail.max_score = self.max_score
+        tail.min_score = self.min_score
+        tail.sealed = True
+        return tail
+
     def insert_sorted(self, entity_id: int, score: float) -> bool:
         """Insert (or score-raise) an entity keeping the list id-sorted.
 
@@ -218,12 +235,17 @@ class ScoredInvertedIndex:
             self.min_norm = norm
 
     def probe_lists(
-        self, tokens: Sequence[int], probe_scores: Sequence[float]
+        self, tokens: Sequence[int], probe_scores: Sequence[float], since: int = 0
     ) -> list[tuple[PostingList, float]]:
         """Posting lists matching the probe record's words.
 
         Returns ``(posting_list, probe_score)`` for each probe word that
-        exists in the index, skipping zero-score words.
+        exists in the index, skipping zero-score words. With ``since``
+        only the entities ``>= since`` are returned: each list's
+        :meth:`PostingList.tail`, and no list whose tail is empty. Ids
+        grow with every insert, so these are the entities inserted
+        after the first ``since`` — what the query service probes to
+        extend an earlier answer (Probe-Count's online probe, §3.2).
         """
         out = []
         postings = self._postings
@@ -231,6 +253,11 @@ class ScoredInvertedIndex:
             if probe_score == 0.0:
                 continue
             plist = postings.get(token)
-            if plist is not None and plist.ids:
-                out.append((plist, probe_score))
+            if plist is None or not plist.ids:
+                continue
+            if since:
+                if plist.ids[-1] < since:
+                    continue
+                plist = plist.tail(since)
+            out.append((plist, probe_score))
         return out

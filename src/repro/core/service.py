@@ -7,6 +7,9 @@ a time, query any record-shaped set against everything added so far,
 and persist/restore the whole index. Each query runs the batch joins'
 per-probe kernel (:func:`~repro.core.base.probe_kernel`): the same
 merge-backend dispatch, band filter, bitmap pruner and verification.
+An ``add`` only appends, so a query can also extend an earlier answer
+by probing just the records appended since (``query(since=)``) — how
+``IndexServer`` keeps its cached answers across adds.
 """
 
 from __future__ import annotations
@@ -37,10 +40,30 @@ from repro.runtime.rwlock import RWLock
 from repro.runtime.snapshot import canonical_json, read_snapshot, write_snapshot
 from repro.utils.counters import CostCounters
 
-__all__ = ["SimilarityIndex"]
+__all__ = ["QueryAnswer", "SimilarityIndex"]
 
 #: Snapshot ``kind`` tag for persisted indexes.
 _SNAPSHOT_KIND = "similarity-index"
+
+
+class QueryAnswer(list):
+    """A query's matches (a ``list[MatchPair]``) and the index state
+    they answer — what :meth:`SimilarityIndex.query` returns.
+
+    Attributes:
+        records: how many records the probe saw; every pair's
+            ``rid_b`` (the probe's temporary rid).
+        binding: the index's :attr:`SimilarityIndex.binding` then.
+        extendable: True when every probe token was in the vocabulary.
+            Only such an answer can be extended past later ``add`` calls
+            (``query(..., since=answer)``): an unknown token's ephemeral
+            id depends on the vocabulary size, and predicates keyed by
+            token id (``CosinePredicate(stats=)``, a
+            ``WeightedOverlapPredicate`` mapping) may score it
+            differently once that moves.
+    """
+
+    __slots__ = ("records", "binding", "extendable")
 
 
 class _ProbeView:
@@ -225,9 +248,12 @@ class SimilarityIndex:
         self._bitmap_config = resolve_bitmap_filter(bitmap_filter)
         self._pruner: BitmapPruner | None = None
         #: Monotonic mutation stamp: bumped by every ``add``/``rebind``.
-        #: External result caches (:class:`repro.serving.cache.QueryCache`)
-        #: key on it to invalidate on any index mutation.
+        #: The sharded tier's per-shard caches key on it.
         self._generation = 0
+        #: Bind stamp: bumped whenever the bound predicate is replaced
+        #: (``rebind``, and the first bind). ``IndexServer``'s cache
+        #: keys on it; ``query(since=)`` extends only same-stamp answers.
+        self._binding = 0
         #: True for instances restored with ``load(..., mmap=True)``:
         #: the index *is* the write-once mapped file, so mutations raise
         #: :class:`~repro.runtime.errors.ReadOnlyIndex`.
@@ -237,6 +263,17 @@ class SimilarityIndex:
     def generation(self) -> int:
         """Mutation stamp; changes whenever cached results could stale."""
         return self._generation
+
+    @property
+    def binding(self) -> int:
+        """Bind stamp; moves on ``rebind``, not on ``add``.
+
+        While it stands, ``add`` only appends: no indexed record's
+        scores, norm or band key change (statistics stay frozen until
+        ``rebind``), so an answer stays exact for the records it saw
+        and ``query(item, since=answer)`` extends it.
+        """
+        return self._binding
 
     @contextmanager
     def _no_reentry(self, operation: str):
@@ -350,6 +387,7 @@ class SimilarityIndex:
         self._bound = self.predicate.bind(self._dataset)
         self._bound.filled_norms()
         self._bound.band_filter()
+        self._binding += 1
 
     def _rebuild_index(self) -> None:
         """Re-insert every record under the current bound's scores."""
@@ -416,13 +454,16 @@ class SimilarityIndex:
             self._generation += 1
             return rid
 
-    def query(self, item, context=None) -> list[MatchPair]:
+    def query(
+        self, item, context=None, since: QueryAnswer | None = None
+    ) -> QueryAnswer:
         """All indexed records matching ``item`` under the predicate.
 
         The probe item gets the temporary rid ``len(self)`` (it is not
         inserted); returned pairs carry ``rid_a`` = matched record and
-        ``rid_b`` = that temporary rid. Shared state is never mutated,
-        so queries from many threads run concurrently.
+        ``rid_b`` = that temporary rid, in ``rid_a`` order. Shared
+        state is never mutated, so queries from many threads run
+        concurrently.
 
         Args:
             context: optional
@@ -431,16 +472,26 @@ class SimilarityIndex:
                 deadline or cancellation interrupts even a pathological
                 probe mid-merge (:class:`JoinTimeout` /
                 :class:`JoinCancelled`).
+            since: an earlier answer of this index to the same
+                ``item``. When it is extendable and the index was not
+                rebound since, only the records appended after it are
+                probed (the tails of the posting lists): the answer is
+                its pairs with ``rid_b`` restated, then the new
+                matches — exactly what a full probe returns, since
+                appends change no indexed record. Otherwise the probe
+                is a full one.
         """
         with self._read_locked("query"):
             counters = CostCounters()
             try:
-                return self._query(item, counters, context)
+                return self._query(item, counters, context, since)
             finally:
                 with self._counters_lock:
                     self.counters.merge(counters)
 
-    def _query(self, item, counters: CostCounters, context) -> list[MatchPair]:
+    def _query(
+        self, item, counters: CostCounters, context, since: QueryAnswer | None
+    ) -> QueryAnswer:
         if context is not None:
             context.start()
             context.tick(counters, check_memory=False)
@@ -448,8 +499,23 @@ class SimilarityIndex:
         record = self._probe_record_of(tokens, counters)
         counters.probes += 1
         probe_rid = len(self._dataset)
-        if probe_rid == 0:
-            return []
+        matches = QueryAnswer()
+        matches.records = probe_rid
+        matches.binding = self._binding
+        matches.extendable = counters.unknown_query_tokens == 0
+        start = 0
+        if (
+            since is not None
+            and since.extendable
+            and since.binding == self._binding
+            and since.records <= probe_rid
+        ):
+            start = since.records
+            matches.extend(
+                MatchPair(pair.rid_a, probe_rid, pair.similarity) for pair in since
+            )
+        if start == probe_rid:
+            return matches
         base_bound = self._bound
         if base_bound is None:
             # Cold path: records exist but no bound yet (cannot happen
@@ -464,8 +530,9 @@ class SimilarityIndex:
             orient=PROBE_LAST,
             pruner=self._pruner,
             context=context,
+            since=start,
+            indexed=base_bound,
         )
-        matches: list[MatchPair] = []
         probe_kernel(
             plan, self._index, probe_rid, record,
             bound.cached_score_vector(probe_rid), counters, matches,

@@ -49,7 +49,9 @@ class BandFilter:
     filled by the first :meth:`BoundPredicate.band_filter` on a static
     dataset, grown one key per ``add`` by :meth:`BoundPredicate.extend_to`.
     ``entity_keys`` holds the keys by indexed entity when entities are
-    not record ids (:meth:`for_order`); None means ``keys``.
+    not record ids (:meth:`for_order`), or the indexed records' plain
+    key list when ``keys`` is a query's per-probe overlay; None means
+    ``keys``.
     """
 
     keys: Sequence[float]

@@ -1,17 +1,24 @@
-"""LRU query-result cache with generation-based invalidation.
+"""LRU query-result cache with stamp-based invalidation.
 
 Serving workloads repeat queries (hot entities, retried clients); a
-probe is pure given the index contents, so its result can be reused
-until the index mutates. :class:`QueryCache` keys each entry with the
-:attr:`SimilarityIndex.generation` stamp current when the result was
-computed; any ``add``/``rebind`` bumps the stamp, and the first lookup
-that sees a newer stamp empties the cache wholesale — entries can never
-outlive the index state they were computed from.
+probe is pure given the index contents, so its result can be reused.
+:class:`QueryCache` keys each entry with a stamp of the index state it
+was computed from, and the first lookup that sees a newer stamp empties
+the cache wholesale — entries can never outlive that state.
+
+What the stamp covers is the caller's choice. ``IndexServer`` stamps
+with :attr:`SimilarityIndex.binding`, which moves on ``rebind`` only:
+an ``add`` merely appends, so the server keeps its entries and extends
+a hit that predates appends with a probe of the appended records (see
+``SimilarityIndex.query(since=)``); ``lookup``'s ``reusable`` test
+turns an entry that cannot be extended into a miss, and ``store``'s
+``patched`` flag counts the extensions. The sharded tier stamps with
+each shard's ``(epoch, generation)``, which every ``add`` moves.
 
 Thread-safety: all operations take the cache's own lock, never the
 index's, so cache hits don't touch the read lock at all (that is the
 point). A mutation racing a ``store`` can only cause the stale entry to
-be dropped (the store is a no-op for non-current generations) — never a
+be dropped (the store is a no-op for non-current stamps) — never a
 stale hit.
 """
 
@@ -35,6 +42,7 @@ class QueryCache:
         self._generation: int | None = None
         self._hits = 0
         self._misses = 0
+        self._patched = 0
         self._invalidations = 0
 
     @staticmethod
@@ -53,8 +61,12 @@ class QueryCache:
         except TypeError:
             return None
 
-    def lookup(self, key: tuple, generation: int):
-        """Return ``(hit, result)``; a generation change flushes first."""
+    def lookup(self, key: tuple, generation, reusable=None):
+        """Return ``(hit, result)``; a stamp change flushes first.
+
+        ``reusable(result)``, when given, vets a found entry: False
+        counts the lookup as a miss (the entry stays until replaced).
+        """
         with self._lock:
             if self._generation != generation:
                 if self._entries:
@@ -62,16 +74,22 @@ class QueryCache:
                     self._entries.clear()
                 self._generation = generation
             result = self._entries.get(key)
-            if result is None:
+            if result is None or (reusable is not None and not reusable(result)):
                 self._misses += 1
                 return False, None
             self._entries.move_to_end(key)
             self._hits += 1
             return True, result
 
-    def store(self, key: tuple, generation: int, result) -> None:
-        """Insert a computed result; dropped when the index moved on."""
+    def store(self, key: tuple, generation, result, patched: bool = False) -> None:
+        """Insert a computed result; dropped when the index moved on.
+
+        ``patched`` marks a result that extends a hit (counted in the
+        ``patched`` share of ``hits`` even when dropped).
+        """
         with self._lock:
+            if patched:
+                self._patched += 1
             if self._generation != generation:
                 return
             self._entries[key] = result
@@ -92,6 +110,7 @@ class QueryCache:
                 "size": len(self._entries),
                 "hits": self._hits,
                 "misses": self._misses,
+                "patched": self._patched,
                 "hit_rate": self._hits / total if total else 0.0,
                 "invalidations": self._invalidations,
             }

@@ -454,10 +454,14 @@ class IndexServer(_QueueServer):
             :class:`LatencyTracker`).
         query_cache: capacity of the LRU query-result cache
             (:class:`~repro.serving.cache.QueryCache`); 0 disables it.
-            Entries are invalidated wholesale whenever the index
-            mutates (its ``generation`` stamp moves), so cached results
-            are always what a fresh probe would return. Hits bypass the
-            index and the breaker.
+            Results are always what a fresh probe would return. An
+            ``add`` keeps the entries: a hit that predates appends is
+            extended by probing only the appended records (the tails of
+            its posting lists, ``SimilarityIndex.query(since=)``) and
+            counted in ``patched``; a query that had an unknown token
+            is probed afresh instead. A ``rebind`` (the index's
+            ``binding`` stamp moves) empties the cache wholesale.
+            Unpatched hits bypass the index and the breaker.
 
     Start with :meth:`start` (or use as a context manager); stop with
     :meth:`drain`. ``submit`` returns a ``concurrent.futures.Future``
@@ -497,28 +501,41 @@ class IndexServer(_QueueServer):
 
         # Cache consult, before the breaker: a hit does not touch the
         # index, so it is not a dependency call and must stay servable
-        # while the circuit is open. The generation is read *before* the
-        # probe runs — if a mutation slips in between, the store below
-        # tags the result with a stale generation and the cache simply
-        # drops it (never a stale hit).
+        # while the circuit is open. Entries are stamped with the
+        # index's ``binding`` (moved by rebind alone) read *before* the
+        # probe: a rebind slipping in between leaves the store below
+        # tagged stale, and the cache drops it. An entry answers the
+        # records its probe saw. A hit that predates appends goes back
+        # to the index to be extended by a probe of the appended
+        # records (the index re-checks the binding under its lock); one
+        # that cannot be (it had an unknown token) is a miss.
         cache = self.cache
         key = None
+        since = None
         if cache is not None:
-            generation = self.index.generation
+            index = self.index
+            binding = index.binding
             key = cache.key_for(request.item)
             if key is not None:
-                hit, value = cache.lookup(key, generation)
-                if hit:
-                    return value
+                records = len(index)
+                hit, since = cache.lookup(
+                    key,
+                    binding,
+                    lambda answer: answer.records >= records or answer.extendable,
+                )
+                if hit and since.records >= records:
+                    return since
 
         def attempt():
-            return self.index.query(request.item, context=context)
+            if since is None:
+                return self.index.query(request.item, context=context)
+            return self.index.query(request.item, context=context, since=since)
 
         fresh = self._guarded(
             attempt, self.breaker, self.retry_policy, self._count_retry, context
         )
         if key is not None:
-            cache.store(key, generation, fresh)
+            cache.store(key, binding, fresh, patched=since is not None)
         return fresh
 
     # ------------------------------------------------------------------
@@ -532,8 +549,9 @@ class IndexServer(_QueueServer):
         ``in_flight``, ``shed``, ``completed``, ``failed``, ``retried``,
         ``pool`` (busy/total/saturation of the worker pool — saturation
         pinned at 1.0 is the signal to add capacity or shed earlier), ``breaker`` (state + times_opened, or None),
-        ``cache`` (capacity/size/hits/misses/hit_rate/invalidations, or
-        None when disabled), ``latency`` (count/p50/p95/p99 seconds),
+        ``cache`` (capacity/size/hits/misses/patched/hit_rate/
+        invalidations, or None when disabled; ``patched`` counts the
+        hits extended past appends), ``latency`` (count/p50/p95/p99 seconds),
         ``index`` (record count + cost counters — including
         ``unknown_query_tokens`` and the ``bitmap_*`` filter tallies —
         plus ``bitmap`` filter state when the index has one armed).

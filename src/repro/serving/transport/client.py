@@ -259,26 +259,30 @@ class RemoteShardClient:
                 self.endpoint, f"{wire.OP_NAMES.get(op, op)} failed: {exc}"
             ) from exc
         if frame.is_error and frame.request_id == 0:
-            # The node could not frame our *request* (bytes corrupted in
-            # flight, say) and answered with its best-effort error frame
-            # — request_id 0, which no real op ever uses — before
-            # hanging up. That is a transient transport fault, not a
-            # protocol mismatch: surface it retryable so the policy
-            # re-issues on a fresh connection.
+            # The node could not frame our *request* and answered with
+            # its best-effort error frame — request_id 0, which no real
+            # op ever uses — before hanging up. The node checks the CRC
+            # before the version and op, so a request damaged in flight
+            # comes back as its FrameChecksumError: a transient
+            # transport fault, surfaced retryable so the policy
+            # re-issues on a fresh connection. Any other protocol error
+            # (an op or version the node does not speak) is what an
+            # intact request earns, and no retry can fix it.
             self._discard(conn)
             try:
                 record = wire.decode_error(frame.payload)
-                detail = (
-                    f"remote {record.get('name', '?')}:"
-                    f" {record.get('message', '')}"
-                )
+                name = record.get("name", "?")
+                detail = f"remote {name}: {record.get('message', '')}"
             except WireProtocolError:
+                name = None
                 detail = "unreadable error payload"
-            raise ShardUnavailable(
-                self.endpoint,
+            message = (
                 f"node could not frame the"
-                f" {wire.OP_NAMES.get(op, op)} request ({detail})",
+                f" {wire.OP_NAMES.get(op, op)} request ({detail})"
             )
+            if name == "WireProtocolError":
+                raise WireProtocolError(message)
+            raise ShardUnavailable(self.endpoint, message)
         if (
             not frame.is_response
             or frame.op != op

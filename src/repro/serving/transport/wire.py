@@ -156,9 +156,13 @@ def read_frame(read_exactly: Callable[[int], bytes]) -> Frame:
 
     ``read_exactly(n)`` must return exactly ``n`` bytes or raise (the
     socket layer maps short reads to connection errors). Raises
-    :class:`WireProtocolError` for bad magic/version/length and
-    :class:`FrameChecksumError` when the CRC32 trailer disagrees with
-    the bytes that arrived.
+    :class:`WireProtocolError` for a bad magic or length, then — once
+    the frame is read — :class:`FrameChecksumError` when the CRC32
+    trailer disagrees with the bytes that arrived, and only after that
+    :class:`WireProtocolError` for a version or op this build does not
+    speak. A version or op byte damaged in flight is thus the retryable
+    checksum error, and a well-formed frame from a skewed peer the
+    permanent protocol error.
     """
     header = read_exactly(HEADER.size)
     magic, version, op, flags, request_id, deadline, epoch, generation, length = (
@@ -166,12 +170,6 @@ def read_frame(read_exactly: Callable[[int], bytes]) -> Frame:
     )
     if magic != MAGIC:
         raise WireProtocolError(f"bad magic {magic!r} (expected {MAGIC!r})")
-    if version != VERSION:
-        raise WireProtocolError(
-            f"unsupported protocol version {version} (this build speaks {VERSION})"
-        )
-    if op not in OP_NAMES:
-        raise WireProtocolError(f"unknown op {op}")
     if length > MAX_PAYLOAD:
         raise WireProtocolError(
             f"declared payload of {length} bytes exceeds the"
@@ -182,6 +180,12 @@ def read_frame(read_exactly: Callable[[int], bytes]) -> Frame:
     actual = zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF
     if actual != expected:
         raise FrameChecksumError(expected, actual)
+    if version != VERSION:
+        raise WireProtocolError(
+            f"unsupported protocol version {version} (this build speaks {VERSION})"
+        )
+    if op not in OP_NAMES:
+        raise WireProtocolError(f"unknown op {op}")
     return Frame(op, flags, request_id, deadline, epoch, generation, payload)
 
 

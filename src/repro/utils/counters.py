@@ -121,18 +121,21 @@ class CostCounters:
 
     def merge(self, other: "CostCounters") -> None:
         """Accumulate another counter set into this one (in place)."""
-        for f in fields(self):
-            if f.name == "extra":
-                for key, value in other.extra.items():
-                    self.extra[key] = self.extra.get(key, 0) + value
-            elif f.name == "peak_pair_table":
-                self.peak_pair_table = max(self.peak_pair_table, other.peak_pair_table)
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        mine = self.__dict__
+        theirs = other.__dict__
+        for name in _SUMMED:
+            mine[name] += theirs[name]
+        if other.peak_pair_table > self.peak_pair_table:
+            self.peak_pair_table = other.peak_pair_table
+        if other.extra:
+            extra = self.extra
+            for key, value in other.extra.items():
+                extra[key] = extra.get(key, 0) + value
 
     def as_dict(self) -> dict:
         """Return a plain-dict snapshot (for reports and benchmarks)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        values = self.__dict__
+        out = {name: values[name] for name in _COUNTED}
         out.update(self.extra)
         return out
 
@@ -145,3 +148,9 @@ class CostCounters:
             + self.pairs_generated
             + self.pairs_verified
         )
+
+
+#: Every counter field in declaration order (``as_dict``'s keys), and
+#: the ones ``merge`` sums — computed once, not per call.
+_COUNTED = tuple(f.name for f in fields(CostCounters) if f.name != "extra")
+_SUMMED = tuple(name for name in _COUNTED if name != "peak_pair_table")

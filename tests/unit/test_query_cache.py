@@ -73,6 +73,18 @@ class TestQueryCache:
         # either: the cache now tracks generation 2.
         assert cache.lookup(QueryCache.key_for("q"), 2) == (False, None)
 
+    def test_reusable_vets_found_entries(self):
+        cache = QueryCache(4)
+        key = QueryCache.key_for("q")
+        cache.lookup(key, 0)  # pin generation 0
+        cache.store(key, 0, "old")
+        assert cache.lookup(key, 0, lambda result: False) == (False, None)
+        assert cache.lookup(key, 0, lambda result: True) == (True, "old")
+        cache.store(key, 0, "extended", patched=True)
+        assert cache.lookup(key, 0) == (True, "extended")
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["patched"]) == (2, 2, 1)
+
     def test_stale_store_dropped(self):
         cache = QueryCache(4)
         cache.lookup(QueryCache.key_for("x"), 5)  # pin generation 5
@@ -162,9 +174,12 @@ class TestServerCache:
             before = server.query(TEXTS[0], timeout=WAIT)
             server.index.add("efficient set joins appended later")
             after = server.query(TEXTS[0], timeout=WAIT)
-            # The cached pre-add result must not be served back.
+            # The cached pre-add result must not be served back as is:
+            # the hit is extended with a probe of the appended record.
             assert len(after) == len(before) + 1
-            assert server.health()["cache"]["hits"] == 0
+            assert after == server.index.query(TEXTS[0])
+            stats = server.health()["cache"]
+            assert (stats["hits"], stats["patched"]) == (1, 1)
         finally:
             server.drain()
 
@@ -178,11 +193,11 @@ class TestServerCache:
 
 
 class TestConcurrentInvalidation:
-    """Generation invalidation under racing add()/query() traffic.
+    """Cache freshness under racing add()/query() traffic.
 
-    The corpus only ever *gains* matching records, so any correctly
-    invalidated cache must serve each reader a non-decreasing match
-    count — a stale hit after an add would show up as a decrease.
+    The corpus only ever *gains* matching records, so a cache that
+    extends its hits correctly must serve each reader a non-decreasing
+    match count — a stale hit after an add would show up as a decrease.
     """
 
     N_READERS = 4
@@ -226,7 +241,7 @@ class TestConcurrentInvalidation:
             # After the writer is done, the cache must not pin the past.
             final = len(server.query(self.PROBE, timeout=WAIT))
             assert final == baseline + self.N_ADDS
-            assert server.health()["cache"]["invalidations"] > 0
+            assert server.health()["cache"]["patched"] > 0
         finally:
             server.drain(timeout=WAIT)
 

@@ -345,6 +345,28 @@ class TestFailureTyping:
             assert node.errors == 1
 
 
+    def test_unknown_op_is_not_retried(self):
+        """A node's refusal of an op it does not speak (a version-skewed
+        front end) reaches the client as the non-retryable protocol
+        error after one attempt, not as a transient fault."""
+        with ShardServer(_index()) as node:
+            client = RemoteShardClient(
+                *node.address,
+                retry_policy=RetryPolicy(
+                    max_attempts=3, base_delay=0.01, sleep=lambda s: None
+                ),
+            )
+            try:
+                with pytest.raises(WireProtocolError, match="unknown op 99") as info:
+                    client._call(99, b"")
+                assert not isinstance(info.value, OSError)
+                assert client.retries == 0
+                assert node.errors == 1
+                assert _fingerprint(client.query(CORPUS[0]))  # still served
+            finally:
+                client.close()
+
+
 class TestFaultRecovery:
     def test_corrupt_frame_retried_to_success_on_fresh_connection(self):
         with ShardServer(_index()) as node:
