@@ -312,11 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument(
         "--query-cache", metavar="N", type=int, default=0,
-        help="LRU query-result cache capacity (default 0 = off); an add"
-        " keeps the entries and a later hit probes only the appended"
-        " records, a rebind empties the cache (per shard with"
-        " --shards > 1 or --shard-endpoints: any add or flip empties"
-        " that shard's entries)",
+        help="LRU query-result cache capacity (default 0 = off; per shard"
+        " with --shards > 1 or --shard-endpoints); an add keeps the"
+        " entries and a later hit probes only the appended records, a"
+        " rebind or a shard's flip empties that cache",
     )
     sharding = serve_parser.add_argument_group("sharding")
     sharding.add_argument(
@@ -794,8 +793,8 @@ def _shard_serve(args) -> int:
         requests = sum(health["requests"].values())
         print(
             f"# shard-serve: {interrupted or 'stopping'}:"
-            f" {health['records']} records, generation"
-            f" {health['epoch']}.{health['generation']},"
+            f" {health['records']} records, epoch {health['epoch']},"
+            f" binding {health['binding']},"
             f" {requests} requests, {health['errors']} errors",
             file=sys.stderr,
         )

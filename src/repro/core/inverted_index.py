@@ -56,25 +56,10 @@ class PostingList:
         return len(self.ids)
 
     def seal(self) -> "PostingList":
-        """Freeze the list: any further ``append``/``insert_sorted``
-        raises. Idempotent; returns self for chaining."""
+        """Freeze the list: any further insert raises. Idempotent;
+        returns self for chaining."""
         self.sealed = True
         return self
-
-    def append(self, entity_id: int, score: float) -> None:
-        if self.sealed:
-            raise ValueError("posting list is sealed; no further inserts")
-        if self.ids and entity_id <= self.ids[-1]:
-            raise ValueError(
-                f"entities must be inserted in increasing id order"
-                f" (got {entity_id} after {self.ids[-1]})"
-            )
-        self.ids.append(entity_id)
-        self.scores.append(score)
-        if score > self.max_score:
-            self.max_score = score
-        if score < self.min_score:
-            self.min_score = score
 
     def tail(self, since: int) -> "PostingList":
         """The entries with id ``>= since``, as a sealed list.
@@ -199,8 +184,8 @@ class ScoredInvertedIndex:
 
         ``norm`` is the entity's ``||s||`` (Eq. 1); for clusters, callers
         pass the cluster summary ``||C|| = min over members`` (§5.1.3).
-        Each word's append is :meth:`PostingList.append` inline, with
-        the same checks and errors.
+        Raises ``ValueError`` when a word's list is sealed or already
+        holds an id ``>= entity_id``.
         """
         postings = self._postings
         for token, score in zip(tokens, scores):

@@ -15,6 +15,7 @@ by probing just the records appended since (``query(since=)``) — how
 from __future__ import annotations
 
 import copy
+import itertools
 import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -45,6 +46,10 @@ __all__ = ["QueryAnswer", "SimilarityIndex"]
 #: Snapshot ``kind`` tag for persisted indexes.
 _SNAPSHOT_KIND = "similarity-index"
 
+#: Every bind stamp in the process: no two binds, of one index or of
+#: two (a shard generation and its successor), ever share one.
+_BINDINGS = itertools.count(1)
+
 
 class QueryAnswer(list):
     """A query's matches (a ``list[MatchPair]``) and the index state
@@ -64,6 +69,12 @@ class QueryAnswer(list):
     """
 
     __slots__ = ("records", "binding", "extendable")
+
+    def __init__(self, pairs=(), records=0, binding=0, extendable=True):
+        super().__init__(pairs)
+        self.records = records
+        self.binding = binding
+        self.extendable = extendable
 
 
 class _ProbeView:
@@ -247,22 +258,14 @@ class SimilarityIndex:
         #: declares no soundness argument for it.
         self._bitmap_config = resolve_bitmap_filter(bitmap_filter)
         self._pruner: BitmapPruner | None = None
-        #: Monotonic mutation stamp: bumped by every ``add``/``rebind``.
-        #: The sharded tier's per-shard caches key on it.
-        self._generation = 0
-        #: Bind stamp: bumped whenever the bound predicate is replaced
-        #: (``rebind``, and the first bind). ``IndexServer``'s cache
-        #: keys on it; ``query(since=)`` extends only same-stamp answers.
+        #: Bind stamp, drawn afresh by every bind (``rebind`` and the
+        #: first ``add``); 0 while unbound. Caches key on it and
+        #: ``query(since=)`` extends only same-stamp answers.
         self._binding = 0
         #: True for instances restored with ``load(..., mmap=True)``:
         #: the index *is* the write-once mapped file, so mutations raise
         #: :class:`~repro.runtime.errors.ReadOnlyIndex`.
         self._read_only = False
-
-    @property
-    def generation(self) -> int:
-        """Mutation stamp; changes whenever cached results could stale."""
-        return self._generation
 
     @property
     def binding(self) -> int:
@@ -271,7 +274,8 @@ class SimilarityIndex:
         While it stands, ``add`` only appends: no indexed record's
         scores, norm or band key change (statistics stay frozen until
         ``rebind``), so an answer stays exact for the records it saw
-        and ``query(item, since=answer)`` extends it.
+        and ``query(item, since=answer)`` extends it. No other bind in
+        the process, of this index or another, draws the same stamp.
         """
         return self._binding
 
@@ -379,7 +383,6 @@ class SimilarityIndex:
             self._rebind()
             self._rebuild_index()
             self._pruner = self._new_pruner()
-            self._generation += 1
 
     def _rebind(self) -> None:
         """Bind afresh, filling the norm and band-key caches while no
@@ -387,7 +390,7 @@ class SimilarityIndex:
         self._bound = self.predicate.bind(self._dataset)
         self._bound.filled_norms()
         self._bound.band_filter()
-        self._binding += 1
+        self._binding = next(_BINDINGS)
 
     def _rebuild_index(self) -> None:
         """Re-insert every record under the current bound's scores."""
@@ -451,7 +454,6 @@ class SimilarityIndex:
                 self._pruner.grow(bound)
             else:
                 self._pruner = self._new_pruner()
-            self._generation += 1
             return rid
 
     def query(
@@ -499,10 +501,9 @@ class SimilarityIndex:
         record = self._probe_record_of(tokens, counters)
         counters.probes += 1
         probe_rid = len(self._dataset)
-        matches = QueryAnswer()
-        matches.records = probe_rid
-        matches.binding = self._binding
-        matches.extendable = counters.unknown_query_tokens == 0
+        matches = QueryAnswer(
+            (), probe_rid, self._binding, counters.unknown_query_tokens == 0
+        )
         start = 0
         if (
             since is not None

@@ -25,11 +25,10 @@ grown into a service fit for real traffic:
   (:class:`~repro.runtime.errors.CircuitOpen`).
 * :class:`~repro.serving.stats.LatencyTracker` — p50/p95/p99 over a
   bounded window of recent queries.
-* :class:`~repro.serving.cache.QueryCache` — LRU result cache with
-  stamp-based invalidation. ``IndexServer`` keeps its entries across
-  ``add`` and extends a hit with a probe of the appended records only;
-  a ``rebind`` empties it. The sharded tier's per-shard caches empty on
-  any mutation of their shard.
+* :class:`~repro.serving.cache.QueryCache` — LRU answer cache, kept by
+  one rule for every served index (single, local or remote shard): an
+  ``add`` extends a hit with a probe of the appended records only; a
+  rebind or flip empties it.
 * :mod:`~repro.serving.transport` — the remote shard transport:
   :class:`~repro.serving.transport.server.ShardServer` hosts one shard
   behind a TCP socket (``repro shard-serve``),

@@ -1,19 +1,20 @@
-"""LRU query-result cache with stamp-based invalidation.
+"""LRU query-answer cache, and the one rule every served index keeps.
 
 Serving workloads repeat queries (hot entities, retried clients); a
-probe is pure given the index contents, so its result can be reused.
-:class:`QueryCache` keys each entry with a stamp of the index state it
-was computed from, and the first lookup that sees a newer stamp empties
-the cache wholesale — entries can never outlive that state.
+probe is pure given the index contents, so its answer can be reused.
+``IndexServer``'s index and every local or remote shard of
+``ShardedIndexServer`` serve through the same step:
+:meth:`QueryCache.lookup` looks the query up and vets the entry,
+:func:`query` probes (extending that entry with ``since=`` when there
+is one), and :meth:`QueryCache.store` keeps the answer.
 
-What the stamp covers is the caller's choice. ``IndexServer`` stamps
-with :attr:`SimilarityIndex.binding`, which moves on ``rebind`` only:
-an ``add`` merely appends, so the server keeps its entries and extends
-a hit that predates appends with a probe of the appended records (see
-``SimilarityIndex.query(since=)``); ``lookup``'s ``reusable`` test
-turns an entry that cannot be extended into a miss, and ``store``'s
-``patched`` flag counts the extensions. The sharded tier stamps with
-each shard's ``(epoch, generation)``, which every ``add`` moves.
+Entries are stamped with the index's ``binding`` (on a shard, paired
+with its flip epoch), and the first lookup that sees a new stamp
+empties the cache. The stamp moves on a rebind or a flip, never on an
+``add``: appends change no indexed record, so an entry stays exact for
+the records it answers and a probe of the appended records extends it.
+An entry that cannot be extended (its query had a token the index
+lacked) is a miss.
 
 Thread-safety: all operations take the cache's own lock, never the
 index's, so cache hits don't touch the read lock at all (that is the
@@ -27,11 +28,20 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-__all__ = ["QueryCache"]
+__all__ = ["QueryCache", "query"]
+
+
+def query(index, item, context, since=None):
+    """``index.query(item, context=context)``, passing ``since=`` only
+    when there is an answer to extend — a plain probe stays a call any
+    ``(item, context)`` stand-in for an index can serve."""
+    if since is None:
+        return index.query(item, context=context)
+    return index.query(item, context=context, since=since)
 
 
 class QueryCache:
-    """Bounded LRU mapping ``query key -> list[MatchPair]``."""
+    """Bounded LRU mapping ``query key -> QueryAnswer``."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -39,7 +49,7 @@ class QueryCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
-        self._generation: int | None = None
+        self._stamp = None
         self._hits = 0
         self._misses = 0
         self._patched = 0
@@ -61,38 +71,37 @@ class QueryCache:
         except TypeError:
             return None
 
-    def lookup(self, key: tuple, generation, reusable=None):
-        """Return ``(hit, result)``; a stamp change flushes first.
+    def lookup(self, key: tuple, stamp, records: int):
+        """Look up and vet: ``(answer, since)``; a new stamp flushes first.
 
-        ``reusable(result)``, when given, vets a found entry: False
-        counts the lookup as a miss (the entry stays until replaced).
+        ``answer`` is an entry answering all the index's ``records``,
+        to serve as is. An entry answering fewer is ``since``, to
+        extend — a hit, counted in ``patched`` — or, when it cannot be
+        extended, a miss (it stays until replaced).
         """
         with self._lock:
-            if self._generation != generation:
+            if self._stamp != stamp:
                 if self._entries:
                     self._invalidations += 1
                     self._entries.clear()
-                self._generation = generation
-            result = self._entries.get(key)
-            if result is None or (reusable is not None and not reusable(result)):
+                self._stamp = stamp
+            entry = self._entries.get(key)
+            if entry is None or (entry.records < records and not entry.extendable):
                 self._misses += 1
-                return False, None
+                return None, None
             self._entries.move_to_end(key)
             self._hits += 1
-            return True, result
+            if entry.records >= records:
+                return entry, None
+            self._patched += 1
+            return None, entry
 
-    def store(self, key: tuple, generation, result, patched: bool = False) -> None:
-        """Insert a computed result; dropped when the index moved on.
-
-        ``patched`` marks a result that extends a hit (counted in the
-        ``patched`` share of ``hits`` even when dropped).
-        """
+    def store(self, key: tuple, stamp, answer) -> None:
+        """Insert a computed answer; dropped when the index moved on."""
         with self._lock:
-            if patched:
-                self._patched += 1
-            if self._generation != generation:
+            if self._stamp != stamp:
                 return
-            self._entries[key] = result
+            self._entries[key] = answer
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -102,7 +111,8 @@ class QueryCache:
             self._entries.clear()
 
     def stats(self) -> dict:
-        """Hit/miss/size snapshot for the health endpoint."""
+        """Hit/miss/size snapshot for the health endpoint; ``patched``
+        counts the hits extended past appends."""
         with self._lock:
             total = self._hits + self._misses
             return {

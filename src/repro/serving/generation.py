@@ -17,8 +17,8 @@ single maintenance operation takes the tier down.
    index (the catch-up delta — exact, because adds also hold the shard
    lock, so none can race the flip), swap the shard's index reference,
    and bump the shard's flip epoch. The epoch is half of the shard's
-   cache generation stamp, so the flip invalidates exactly that shard's
-   :class:`~repro.serving.cache.QueryCache` entries and nobody else's.
+   cache stamp, so the flip empties exactly that shard's
+   :class:`~repro.serving.cache.QueryCache` and nobody else's.
 
 In-flight probes keep the old index object alive via their own
 reference and finish against it — results are linearized at the moment

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from repro.runtime.context import JoinContext
 from repro.runtime.errors import JoinTimeout, ServerOverloaded
 from repro.serving.breaker import CircuitBreaker
-from repro.serving.cache import QueryCache
+from repro.serving.cache import QueryCache, query
 from repro.serving.retry import RetryPolicy
 from repro.serving.stats import LatencyTracker
 
@@ -452,16 +452,10 @@ class IndexServer(_QueueServer):
             latency; injectable for tests.
         latency_capacity: latency reservoir size (see
             :class:`LatencyTracker`).
-        query_cache: capacity of the LRU query-result cache
-            (:class:`~repro.serving.cache.QueryCache`); 0 disables it.
-            Results are always what a fresh probe would return. An
-            ``add`` keeps the entries: a hit that predates appends is
-            extended by probing only the appended records (the tails of
-            its posting lists, ``SimilarityIndex.query(since=)``) and
-            counted in ``patched``; a query that had an unknown token
-            is probed afresh instead. A ``rebind`` (the index's
-            ``binding`` stamp moves) empties the cache wholesale.
-            Unpatched hits bypass the index and the breaker.
+        query_cache: capacity of the LRU query-answer cache; 0
+            disables it. Answers are always what a fresh probe would
+            return (the rule: :mod:`repro.serving.cache`); hits needing
+            no extension bypass the index and the breaker.
 
     Start with :meth:`start` (or use as a context manager); stop with
     :meth:`drain`. ``submit`` returns a ``concurrent.futures.Future``
@@ -501,41 +495,28 @@ class IndexServer(_QueueServer):
 
         # Cache consult, before the breaker: a hit does not touch the
         # index, so it is not a dependency call and must stay servable
-        # while the circuit is open. Entries are stamped with the
-        # index's ``binding`` (moved by rebind alone) read *before* the
-        # probe: a rebind slipping in between leaves the store below
-        # tagged stale, and the cache drops it. An entry answers the
-        # records its probe saw. A hit that predates appends goes back
-        # to the index to be extended by a probe of the appended
-        # records (the index re-checks the binding under its lock); one
-        # that cannot be (it had an unknown token) is a miss.
+        # while the circuit is open. The stamp is read *before* the
+        # probe: a rebind slipping in between leaves the store tagged
+        # stale, and the cache drops it (see :mod:`repro.serving.cache`).
+        index = self.index
+        item = request.item
         cache = self.cache
-        key = None
+        key = cache.key_for(item) if cache is not None else None
         since = None
-        if cache is not None:
-            index = self.index
-            binding = index.binding
-            key = cache.key_for(request.item)
-            if key is not None:
-                records = len(index)
-                hit, since = cache.lookup(
-                    key,
-                    binding,
-                    lambda answer: answer.records >= records or answer.extendable,
-                )
-                if hit and since.records >= records:
-                    return since
+        if key is not None:
+            stamp = index.binding
+            answer, since = cache.lookup(key, stamp, len(index))
+            if answer is not None:
+                return answer
 
         def attempt():
-            if since is None:
-                return self.index.query(request.item, context=context)
-            return self.index.query(request.item, context=context, since=since)
+            return query(index, item, context, since)
 
         fresh = self._guarded(
             attempt, self.breaker, self.retry_policy, self._count_retry, context
         )
         if key is not None:
-            cache.store(key, binding, fresh, patched=since is not None)
+            cache.store(key, stamp, fresh)
         return fresh
 
     # ------------------------------------------------------------------

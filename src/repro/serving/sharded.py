@@ -17,8 +17,7 @@ What sharding buys is *fault isolation*, not different answers:
 * **Per-shard deadline budgets** — each probe gets a
   :class:`JoinContext` carved from the query's remaining deadline.
 * **Per-shard CircuitBreaker / LatencyTracker / QueryCache** — one sick
-  shard trips one breaker, skews one latency window, invalidates one
-  cache.
+  shard trips one breaker, skews one latency window, flushes one cache.
 * **Hedged probes** — when a shard dawdles past its hedge delay
   (fixed, or derived from that shard's own p99), the probe is re-issued
   and the first completion wins; one straggler degrades tail latency
@@ -32,8 +31,8 @@ What sharding buys is *fault isolation*, not different answers:
 * **Zero-downtime reindex** — :meth:`ShardedIndexServer.reindex` runs a
   :class:`~repro.serving.generation.GenerationBuilder` per shard:
   build off-lock, flip atomically under the shard's writer-preferring
-  RWLock, invalidate only that shard's cache (the cache stamp is
-  ``(flip epoch, index generation)``).
+  RWLock, empty only that shard's cache (the cache stamp is
+  ``(flip epoch, index binding)``).
 * **Remote shards** — ``shard_endpoints`` swaps any shard's in-process
   index for a :class:`~repro.serving.transport.client.RemoteShardClient`
   speaking the checksummed binary wire protocol to a ``repro
@@ -70,7 +69,7 @@ from repro.runtime.errors import (
     ShardUnavailable,
 )
 from repro.runtime.rwlock import RWLock
-from repro.serving.cache import QueryCache
+from repro.serving.cache import QueryCache, query
 from repro.serving.generation import GenerationBuilder, _ReindexGuard
 from repro.serving.retry import RetryPolicy
 from repro.serving.server import _QueueServer, _Request
@@ -228,17 +227,15 @@ class _Shard:
     which has its own lock): probes grab the reference under the read
     side for an instant, adds hold the read side across the insert, and
     a generation flip takes the write side to swap ``index`` and bump
-    ``epoch``. The cache generation stamp is ``(epoch, generation)`` —
-    a flip moves ``epoch`` even though the fresh index restarts its own
-    ``generation`` counter, so a stale post-flip hit is impossible.
+    ``epoch``. The cache stamp is ``(epoch, index binding)``: a flip
+    moves both, as the fresh index binds afresh.
 
     ``index`` may also be a
     :class:`~repro.serving.transport.client.RemoteShardClient`
-    (``remote=True``): it implements the same probe surface, reports a
-    tuple-valued ``generation`` (the node's ``(epoch, generation)``
-    stamp), and the shard then fails as a *network* fault domain —
-    connect/transport errors count here exactly like a killed local
-    shard.
+    (``remote=True``): it implements the same probe surface, reports
+    the node's ``binding``, and the shard then fails as a *network*
+    fault domain — connect/transport errors count here exactly like a
+    killed local shard.
     """
 
     __slots__ = (
@@ -282,20 +279,21 @@ class _Shard:
     def name(self) -> str:
         return self.index.endpoint if self.remote else f"shard-{self.sid}"
 
-    def stamp(self) -> tuple[int, int]:
+    def current(self):
+        """The live index and its cache stamp, read together."""
         with self.rwlock.read_locked():
-            return (self.epoch, self.index.generation)
+            index = self.index
+            return index, (self.epoch, index.binding)
 
 
-class _RemoteReindexHandle:
-    """Builder-shaped handle for a remote shard's node-side rebuild.
+class _RemoteReindexHandle(GenerationBuilder):
+    """A :class:`GenerationBuilder` whose build and flip run on a remote
+    shard's node, through the ``reindex`` wire op.
 
-    Drives the ``reindex`` wire op on a background daemon thread and
-    mirrors the :class:`GenerationBuilder` surface (``start`` /
-    ``wait`` / ``error`` / ``built`` / ``caught_up`` / ``flipped`` /
-    ``seconds``) so :meth:`ShardedIndexServer.reindex` treats local and
-    remote shards uniformly — including :class:`ReindexTimeout`, which
-    carries these handles alongside real builders.
+    Same surface (``start`` / ``wait`` / ``error`` / ``built`` /
+    ``caught_up`` / ``flipped`` / ``seconds``), so
+    :meth:`ShardedIndexServer.reindex` treats local and remote shards
+    uniformly — including :class:`ReindexTimeout`.
     """
 
     #: Wire round-trip bound for the blocking rebuild op — generous,
@@ -304,25 +302,9 @@ class _RemoteReindexHandle:
     REINDEX_TIMEOUT = 600.0
 
     def __init__(self, shard: _Shard, clock=time.monotonic):
-        self.shard = shard
-        self.clock = clock
-        self._thread: threading.Thread | None = None
-        self.error: BaseException | None = None
-        self.built: int | None = None
-        self.caught_up: int | None = None
-        self.flipped = False
-        self.seconds: float | None = None
+        super().__init__(shard, None, clock=clock)
 
-    def start(self) -> "_RemoteReindexHandle":
-        if self._thread is not None:
-            raise RuntimeError("builder already started")
-        self._thread = threading.Thread(
-            target=self._run, name="remote-reindex", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
+    def build_and_flip(self) -> None:
         started = self.clock()
         try:
             with self.shard.rwlock.read_locked():
@@ -331,21 +313,8 @@ class _RemoteReindexHandle:
             self.built = report.get("built")
             self.caught_up = report.get("caught_up")
             self.flipped = bool(report.get("flipped"))
-        except BaseException as exc:  # noqa: BLE001 — re-raised by wait()
-            self.error = exc
         finally:
             self.seconds = self.clock() - started
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Join the rebuild; re-raises its failure, if any."""
-        if self._thread is None:
-            raise RuntimeError("builder was never started")
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            return False
-        if self.error is not None:
-            raise self.error
-        return True
 
 
 class ShardedIndexServer(_QueueServer):
@@ -370,8 +339,9 @@ class ShardedIndexServer(_QueueServer):
             declared lost).
         breaker_factory: builds one :class:`CircuitBreaker` per shard;
             None disables breaking.
-        query_cache: per-shard cache capacity (0 disables); a flip or
-            add on one shard invalidates only that shard's entries.
+        query_cache: per-shard cache capacity (0 disables), kept by
+            :class:`IndexServer`'s rule: adds extend a shard's answers,
+            a flip empties only that shard's cache.
         hedge: a :class:`HedgePolicy`; None disables hedging.
         bitmap_filter / merge_backend: forwarded to every shard's index.
         faults: optional :class:`~repro.runtime.faults.ShardFaults`
@@ -701,14 +671,15 @@ class ShardedIndexServer(_QueueServer):
         self._check_not_expired(context)
         item = request.item
 
-        key = None
-        if any(shard.cache is not None for shard in self._shards):
-            key = QueryCache.key_for(item)
+        # Every shard has a cache, or none does.
+        key = QueryCache.key_for(item) if self._shards[0].cache is not None else None
 
-        # Scatter: consult each shard's cache, then launch the misses
-        # onto their shards' pools concurrently.
+        # Scatter: consult each shard's cache (its record count from the
+        # global-rid map, which gains a row before the shard gains the
+        # record), then launch the misses and the extensions onto their
+        # shards' pools concurrently.
         results: dict[int, list[MatchPair]] = {}
-        pending: list[tuple[_Shard, Future]] = []
+        pending: list[tuple[_Shard, Future, object]] = []
         failed: list[int] = []
         for shard in self._shards:
             if shard.quarantined is not None:
@@ -718,22 +689,26 @@ class ShardedIndexServer(_QueueServer):
                 with self._cond:
                     shard.failures += 1
                 continue
-            if key is not None and shard.cache is not None:
-                hit, value = shard.cache.lookup(key, shard.stamp())
-                if hit:
-                    results[shard.sid] = value
+            since = None
+            if key is not None:
+                _, stamp = shard.current()
+                answer, since = shard.cache.lookup(
+                    key, stamp, len(shard.global_rids)
+                )
+                if answer is not None:
+                    results[shard.sid] = answer
                     continue
             probe = shard.pool.submit(
-                self._probe_shard, shard, item, self._carve_context(context), key
+                self._probe_shard, shard, item, self._carve_context(context), key, since
             )
             with self._cond:
                 shard.probes += 1
-            pending.append((shard, probe))
+            pending.append((shard, probe, since))
 
         # Gather: shards complete in any order; each is awaited under
         # the query's remaining deadline, hedged per its own policy.
-        for shard, probe in pending:
-            ok, value = self._await_shard(shard, probe, item, context, key)
+        for shard, probe, since in pending:
+            ok, value = self._await_shard(shard, probe, item, context, key, since)
             if ok:
                 results[shard.sid] = value
             else:
@@ -774,13 +749,14 @@ class ShardedIndexServer(_QueueServer):
         carved.start()
         return carved
 
-    def _probe_shard(self, shard: _Shard, item, context, key):
+    def _probe_shard(self, shard: _Shard, item, context, key, since=None):
         """One probe attempt chain against one shard (runs on its pool).
 
-        Returns the shard-*local* matches; stores them in the shard's
-        cache stamped with the (epoch, generation) pair read when the
-        index reference was grabbed — a flip or add in between moves
-        the stamp and the store is dropped, never served stale.
+        Returns the shard-*local* answer, extending ``since`` when the
+        index can; stores it stamped with the (epoch, binding) pair read
+        when the index reference was grabbed. A flip since the lookup
+        hands ``since`` to an index of another binding, which probes in
+        full; one after the grab moves the stamp and drops the store.
         """
         if shard.quarantined is not None:
             # Belt-and-braces for probes racing the quarantine moment;
@@ -788,15 +764,13 @@ class ShardedIndexServer(_QueueServer):
             raise ShardUnavailable(
                 shard.name, f"quarantined: {shard.quarantined}"
             )
-        with shard.rwlock.read_locked():
-            index = shard.index
-            stamp = (shard.epoch, index.generation)
+        index, stamp = shard.current()
         started = self.clock()
 
         def attempt():
             if self.faults is not None:
                 self.faults.apply(shard.sid)
-            return index.query(item, context=context)
+            return query(index, item, context, since)
 
         def count_retry(attempt_no, exc, delay):
             with self._cond:
@@ -814,12 +788,12 @@ class ShardedIndexServer(_QueueServer):
             context,
         )
         shard.latency.observe(self.clock() - started)
-        if key is not None and shard.cache is not None:
+        if key is not None:
             shard.cache.store(key, stamp, local)
         return local
 
     def _await_shard(
-        self, shard: _Shard, probe: Future, item, context, key
+        self, shard: _Shard, probe: Future, item, context, key, since
     ) -> tuple[bool, list[MatchPair] | None]:
         """Wait for one shard within the query's deadline, hedging.
 
@@ -842,7 +816,8 @@ class ShardedIndexServer(_QueueServer):
             done, _ = futures_wait(futures, timeout=budget, return_when=FIRST_COMPLETED)
             if not done:
                 hedged = shard.pool.submit(
-                    self._probe_shard, shard, item, self._carve_context(context), key
+                    self._probe_shard, shard, item, self._carve_context(context),
+                    key, since,
                 )
                 futures.append(hedged)
                 with self._cond:
@@ -985,7 +960,7 @@ class ShardedIndexServer(_QueueServer):
         (end-to-end, queue wait included), ``index`` (counters summed
         across shards, same shape the single-index server reports), and
         ``shards`` — one entry per shard with its records, flip epoch,
-        index generation, breaker state, cache stats, probe latency
+        index ``binding``, breaker state, cache stats, probe latency
         window, and probe/hedge/failure tallies.
         """
         snapshot = self._base_health()
@@ -1043,7 +1018,7 @@ class ShardedIndexServer(_QueueServer):
                 "shard": shard.sid,
                 "records": len(shard.global_rids),
                 "epoch": epoch,
-                "generation": index.generation,
+                "binding": index.binding,
                 "breaker": (
                     {
                         "state": shard.breaker.state,

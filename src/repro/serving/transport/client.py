@@ -3,7 +3,7 @@
 The front-end side of the remote shard transport. A
 :class:`RemoteShardClient` exposes the same probe surface the sharded
 tier already programs against for an in-process shard index —
-``query`` / ``add`` / ``generation`` / ``counters_snapshot`` /
+``query`` / ``add`` / ``binding`` / ``counters_snapshot`` /
 ``__len__`` — so :class:`~repro.serving.sharded.ShardedIndexServer`
 can hold one in a ``_Shard`` slot and scatter-gather over a mix of
 local and remote shards without a single branch in the merge path.
@@ -25,13 +25,13 @@ Robustness model, per the tentpole contract:
   :class:`~repro.runtime.errors.WireProtocolError` (not retryable —
   the peer is speaking a different protocol). Remote deadline expiry
   comes back as a real :class:`~repro.runtime.errors.JoinTimeout`.
-* **Generation stamping.** Every response header carries the node's
-  ``(epoch, generation)``; :attr:`generation` returns the last-seen
-  pair, so the front end's per-shard cache stamp
-  ``(local epoch, remote stamp)`` moves exactly when the remote index
-  does. All mutations flow through this client (the front end owns
-  routing), so the stamp is refreshed by the very response that made
-  it stale; heartbeat pings bound staleness for out-of-band changes.
+* **Bind stamping.** Every response header carries the node's
+  ``binding``; :attr:`binding` returns the largest seen (a node's
+  stamps only grow), so the front end's per-shard cache stamp moves
+  exactly when the remote index is rebound or flipped. All mutations
+  flow through this client (the front end owns routing), so the stamp
+  is refreshed by the very response that made it stale; heartbeat
+  pings bound staleness for out-of-band changes.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import time
 import uuid
 from collections.abc import Callable
 
+from repro.core.results import MatchPair
 from repro.runtime.context import JoinContext
 from repro.runtime.errors import (
     DeadlineExceeded,
@@ -117,7 +118,7 @@ class RemoteShardClient:
         self._lock = threading.Lock()
         self._idle: list[socket.socket] = []
         self._request_ids = itertools.count(1)
-        self._stamp: tuple[int, int] = (0, 0)
+        self._binding = 0
         self._closed = False
         #: Op attempts re-issued by the retry policy.
         self.retries = 0
@@ -296,7 +297,8 @@ class RemoteShardClient:
                 f" ({'response' if frame.is_response else 'request'})"
             )
         with self._lock:
-            self._stamp = (frame.epoch, frame.generation)
+            if frame.binding > self._binding:
+                self._binding = frame.binding
         self._checkin(conn)
         if frame.is_error:
             raise self._rebuild_error(wire.decode_error(frame.payload))
@@ -336,13 +338,24 @@ class RemoteShardClient:
     # The probe interface (what _Shard.index must quack like)
     # ------------------------------------------------------------------
 
-    def query(self, item, context: JoinContext | None = None):
-        """Probe the remote shard; returns shard-local ``MatchPair``s."""
-        frame = self._call(
-            wire.OP_QUERY, wire.encode_json({"item": item}), context=context
-        )
-        matches, _offset = wire.decode_matches(frame.payload)
-        return matches
+    def query(self, item, context: JoinContext | None = None, since=None):
+        """Probe the remote shard; returns its shard-local answer.
+
+        ``since`` is extended as ``SimilarityIndex.query`` extends it:
+        only its watermark travels, the node answers the matches among
+        the records appended after it, and they are spliced on here.
+        """
+        body: dict = {"item": item}
+        if since is not None and since.extendable:
+            body["since"] = [since.records, since.binding]
+        frame = self._call(wire.OP_QUERY, wire.encode_json(body), context=context)
+        answer, extended = wire.decode_answer(frame.payload)
+        if extended:
+            answer[:0] = [
+                MatchPair(pair.rid_a, answer.records, pair.similarity)
+                for pair in since
+            ]
+        return answer
 
     def add(self, item, payload=None, expected_rid: int | None = None) -> int:
         """Insert a record on the node; returns its shard-local rid.
@@ -384,20 +397,15 @@ class RemoteShardClient:
         return wire.decode_json(self._call(wire.OP_HEALTH).payload)
 
     def ping(self) -> tuple[int, int]:
-        """Heartbeat probe; returns the node's (epoch, generation)."""
+        """Heartbeat probe; returns the node's (epoch, binding)."""
         frame = self._call(wire.OP_PING)
-        return (frame.epoch, frame.generation)
+        return (frame.epoch, frame.binding)
 
     @property
-    def generation(self) -> tuple[int, int]:
-        """Last-seen remote ``(epoch, generation)`` stamp.
-
-        Tuple-valued on purpose: the in-process cache stamp compares
-        with ``!=``, so a tuple slots into the same
-        ``(shard epoch, index generation)`` scheme unchanged.
-        """
+    def binding(self) -> int:
+        """The node's bind stamp: the largest any response reported."""
         with self._lock:
-            return self._stamp
+            return self._binding
 
     def counters_snapshot(self) -> dict:
         """The node's cost counters (one health round trip)."""

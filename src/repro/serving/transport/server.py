@@ -21,8 +21,8 @@ inside a shard-shaped holder (``index`` / ``rwlock`` / ``epoch`` /
 :class:`~repro.serving.generation.GenerationBuilder` two-phase flip the
 in-process tier uses — build off-lock while queries keep serving the
 old generation, flip under the write lock, bump the node epoch. Every
-response header carries the node's ``(epoch, generation)`` stamp, which
-is how the front end's per-shard query cache invalidates across the
+response header carries the node's epoch and ``binding`` stamp, which
+is how the front end's per-shard query cache follows it across the
 network.
 
 Failure discipline per connection: a protocol violation or checksum
@@ -40,10 +40,11 @@ import threading
 import time
 from collections.abc import Callable
 
-from repro.core.service import SimilarityIndex
+from repro.core.service import QueryAnswer, SimilarityIndex
 from repro.runtime.context import JoinContext
 from repro.runtime.errors import RidDesync
 from repro.runtime.rwlock import RWLock
+from repro.serving.cache import query
 from repro.serving.generation import GenerationBuilder, _ReindexGuard
 from repro.serving.transport import wire
 
@@ -275,10 +276,6 @@ class ShardServer:
     # Ops
     # ------------------------------------------------------------------
 
-    def _stamp(self) -> tuple[int, int]:
-        with self._shard.rwlock.read_locked():
-            return (self._shard.epoch, self._shard.index.generation)
-
     def _context_for(self, deadline: float) -> JoinContext | None:
         """Rebuild the caller's remaining budget as a local context.
 
@@ -310,14 +307,15 @@ class ShardServer:
             self.errors += 1
             payload = wire.encode_error(exc)
             flags = wire.FLAG_RESPONSE | wire.FLAG_ERROR
-        epoch, generation = self._stamp()
+        with self._shard.rwlock.read_locked():
+            epoch, binding = self._shard.epoch, self._shard.index.binding
         return wire.encode_frame(
             frame.op,
             payload,
             request_id=frame.request_id,
             flags=flags,
             epoch=epoch,
-            generation=generation,
+            binding=binding,
         )
 
     def _handle(self, frame: wire.Frame) -> bytes:
@@ -329,7 +327,22 @@ class ShardServer:
             context = self._context_for(frame.deadline)
             with self._shard.rwlock.read_locked():
                 index = self._shard.index
-            return wire.encode_matches(index.query(body["item"], context=context))
+            since = body.get("since")
+            if since is not None:
+                if not (
+                    isinstance(since, list)
+                    and len(since) == 2
+                    and all(type(value) is int and value >= 0 for value in since)
+                ):
+                    raise wire.WireProtocolError(f"malformed since {since!r}")
+                # The front end holds the cached pairs: extend an empty
+                # stand-in at their watermark, answering only new ones.
+                since = QueryAnswer((), *since)
+            answer = query(index, body["item"], context, since)
+            extended = since is not None and (
+                answer.binding == since.binding and since.records <= answer.records
+            )
+            return wire.encode_answer(answer, extended)
         if op == wire.OP_ADD:
             body = wire.decode_json(frame.payload)
             expected = body.get("rid")
@@ -395,7 +408,7 @@ class ShardServer:
         started_at = self._started_at
         return {
             "records": len(index),
-            "generation": index.generation,
+            "binding": index.binding,
             "epoch": epoch,
             "counters": index.counters_snapshot(),
             "requests": dict(self.requests),

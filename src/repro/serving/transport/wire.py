@@ -2,31 +2,35 @@
 
 One frame shape in both directions::
 
-    +--------+---------+----+-------+------------+----------+-------+------------+-------------+
-    | magic  | version | op | flags | request_id | deadline | epoch | generation | payload_len |
-    | 2s     | u8      | u8 | u8    | u32        | f64      | u32   | u32        | u32         |
-    +--------+---------+----+-------+------------+----------+-------+------------+-------------+
-    | payload (payload_len bytes)                                                              |
-    +------------------------------------------------------------------------------------------+
-    | crc32 over header+payload (u32)                                                          |
-    +------------------------------------------------------------------------------------------+
+    +--------+---------+----+-------+------------+----------+-------+---------+-------------+
+    | magic  | version | op | flags | request_id | deadline | epoch | binding | payload_len |
+    | 2s     | u8      | u8 | u8    | u32        | f64      | u32   | u32     | u32         |
+    +--------+---------+----+-------+------------+----------+-------+---------+-------------+
+    | payload (payload_len bytes)                                                           |
+    +---------------------------------------------------------------------------------------+
+    | crc32 over header+payload (u32)                                                       |
+    +---------------------------------------------------------------------------------------+
 
 All integers big-endian. ``deadline`` on a request is the *remaining*
 seconds of the caller's carved :class:`~repro.runtime.context.JoinContext`
 budget (negative = unbounded), so the node can enforce the same budget
 the front end is holding it to; on a response it echoes the node's
-serving state instead (``epoch``/``generation`` identify the index
-generation the answer came from — the front end's per-shard query cache
-stamps entries with this pair). The trailing CRC32 makes torn and
-corrupted frames detectable as :class:`FrameChecksumError` (transient,
-retried on a fresh connection) rather than silently-wrong answers.
+serving state instead (its flip ``epoch`` and live index ``binding`` —
+the front end's per-shard query cache stamps entries with these). The
+trailing CRC32 makes torn and corrupted frames detectable as
+:class:`FrameChecksumError` (transient, retried on a fresh connection)
+rather than silently-wrong answers.
 
 Payloads are deliberately pickle-free: requests are small UTF-8 JSON
 objects (items are strings or token lists — exactly what
-``SimilarityIndex`` accepts), and ``MatchPair`` batches travel as a
-compact struct-packed array (u32 count then ``count`` × ``(i64 rid_a,
-i64 rid_b, f64 similarity)``), the same columnar shape the merge layer
-already thinks in.
+``SimilarityIndex`` accepts — plus ``since: [records, binding]`` to
+extend a cached answer). A query answer travels as ``records`` u64,
+``binding`` u32, ``extendable`` and ``extended`` u8 (an extended answer
+holds only the matches past ``since``), then a ``MatchPair`` batch (u32
+count then ``count`` × ``(i64 rid_a, i64 rid_b, f64 similarity)``), the
+columnar shape the merge layer already thinks in. ``VERSION`` 2 added
+these answer fields and ``since`` and renamed the header's
+``generation`` to ``binding``; other versions are refused.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import zlib
 from typing import Callable, NamedTuple, Sequence
 
 from repro.core.results import MatchPair
+from repro.core.service import QueryAnswer
 from repro.runtime.errors import FrameChecksumError, WireProtocolError
 
 __all__ = [
@@ -53,9 +58,11 @@ __all__ = [
     "OP_QUERY",
     "OP_REINDEX",
     "VERSION",
+    "decode_answer",
     "decode_error",
     "decode_json",
     "decode_matches",
+    "encode_answer",
     "encode_error",
     "encode_frame",
     "encode_json",
@@ -65,13 +72,14 @@ __all__ = [
 ]
 
 MAGIC = b"RS"
-VERSION = 1
+VERSION = 2
 
 #: Header layout; see module docstring for field meanings.
 HEADER = struct.Struct(">2sBBBIdIII")
 _CRC = struct.Struct(">I")
 _PAIR = struct.Struct(">qqd")
 _COUNT = struct.Struct(">I")
+_ANSWER = struct.Struct(">QI??")
 
 #: Hard bound on a single frame's payload. Large enough for any real
 #: batch (16 MiB ≈ 700k match pairs), small enough that a garbage
@@ -108,7 +116,7 @@ class Frame(NamedTuple):
     request_id: int
     deadline: float
     epoch: int
-    generation: int
+    binding: int
     payload: bytes
 
     @property
@@ -128,7 +136,7 @@ def encode_frame(
     deadline: float = -1.0,
     flags: int = 0,
     epoch: int = 0,
-    generation: int = 0,
+    binding: int = 0,
 ) -> bytes:
     """Pack one frame (header + payload + CRC32 trailer) into bytes."""
     if len(payload) > MAX_PAYLOAD:
@@ -144,7 +152,7 @@ def encode_frame(
         request_id & 0xFFFFFFFF,
         deadline,
         epoch & 0xFFFFFFFF,
-        generation & 0xFFFFFFFF,
+        binding & 0xFFFFFFFF,
         len(payload),
     )
     crc = zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF
@@ -165,7 +173,7 @@ def read_frame(read_exactly: Callable[[int], bytes]) -> Frame:
     permanent protocol error.
     """
     header = read_exactly(HEADER.size)
-    magic, version, op, flags, request_id, deadline, epoch, generation, length = (
+    magic, version, op, flags, request_id, deadline, epoch, binding, length = (
         HEADER.unpack(header)
     )
     if magic != MAGIC:
@@ -186,7 +194,7 @@ def read_frame(read_exactly: Callable[[int], bytes]) -> Frame:
         )
     if op not in OP_NAMES:
         raise WireProtocolError(f"unknown op {op}")
-    return Frame(op, flags, request_id, deadline, epoch, generation, payload)
+    return Frame(op, flags, request_id, deadline, epoch, binding, payload)
 
 
 def socket_reader(sock) -> Callable[[int], bytes]:
@@ -245,6 +253,22 @@ def decode_matches(data: bytes, offset: int = 0) -> tuple[list[MatchPair], int]:
         matches.append(MatchPair(rid_a, rid_b, similarity))
         offset += _PAIR.size
     return matches, offset
+
+
+def encode_answer(answer: QueryAnswer, extended: bool) -> bytes:
+    """Pack a query answer: its index state, then its match batch."""
+    return _ANSWER.pack(
+        answer.records, answer.binding, answer.extendable, extended
+    ) + encode_matches(answer)
+
+
+def decode_answer(data: bytes) -> tuple[QueryAnswer, bool]:
+    """Unpack a query answer; returns ``(answer, extended)``."""
+    if len(data) < _ANSWER.size:
+        raise WireProtocolError("query answer truncated before its header")
+    records, binding, extendable, extended = _ANSWER.unpack_from(data)
+    matches, _offset = decode_matches(data, _ANSWER.size)
+    return QueryAnswer(matches, records, binding, extendable), extended
 
 
 def encode_json(obj) -> bytes:

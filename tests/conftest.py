@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import Dataset
+from repro.core.inverted_index import PostingList, ScoredInvertedIndex
 
 
 def random_dataset(
@@ -38,6 +39,18 @@ def random_dataset(
             if dup:
                 records.append(tuple(sorted(dup)))
     return Dataset(records)
+
+
+def posting_list(entries) -> PostingList:
+    """A sealed posting list of ``(entity id, score)`` entries, ids
+    increasing, built the way the joins build theirs: one
+    ``ScoredInvertedIndex.insert`` per entity, then ``seal``."""
+    index = ScoredInvertedIndex()
+    for entity_id, score in entries:
+        index.insert(entity_id, (0,), (score,), 1.0)
+    index.seal()
+    plist = index.get(0)
+    return plist if plist is not None else PostingList().seal()
 
 
 def random_strings(seed: int, n: int = 40, alphabet: str = "abcd", max_len: int = 12) -> list[str]:

@@ -1,13 +1,16 @@
-"""Hypothesis property: a cached IndexServer answers like a fresh probe.
+"""Hypothesis property: a cached server answers like a fresh probe.
 
-``IndexServer``'s query cache keeps its entries across ``add``: a hit
-that predates appends is extended with a probe of the appended records
-only (``SimilarityIndex.query(since=)``), a query that had an unknown
-token is probed afresh, and a ``rebind`` flushes. Random interleavings
-of ``add`` / cached query / ``rebind`` must therefore return, for every
-query, exactly what an uncached ``SimilarityIndex.query`` returns on
-the same index state: the same pairs, ``rid_b``, similarities and
-order.
+Every served index keeps its cached answers across ``add``: a hit that
+predates appends is extended with a probe of the appended records only
+(``SimilarityIndex.query(since=)``, across the wire for a remote
+shard), a query that had an unknown token is probed afresh, and a
+rebind or a shard flip flushes. Random interleavings of ``add`` /
+cached query / ``rebind`` must therefore return, for every query,
+exactly what an uncached ``SimilarityIndex.query`` returns on the same
+records: the same pairs, ``rid_b``, similarities and order. The sweep
+runs ``IndexServer``, ``ShardedIndexServer`` over one and two local
+shards, and one over a loopback ``ShardServer`` node; on the sharded
+tiers ``rebind`` is a ``reindex`` flip.
 
 The predicates cover what an extension could get wrong: corpus
 statistics frozen at bind (default cosine, IDF weighted overlap),
@@ -15,9 +18,15 @@ statistics keyed by token id past the current vocabulary (cosine
 ``stats=``, a weighted-overlap mapping — where an unknown token's
 ephemeral id changes its score once the vocabulary grows), and a band
 filter with payload verification (edit distance). The query pool
-includes words no record holds yet; adds draw them later.
+includes words no record holds yet; adds draw them later. Predicates
+whose statistics are bound per index (default cosine, IDF weighted
+overlap) score per shard, so the sharded tiers sweep the others.
 """
 
+import random
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +38,8 @@ from repro import (
     WeightedOverlapPredicate,
 )
 from repro.predicates.edit_distance import numbered_qgrams
-from repro.serving import IndexServer
+from repro.serving import IndexServer, ShardedIndexServer
+from repro.serving.transport import ShardServer
 from repro.text.tfidf import CorpusStats
 
 WAIT = 10.0
@@ -64,6 +74,11 @@ SET_PREDICATES = {
     ),
 }
 
+#: Statistics bound per index: exact only on a single index.
+PER_INDEX_STATS = {"cosine", "weighted-overlap-idf"}
+
+TIERS = ["index", "sharded-1", "sharded-2", "remote"]
+
 EDIT = EditDistancePredicate(1)
 STRINGS = ["abcabc", "abcabca", "abcbca", "bcabca", "cabcab", "aabbcc", "abccba"]
 
@@ -81,49 +96,146 @@ def _ops(record, n_queries: int):
     )
 
 
-def _run(index: SimilarityIndex, queries, ops) -> None:
-    """Replay ``ops``; check each query through the server, and the
-    index's own extension of the previous answer to the same item
-    (whatever its binding or unknown tokens), against a full probe."""
-    server = IndexServer(index, workers=1, query_cache=8).start()
-    previous = {}
+def _cache_stats(server) -> list[dict]:
+    health = server.health()
+    if "shards" in health:
+        return [row["cache"] for row in health["shards"]]
+    return [health["cache"]]
+
+
+@contextmanager
+def _served(tier: str, predicate, tokenizer=None, next_predicate=None):
+    """``(server, add, rebind, oracle)`` for one tier over ``predicate``.
+
+    ``oracle`` is an uncached index holding the same records in the
+    same order — on the ``index`` tier, the served index itself. With
+    ``next_predicate``, a sharded tier's flips build under it.
+    """
+    oracle = SimilarityIndex(predicate, tokenizer=tokenizer)
+    node = None
+    if tier == "index":
+        server = IndexServer(oracle, workers=1, query_cache=8)
+        add, rebind = oracle.add, oracle.rebind
+    else:
+        endpoints = None
+        if tier == "remote":
+            hosted = SimilarityIndex(predicate, tokenizer=tokenizer)
+            vocabulary = hosted._vocabulary
+            node = ShardServer(hosted)
+            endpoints = [f"127.0.0.1:{node.start().port}"]
+        server = ShardedIndexServer(
+            predicate,
+            shards=2 if tier == "sharded-2" else 1,
+            tokenizer=tokenizer,
+            workers=1,
+            query_cache=8,
+            shard_endpoints=endpoints,
+        )
+        if next_predicate is not None:
+            if node is None:
+                vocabulary = server._vocabulary
+
+            def factory():
+                return SimilarityIndex(
+                    next_predicate, tokenizer=tokenizer, vocabulary=vocabulary
+                )
+
+            if node is None:
+                server._make_index = factory
+            else:
+                node.index_factory = factory
+
+        def add(record):
+            server.add(record)
+            oracle.add(record)
+
+        rebind = server.reindex
+    server.start()
     try:
+        yield server, add, rebind, oracle
+    finally:
+        server.drain(timeout=WAIT)
+        if node is not None:
+            node.stop()
+
+
+def _run(tier: str, predicate, seed, queries, ops, tokenizer=None) -> None:
+    """Replay ``ops``; check each query through the server, and the
+    oracle's own extension of the previous answer to the same item
+    (whatever its binding or unknown tokens), against a full probe."""
+    with _served(tier, predicate, tokenizer) as (server, add, rebind, oracle):
+        add(seed)
+        previous = {}
         for op, value in ops:
             if op == "add":
-                index.add(value)
+                add(value)
             elif op == "rebind":
-                index.rebind()
+                rebind()
             else:
                 item = queries[value]
                 cached = server.query(item, timeout=WAIT)
-                fresh = index.query(item)
+                fresh = oracle.query(item)
                 assert _triples(cached) == _triples(fresh)
-                assert cached.records == len(index)
+                if tier == "index":
+                    assert cached.records == len(oracle)
                 if value in previous:
-                    extended = index.query(item, since=previous[value])
+                    extended = oracle.query(item, since=previous[value])
                     assert _triples(extended) == _triples(fresh)
                 previous[value] = fresh
-        stats = server.health()["cache"]
-        assert stats["patched"] <= stats["hits"]
-    finally:
-        server.drain(timeout=WAIT)
+        for stats in _cache_stats(server):
+            assert stats["patched"] <= stats["hits"]
 
 
 _RECORDS = st.lists(st.sampled_from(WORDS + LATE), min_size=1, max_size=5, unique=True)
 
 
+@pytest.mark.parametrize("tier", TIERS)
 @settings(max_examples=40, deadline=None)
 @given(
-    name=st.sampled_from(sorted(SET_PREDICATES)),
+    data=st.data(),
     seed=st.lists(st.sampled_from(WORDS), min_size=1, max_size=5, unique=True),
     ops=_ops(_RECORDS, len(QUERIES)),
 )
-def test_cached_answers_equal_fresh_probes(name, seed, ops):
-    index = SimilarityIndex(SET_PREDICATES[name])
-    index.add(seed)
-    _run(index, QUERIES, ops)
+def test_cached_answers_equal_fresh_probes(tier, data, seed, ops):
+    names = sorted(SET_PREDICATES)
+    if tier != "index":
+        names = [name for name in names if name not in PER_INDEX_STATS]
+    name = data.draw(st.sampled_from(names), label="predicate")
+    _run(tier, SET_PREDICATES[name], seed, QUERIES, ops)
 
 
+@pytest.mark.parametrize(
+    "tier,name",
+    [
+        (tier, name)
+        for tier in TIERS
+        for name in sorted(SET_PREDICATES)
+        if tier == "index" or name not in PER_INDEX_STATS
+    ],
+)
+def test_repeated_queries_across_adds_are_extended_exactly(tier, name):
+    """Every query asked again after every add: each repeat after an
+    add is an extension (``patched``), so this walks the extension path
+    on every tier, late words and a mid-run rebind or flip included."""
+    rng = random.Random(5)
+    with _served(tier, SET_PREDICATES[name]) as (server, add, rebind, oracle):
+        add(["join", "set", "index", "probe"])
+        for round_no in range(8):
+            if round_no == 4:
+                rebind()
+            for _ in range(round_no % 3 + 1):
+                add(rng.sample(WORDS + LATE, rng.randint(1, 5)))
+            for _ in range(2):
+                for item in QUERIES:
+                    cached = server.query(item, timeout=WAIT)
+                    assert _triples(cached) == _triples(oracle.query(item))
+        stats = _cache_stats(server)
+        assert sum(cache["patched"] for cache in stats) > 0
+        for cache in stats:
+            assert cache["patched"] <= cache["hits"]
+
+
+@pytest.mark.parametrize("tier", TIERS)
 @settings(max_examples=30, deadline=None)
 @given(
     ops=_ops(
@@ -131,10 +243,39 @@ def test_cached_answers_equal_fresh_probes(name, seed, ops):
         len(STRINGS),
     ),
 )
-def test_cached_edit_distance_answers_equal_fresh_probes(ops):
-    index = SimilarityIndex(EDIT, tokenizer=numbered_qgrams)
-    index.add(STRINGS[0])
-    _run(index, STRINGS, ops)
+def test_cached_edit_distance_answers_equal_fresh_probes(tier, ops):
+    _run(tier, EDIT, STRINGS[0], STRINGS, ops, tokenizer=numbered_qgrams)
+
+
+@pytest.mark.parametrize("tier", ["sharded-1", "remote"])
+def test_flip_between_lookup_and_probe_is_not_spliced(tier):
+    """A shard flipped after the cache lookup and before the probe is
+    answered by a fresh probe of the new generation: the cached answer
+    of the replaced one is not extended. The new generation binds a
+    lower threshold, so a splice would miss the old record it admits."""
+    item = ["join", "set", "index"]
+    with _served(
+        tier, JaccardPredicate(0.6), next_predicate=JaccardPredicate(0.3)
+    ) as (server, add, _rebind, _oracle):
+        for record in (item, ["join", "set"], ["join", "set", "merge", "count"]):
+            add(record)
+        first = server.query(item, timeout=WAIT)  # cached
+        add(["join", "word"])  # so the next lookup extends the entry
+        probe_shard = server._probe_shard
+        flips = []
+
+        def flip_then_probe(*args):
+            if not flips:
+                flips.append(server.reindex())
+            return probe_shard(*args)
+
+        server._probe_shard = flip_then_probe
+        answer = server.query(item, timeout=WAIT)
+        shard = server._shards[0]
+        fresh = shard.index.query(item)  # the new generation, uncached
+        assert flips and shard.cache.stats()["patched"] == 1
+        assert len(fresh) > len(first)
+        assert _triples(answer) == [(m.rid_a, 4, m.similarity) for m in fresh]
 
 
 class TestPatchAccounting:

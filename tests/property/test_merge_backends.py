@@ -22,12 +22,11 @@ from repro import (
 )
 from repro.core.accumulator import accumulate_merge, accumulate_merge_opt
 from repro.core.heap_merge import heap_merge
-from repro.core.inverted_index import PostingList
 from repro.core.join import edit_distance_join, make_algorithm
 from repro.core.merge_opt import merge_opt, split_lists
 from repro.predicates.base import WEIGHT_EPS, BandFilter, PairThreshold
 from repro.utils.counters import CostCounters
-from tests.conftest import random_dataset
+from tests.conftest import posting_list, random_dataset
 
 posting_ids = st.lists(
     st.integers(min_value=0, max_value=60), min_size=1, max_size=30, unique=True
@@ -114,13 +113,10 @@ def plans(draw):
 
 
 def build(lists_spec):
-    lists = []
-    for ids, scores, probe_score in lists_spec:
-        plist = PostingList()
-        for entity, score in zip(ids, scores):
-            plist.append(entity, score)
-        lists.append((plist, probe_score))
-    return lists
+    return [
+        (posting_list(zip(ids, scores)), probe_score)
+        for ids, scores, probe_score in lists_spec
+    ]
 
 
 def _gallop(items, target, start):

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.heap_merge import heap_merge
-from repro.core.inverted_index import PostingList
 from repro.core.merge_dynamic import merge_dynamic
 from repro.core.merge_opt import merge_opt
 from repro.utils.counters import CostCounters
+from tests.conftest import posting_list
 
 # A "probe" is a set of posting lists with scores.
 posting_ids = st.lists(
@@ -25,13 +25,10 @@ thresholds = st.floats(min_value=0.2, max_value=8.0, allow_nan=False)
 
 
 def build(lists_spec):
-    lists = []
-    for ids, entry_score, probe_score in lists_spec:
-        plist = PostingList()
-        for entity in ids:
-            plist.append(entity, entry_score)
-        lists.append((plist, probe_score))
-    return lists
+    return [
+        (posting_list((entity, entry_score) for entity in ids), probe_score)
+        for ids, entry_score, probe_score in lists_spec
+    ]
 
 
 def reference(lists_spec, threshold):

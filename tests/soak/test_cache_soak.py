@@ -1,15 +1,22 @@
-"""Soak: a cached IndexServer stays exact while an adder races readers.
+"""Soak: a cached server stays exact while an adder races readers.
 
-The server keeps its cached answers across ``add`` and extends a hit
-with a probe of the records appended since. Four reader threads repeat
-a small pool of queries — so most of their answers come from the cache,
-extended past whatever the adding thread landed meanwhile — while one
-thread adds records, some of them carrying words the pool's queries
-held before any record did. Afterwards every answer is checked against
-a brute-force Jaccard scan of the records with rid below its ``rid_b``
-(the record count it answers): a stale answer misses matches, and an
-extension applied twice or from the wrong watermark repeats or skips
-some.
+Every served index keeps its cached answers across ``add`` and extends
+a hit with a probe of the records appended since. Four reader threads
+repeat a small pool of queries — so most of their answers come from the
+cache, extended past whatever the adding thread landed meanwhile —
+while one thread adds records, some of them carrying words the pool's
+queries held before any record did. The tiers: ``IndexServer``,
+``ShardedIndexServer`` over one and two local shards, and over one
+loopback ``ShardServer`` node.
+
+Afterwards every answer is checked against a brute-force Jaccard scan.
+An ``IndexServer`` answer must equal the scan of the records with rid
+below its ``rid_b`` (the record count it answers). A sharded answer is
+gathered from shards probed one after another, so it must hold exactly
+the matches among the records added before the query was sent, and
+only true matches among those whose add began before it returned. A
+stale answer misses matches, and an extension applied twice or from
+the wrong watermark repeats or skips some.
 """
 
 import random
@@ -19,7 +26,8 @@ import time
 import pytest
 
 from repro import JaccardPredicate, SimilarityIndex
-from repro.serving import IndexServer
+from repro.serving import IndexServer, ShardedIndexServer
+from repro.serving.transport import ShardServer
 
 pytestmark = pytest.mark.soak
 
@@ -51,17 +59,43 @@ def _brute_force(query: list[str], records: list[list[str]]) -> list[tuple]:
     return found
 
 
-def test_cached_answers_match_brute_force_under_adds():
+def _serve(tier: str):
+    """``(server, add, node)``: the tier under test, started, and how
+    records reach it (``node`` is the loopback shard node, if any)."""
+    predicate = JaccardPredicate(0.5)
+    if tier == "index":
+        index = SimilarityIndex(predicate)
+        server = IndexServer(index, workers=4, query_cache=16)
+        return server.start(), index.add, None
+    node = None
+    endpoints = None
+    if tier == "remote":
+        node = ShardServer(SimilarityIndex(predicate)).start()
+        endpoints = [f"127.0.0.1:{node.port}"]
+    server = ShardedIndexServer(
+        predicate,
+        shards=2 if tier == "sharded-2" else 1,
+        workers=4,
+        query_cache=16,
+        shard_endpoints=endpoints,
+    )
+    return server.start(), server.add, node
+
+
+@pytest.mark.parametrize("tier", ["index", "sharded-1", "sharded-2", "remote"])
+def test_cached_answers_match_brute_force_under_adds(tier):
     rng = random.Random(11)
     records = [_record(rng, WORDS) for _ in range(40)]
     queries = [_record(rng, WORDS) for _ in range(6)]
     queries += [["late0", "w1", "w2"], ["late1", "late0", "w3"]]
     pending = [_record(rng, WORDS + LATE) for _ in range(N_ADDS)]
 
-    index = SimilarityIndex(JaccardPredicate(0.5))
+    server, add, node = _serve(tier)
     for record in records:
-        index.add(record)
-    server = IndexServer(index, workers=4, query_cache=16).start()
+        add(record)
+    #: Records whose add has returned; ``records`` gains each record
+    #: before its add starts.
+    added = [len(records)]
     done = threading.Event()
     errors: list[BaseException] = []
     answers: list[list] = [[] for _ in range(N_READERS)]
@@ -71,15 +105,18 @@ def test_cached_answers_match_brute_force_under_adds():
         try:
             while not done.is_set():
                 query = order.choice(queries)
-                answers[slot].append((query, server.query(query, timeout=WAIT)))
+                before = added[0]
+                answer = server.query(query, timeout=WAIT)
+                answers[slot].append((query, answer, before, len(records)))
         except BaseException as exc:  # noqa: BLE001 — fail the test
             errors.append(exc)
 
     def adder() -> None:
         try:
             for record in pending:
-                index.add(record)
                 records.append(record)
+                add(record)
+                added[0] += 1
                 time.sleep(0.001)  # let the readers hit between adds
         except BaseException as exc:  # noqa: BLE001 — fail the test
             errors.append(exc)
@@ -98,19 +135,31 @@ def test_cached_answers_match_brute_force_under_adds():
             thread.join(WAIT)
             assert not thread.is_alive(), "soak thread deadlocked"
         assert errors == []
-        stats = server.health()["cache"]
+        health = server.health()
     finally:
         done.set()
         server.drain(timeout=WAIT)
+        if node is not None:
+            node.stop()
 
     checked = 0
     for log in answers:
-        for query, answer in log:
-            seen = answer.records
-            assert all(m.rid_b == seen for m in answer)
+        for query, answer, before, started in log:
             got = [(m.rid_a, m.similarity) for m in answer]
-            assert got == _brute_force(query, records[:seen]), (query, seen)
+            if tier == "index":
+                seen = answer.records
+                assert all(m.rid_b == seen for m in answer)
+                assert got == _brute_force(query, records[:seen]), (query, seen)
+            else:
+                truth = _brute_force(query, records[:started])
+                assert [m for m in got if m[0] < before] == [
+                    m for m in truth if m[0] < before
+                ], (query, before)
+                assert all(m in truth for m in got), (query, started)
+                assert got == sorted(set(got)), query  # no repeats
             checked += 1
     assert checked >= N_READERS
-    assert stats["patched"] > 0
-    assert stats["patched"] <= stats["hits"]
+    caches = [row["cache"] for row in health.get("shards", [health])]
+    assert sum(cache["patched"] for cache in caches) > 0
+    for cache in caches:
+        assert cache["patched"] <= cache["hits"]

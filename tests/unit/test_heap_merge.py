@@ -1,23 +1,16 @@
 """Unit tests for the basic heap merge (§2.1)."""
 
 from repro.core.heap_merge import heap_merge
-from repro.core.inverted_index import PostingList
 from repro.utils.counters import CostCounters
-
-
-def make_list(entries):
-    plist = PostingList()
-    for entity_id, score in entries:
-        plist.append(entity_id, score)
-    return plist
+from tests.conftest import posting_list
 
 
 class TestHeapMerge:
     def test_accumulates_across_lists(self):
         lists = [
-            (make_list([(0, 1.0), (2, 1.0)]), 1.0),
-            (make_list([(0, 1.0), (1, 1.0)]), 1.0),
-            (make_list([(0, 1.0)]), 1.0),
+            (posting_list([(0, 1.0), (2, 1.0)]), 1.0),
+            (posting_list([(0, 1.0), (1, 1.0)]), 1.0),
+            (posting_list([(0, 1.0)]), 1.0),
         ]
         counters = CostCounters()
         out = heap_merge(lists, lambda _s: 2.0, counters)
@@ -25,31 +18,31 @@ class TestHeapMerge:
 
     def test_threshold_of_is_per_entity(self):
         lists = [
-            (make_list([(0, 1.0), (1, 1.0)]), 1.0),
-            (make_list([(0, 1.0), (1, 1.0)]), 1.0),
+            (posting_list([(0, 1.0), (1, 1.0)]), 1.0),
+            (posting_list([(0, 1.0), (1, 1.0)]), 1.0),
         ]
         # Entity 0 needs 3 (fails), entity 1 needs 2 (passes).
         out = heap_merge(lists, lambda s: 3.0 if s == 0 else 2.0, CostCounters())
         assert out == [(1, 2.0)]
 
     def test_scores_multiply(self):
-        lists = [(make_list([(0, 2.0)]), 3.0)]
+        lists = [(posting_list([(0, 2.0)]), 3.0)]
         out = heap_merge(lists, lambda _s: 6.0, CostCounters())
         assert out == [(0, 6.0)]
 
     def test_accept_filter_skips_entities(self):
         lists = [
-            (make_list([(0, 1.0), (1, 1.0), (2, 1.0)]), 1.0),
-            (make_list([(0, 1.0), (1, 1.0), (2, 1.0)]), 1.0),
+            (posting_list([(0, 1.0), (1, 1.0), (2, 1.0)]), 1.0),
+            (posting_list([(0, 1.0), (1, 1.0), (2, 1.0)]), 1.0),
         ]
         out = heap_merge(lists, lambda _s: 2.0, CostCounters(), accept=lambda s: s != 1)
         assert out == [(0, 2.0), (2, 2.0)]
 
     def test_results_in_increasing_id_order(self):
         lists = [
-            (make_list([(3, 1.0), (7, 1.0)]), 1.0),
-            (make_list([(1, 1.0), (3, 1.0), (7, 1.0)]), 1.0),
-            (make_list([(3, 1.0), (7, 1.0)]), 1.0),
+            (posting_list([(3, 1.0), (7, 1.0)]), 1.0),
+            (posting_list([(1, 1.0), (3, 1.0), (7, 1.0)]), 1.0),
+            (posting_list([(3, 1.0), (7, 1.0)]), 1.0),
         ]
         out = heap_merge(lists, lambda _s: 2.0, CostCounters())
         assert [entity for entity, _w in out] == [3, 7]
@@ -59,8 +52,8 @@ class TestHeapMerge:
 
     def test_counters_track_pops(self):
         lists = [
-            (make_list([(0, 1.0), (1, 1.0)]), 1.0),
-            (make_list([(0, 1.0)]), 1.0),
+            (posting_list([(0, 1.0), (1, 1.0)]), 1.0),
+            (posting_list([(0, 1.0)]), 1.0),
         ]
         counters = CostCounters()
         heap_merge(lists, lambda _s: 1.0, counters)
@@ -69,7 +62,7 @@ class TestHeapMerge:
         assert counters.candidates_checked == 2
 
     def test_single_list_every_entry_is_candidate(self):
-        lists = [(make_list([(0, 1.0), (5, 1.0), (9, 1.0)]), 1.0)]
+        lists = [(posting_list([(0, 1.0), (5, 1.0), (9, 1.0)]), 1.0)]
         out = heap_merge(lists, lambda _s: 1.0, CostCounters())
         assert out == [(0, 1.0), (5, 1.0), (9, 1.0)]
 
@@ -140,7 +133,7 @@ class TestCounterIdentity:
         for _ in range(rng.randint(1, 8)):
             ids = sorted(rng.sample(range(40), rng.randint(1, 15)))
             entries = [(entity, rng.uniform(0.2, 2.0)) for entity in ids]
-            lists.append((make_list(entries), rng.uniform(0.2, 2.0)))
+            lists.append((posting_list(entries), rng.uniform(0.2, 2.0)))
         return lists
 
     def test_counters_and_results_identical_to_reference(self):

@@ -9,19 +9,10 @@ from repro.utils.counters import CostCounters
 
 
 class TestPostingList:
-    def test_append_keeps_order_and_max(self):
-        plist = PostingList()
-        plist.append(1, 0.5)
-        plist.append(4, 2.0)
-        plist.append(9, 1.0)
-        assert list(plist.ids) == [1, 4, 9]
-        assert plist.max_score == 2.0
-        assert plist.min_score == 0.5
-
     def test_min_score_bounds_every_score(self):
         plist = PostingList()
         assert plist.min_score == math.inf
-        plist.append(2, 1.0)
+        plist.insert_sorted(2, 1.0)
         assert plist.min_score == plist.max_score == 1.0
         plist.insert_sorted(1, 0.75)
         assert plist.min_score == 0.75
@@ -30,18 +21,10 @@ class TestPostingList:
         assert list(plist.scores) == [1.0, 1.0]
         assert plist.min_score == 0.75
 
-    def test_append_rejects_out_of_order(self):
-        plist = PostingList()
-        plist.append(5, 1.0)
-        with pytest.raises(ValueError):
-            plist.append(5, 1.0)
-        with pytest.raises(ValueError):
-            plist.append(3, 1.0)
-
     def test_insert_sorted_middle(self):
         plist = PostingList()
-        plist.append(1, 1.0)
-        plist.append(9, 1.0)
+        plist.insert_sorted(1, 1.0)
+        plist.insert_sorted(9, 1.0)
         plist.insert_sorted(5, 3.0)
         assert list(plist.ids) == [1, 5, 9]
         assert list(plist.scores) == [1.0, 3.0, 1.0]
@@ -49,14 +32,14 @@ class TestPostingList:
 
     def test_insert_sorted_existing_raises_score(self):
         plist = PostingList()
-        plist.append(5, 1.0)
+        plist.insert_sorted(5, 1.0)
         plist.insert_sorted(5, 2.0)
         assert list(plist.ids) == [5]
         assert list(plist.scores) == [2.0]
 
     def test_insert_sorted_existing_never_lowers_score(self):
         plist = PostingList()
-        plist.append(5, 2.0)
+        plist.insert_sorted(5, 2.0)
         plist.insert_sorted(5, 1.0)
         assert list(plist.scores) == [2.0]
 
@@ -125,13 +108,11 @@ class TestScoredInvertedIndex:
 
 
 class TestSealedPostings:
-    def test_seal_rejects_append_and_insert(self):
+    def test_seal_rejects_insert_sorted(self):
         plist = PostingList()
-        plist.append(1, 1.0)
-        plist.seal()
+        plist.insert_sorted(1, 1.0)
+        assert plist.seal() is plist
         assert plist.sealed
-        with pytest.raises(ValueError):
-            plist.append(2, 1.0)
         with pytest.raises(ValueError):
             plist.insert_sorted(0, 1.0)
 
@@ -140,7 +121,7 @@ class TestSealedPostings:
         index.insert(0, (1, 2), (1.0, 1.0), norm=2.0)
         assert index.seal() is index
         with pytest.raises(ValueError):
-            index.get(1).append(5, 1.0)
+            index.get(1).insert_sorted(5, 1.0)
 
     def test_index_insert_rejects_after_seal(self):
         index = ScoredInvertedIndex()

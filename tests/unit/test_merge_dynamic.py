@@ -3,20 +3,13 @@
 import random
 
 from repro.core.heap_merge import heap_merge
-from repro.core.inverted_index import PostingList
 from repro.core.merge_dynamic import merge_dynamic
 from repro.utils.counters import CostCounters
-
-
-def make_list(entries):
-    plist = PostingList()
-    for entity_id, score in entries:
-        plist.append(entity_id, score)
-    return plist
+from tests.conftest import posting_list
 
 
 def unit_lists(id_lists):
-    return [(make_list([(i, 1.0) for i in ids]), 1.0) for ids in id_lists]
+    return [(posting_list([(i, 1.0) for i in ids]), 1.0) for ids in id_lists]
 
 
 def collect_all(lists, initial, cap):
@@ -46,7 +39,7 @@ class TestMergeDynamicStatic:
             lists = []
             for _ in range(rng.randint(1, 7)):
                 ids = sorted(rng.sample(range(30), rng.randint(1, 20)))
-                lists.append((make_list([(i, 1.0) for i in ids]), 1.0))
+                lists.append((posting_list([(i, 1.0) for i in ids]), 1.0))
             threshold = rng.uniform(1.0, 4.0)
             expected = heap_merge(lists, lambda _s: threshold, CostCounters())
             got = collect_all(lists, threshold, threshold)
@@ -61,7 +54,7 @@ class TestMergeDynamicRaising:
             lists = []
             for _ in range(rng.randint(2, 7)):
                 ids = sorted(rng.sample(range(30), rng.randint(2, 20)))
-                lists.append((make_list([(i, 1.0) for i in ids]), 1.0))
+                lists.append((posting_list([(i, 1.0) for i in ids]), 1.0))
             cap = rng.uniform(1.5, 4.0)
             initial = cap * 0.2
             truth = {

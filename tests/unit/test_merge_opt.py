@@ -3,20 +3,13 @@
 import random
 
 from repro.core.heap_merge import heap_merge
-from repro.core.inverted_index import PostingList
 from repro.core.merge_opt import merge_opt, split_lists
 from repro.utils.counters import CostCounters
-
-
-def make_list(entries):
-    plist = PostingList()
-    for entity_id, score in entries:
-        plist.append(entity_id, score)
-    return plist
+from tests.conftest import posting_list
 
 
 def unit_lists(id_lists):
-    return [(make_list([(i, 1.0) for i in ids]), 1.0) for ids in id_lists]
+    return [(posting_list([(i, 1.0) for i in ids]), 1.0) for ids in id_lists]
 
 
 class TestSplitLists:
@@ -51,9 +44,9 @@ class TestMergeOpt:
         # One huge list + two tiny ones; threshold 2 puts the huge list in L.
         huge = [(i, 1.0) for i in range(1000)]
         lists = [
-            (make_list(huge), 1.0),
-            (make_list([(5, 1.0), (999, 1.0)]), 1.0),
-            (make_list([(5, 1.0)]), 1.0),
+            (posting_list(huge), 1.0),
+            (posting_list([(5, 1.0), (999, 1.0)]), 1.0),
+            (posting_list([(5, 1.0)]), 1.0),
         ]
         counters = CostCounters()
         out = merge_opt(lists, 2.0, lambda _s: 2.0, counters)
@@ -67,9 +60,9 @@ class TestMergeOpt:
         # Candidate weight 1 from S; two L lists of weight 1 each;
         # threshold 3.5 unreachable -> candidate dropped.
         lists = [
-            (make_list([(7, 1.0), (8, 1.0)]), 1.0),
-            (make_list([(7, 1.0), (9, 1.0)]), 1.0),
-            (make_list([(7, 1.0)]), 1.0),
+            (posting_list([(7, 1.0), (8, 1.0)]), 1.0),
+            (posting_list([(7, 1.0), (9, 1.0)]), 1.0),
+            (posting_list([(7, 1.0)]), 1.0),
         ]
         out = merge_opt(lists, 3.5, lambda _s: 3.5, CostCounters())
         assert out == []
@@ -79,9 +72,9 @@ class TestMergeOpt:
         # must still be added for the reported weight.
         long = [(i, 1.0) for i in range(50)]
         lists = [
-            (make_list(long), 1.0),
-            (make_list([(10, 1.0)]), 1.0),
-            (make_list([(10, 1.0)]), 1.0),
+            (posting_list(long), 1.0),
+            (posting_list([(10, 1.0)]), 1.0),
+            (posting_list([(10, 1.0)]), 1.0),
         ]
         out = merge_opt(lists, 2.0, lambda _s: 2.0, CostCounters())
         assert out == [(10, 3.0)]
@@ -101,7 +94,7 @@ class TestMergeOpt:
             lists = []
             for _ in range(n_lists):
                 ids = sorted(rng.sample(range(40), rng.randint(1, 25)))
-                lists.append((make_list([(i, 1.0) for i in ids]), 1.0))
+                lists.append((posting_list([(i, 1.0) for i in ids]), 1.0))
             threshold = rng.uniform(1.0, 5.0)
             expected = heap_merge(lists, lambda _s: threshold, CostCounters())
             got = merge_opt(lists, threshold, lambda _s: threshold, CostCounters())
@@ -115,7 +108,7 @@ class TestMergeOpt:
             for _ in range(n_lists):
                 ids = sorted(rng.sample(range(30), rng.randint(1, 20)))
                 entries = [(i, rng.uniform(0.1, 2.0)) for i in ids]
-                lists.append((make_list(entries), rng.uniform(0.1, 2.0)))
+                lists.append((posting_list(entries), rng.uniform(0.1, 2.0)))
             threshold = rng.uniform(0.5, 4.0)
             expected = {
                 e: w for e, w in heap_merge(lists, lambda _s: threshold, CostCounters())

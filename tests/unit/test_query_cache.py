@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import OverlapPredicate
-from repro.core.service import SimilarityIndex
+from repro.core.service import QueryAnswer, SimilarityIndex
 from repro.serving import IndexServer, QueryCache, ShardedIndexServer
 from repro.text.tokenizers import tokenize_words
 
@@ -32,6 +32,11 @@ def _index(**kwargs) -> SimilarityIndex:
     return index
 
 
+def _answer(records: int) -> QueryAnswer:
+    """A cached answer over ``records`` records (its pairs don't matter)."""
+    return QueryAnswer((), records=records, binding=7)
+
+
 class TestQueryCache:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -45,61 +50,84 @@ class TestQueryCache:
     def test_hit_after_store(self):
         cache = QueryCache(4)
         key = QueryCache.key_for("q")
-        assert cache.lookup(key, 1) == (False, None)
-        cache.store(key, 1, ["result"])
-        assert cache.lookup(key, 1) == (True, ["result"])
+        assert cache.lookup(key, 1, 3) == (None, None)
+        result = _answer(3)
+        cache.store(key, 1, result)
+        answer, since = cache.lookup(key, 1, 3)
+        assert answer is result and since is None
         stats = cache.stats()
         assert (stats["hits"], stats["misses"]) == (1, 1)
 
     def test_lru_eviction_order(self):
         cache = QueryCache(2)
-        cache.lookup(QueryCache.key_for("a"), 0)  # pin generation 0
+        cache.lookup(QueryCache.key_for("a"), 0, 0)  # pin stamp 0
+        answers = {name: _answer(0) for name in "abc"}
         for name in ("a", "b"):
-            cache.store(QueryCache.key_for(name), 0, name)
+            cache.store(QueryCache.key_for(name), 0, answers[name])
         # Touch "a" so "b" becomes least recently used, then overflow.
-        assert cache.lookup(QueryCache.key_for("a"), 0)[0]
-        cache.store(QueryCache.key_for("c"), 0, "c")
-        assert cache.lookup(QueryCache.key_for("b"), 0) == (False, None)
-        assert cache.lookup(QueryCache.key_for("a"), 0) == (True, "a")
+        assert cache.lookup(QueryCache.key_for("a"), 0, 0)[0] is answers["a"]
+        cache.store(QueryCache.key_for("c"), 0, answers["c"])
+        assert cache.lookup(QueryCache.key_for("b"), 0, 0) == (None, None)
+        assert cache.lookup(QueryCache.key_for("a"), 0, 0)[0] is answers["a"]
         assert cache.stats()["size"] == 2
 
-    def test_generation_change_flushes(self):
+    def test_stamp_change_flushes(self):
         cache = QueryCache(4)
-        cache.lookup(QueryCache.key_for("q"), 1)  # pin generation 1
-        cache.store(QueryCache.key_for("q"), 1, "old")
-        assert cache.lookup(QueryCache.key_for("q"), 2) == (False, None)
+        cache.lookup(QueryCache.key_for("q"), 1, 0)  # pin stamp 1
+        cache.store(QueryCache.key_for("q"), 1, _answer(0))
+        assert cache.lookup(QueryCache.key_for("q"), 2, 0) == (None, None)
         assert cache.stats()["invalidations"] == 1
-        # The flushed entry must not resurface at the old generation
-        # either: the cache now tracks generation 2.
-        assert cache.lookup(QueryCache.key_for("q"), 2) == (False, None)
+        # The flushed entry must not resurface at the old stamp either:
+        # the cache now tracks stamp 2.
+        assert cache.lookup(QueryCache.key_for("q"), 2, 0) == (None, None)
 
-    def test_reusable_vets_found_entries(self):
+    def test_record_count_vets_found_entries(self):
         cache = QueryCache(4)
-        key = QueryCache.key_for("q")
-        cache.lookup(key, 0)  # pin generation 0
-        cache.store(key, 0, "old")
-        assert cache.lookup(key, 0, lambda result: False) == (False, None)
-        assert cache.lookup(key, 0, lambda result: True) == (True, "old")
-        cache.store(key, 0, "extended", patched=True)
-        assert cache.lookup(key, 0) == (True, "extended")
+        open_key, closed_key = QueryCache.key_for("open"), QueryCache.key_for("shut")
+        cache.lookup(open_key, 0, 2)  # pin stamp 0
+        extendable = _answer(2)
+        closed = QueryAnswer((), records=2, binding=7, extendable=False)
+        cache.store(open_key, 0, extendable)
+        cache.store(closed_key, 0, closed)
+        # Answers every record: served as is, extendable or not.
+        for key, entry in ((open_key, extendable), (closed_key, closed)):
+            answer, since = cache.lookup(key, 0, 2)
+            assert answer is entry and since is None
+        # Records appended since: extend it, or miss when it cannot be.
+        answer, since = cache.lookup(open_key, 0, 3)
+        assert answer is None and since is extendable
+        assert cache.lookup(closed_key, 0, 3) == (None, None)
         stats = cache.stats()
-        assert (stats["hits"], stats["misses"], stats["patched"]) == (2, 2, 1)
+        assert (stats["hits"], stats["misses"], stats["patched"]) == (3, 2, 1)
+        assert stats["size"] == 2  # the unextendable entry stays
 
     def test_stale_store_dropped(self):
         cache = QueryCache(4)
-        cache.lookup(QueryCache.key_for("x"), 5)  # pin generation 5
-        cache.store(QueryCache.key_for("q"), 4, "stale")
-        assert cache.lookup(QueryCache.key_for("q"), 5) == (False, None)
+        cache.lookup(QueryCache.key_for("x"), 5, 0)  # pin stamp 5
+        cache.store(QueryCache.key_for("q"), 4, _answer(0))
+        assert cache.lookup(QueryCache.key_for("q"), 5, 0) == (None, None)
 
 
-class TestIndexGeneration:
-    def test_add_and_rebind_bump(self):
+class TestIndexBinding:
+    def test_rebind_moves_the_stamp_and_add_keeps_it(self):
         index = _index()
-        before = index.generation
+        before = index.binding
         index.add("one more record here")
-        assert index.generation == before + 1
+        assert index.binding == before
         index.rebind()
-        assert index.generation == before + 2
+        assert index.binding not in (0, before)
+
+    def test_no_two_indexes_share_a_stamp(self):
+        # Built alike, two indexes still bind to different stamps, so
+        # neither takes the other's answer for its own to extend.
+        assert _index().binding != _index().binding
+        first = _index()
+        second = SimilarityIndex(OverlapPredicate(2), tokenizer=tokenize_words)
+        for text in reversed(TEXTS):
+            second.add(text)
+        old, fresh = first.query(TEXTS[0]), second.query(TEXTS[0])
+        assert old.records == fresh.records and old != fresh
+        assert second.query(TEXTS[0], since=old) == fresh
 
 
 class TestServerCache:

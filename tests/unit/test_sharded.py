@@ -268,7 +268,7 @@ class TestFaultDomains:
         finally:
             server.drain(timeout=WAIT)
 
-    def test_add_invalidates_only_the_owning_shards_cache(self):
+    def test_add_patches_only_the_owning_shards_cache(self):
         server = _server(query_cache=8)
         try:
             server.query(PROBE, timeout=WAIT)  # warm every shard's cache
@@ -277,9 +277,14 @@ class TestFaultDomains:
             result = server.query(PROBE, timeout=WAIT)
             # Correctness first: the new record is matched immediately.
             assert any(m.rid_a == rid for m in result)
+            # Every shard hits; only the owner's hit is extended past
+            # the append (a patched hit), the others serve as is.
             for row in server.health()["shards"]:
-                expected_hits = 0 if row["shard"] == owner else 1
-                assert row["cache"]["hits"] == expected_hits
+                expected_patched = 1 if row["shard"] == owner else 0
+                cache = row["cache"]
+                assert (cache["hits"], cache["misses"]) == (1, 1)
+                assert cache["patched"] == expected_patched
+                assert cache["invalidations"] == 0
         finally:
             server.drain(timeout=WAIT)
 
@@ -509,7 +514,7 @@ class TestServerLifecycle:
             assert len(health["shards"]) == 3
             for row in health["shards"]:
                 assert set(row) == {
-                    "shard", "records", "epoch", "generation", "breaker",
+                    "shard", "records", "epoch", "binding", "breaker",
                     "cache", "latency", "probes", "hedges", "hedge_wins",
                     "failures", "remote", "retries", "reconnects",
                     "quarantined",

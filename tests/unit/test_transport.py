@@ -3,14 +3,16 @@
 Every test runs a genuine TCP loopback server — no mocked sockets —
 because the contract under test is precisely the cross-process one:
 typed errors for every failure mode (connect refused, deadline expiry,
-corrupt frames), pair-exact answers, generation stamps that move with
-the remote index, and reconnect/retry accounting the sharded tier's
+corrupt frames), pair-exact answers and extensions, bind stamps that
+move with the remote index, and reconnect/retry accounting the sharded tier's
 health report surfaces.
 """
 
 import itertools
 import socket
+import struct
 import threading
+import zlib
 
 import pytest
 
@@ -96,28 +98,87 @@ class TestRoundTrips:
                 assert health["errors"] == 0
                 assert health["uptime"] >= 0
 
-    def test_ping_and_generation_stamp_track_the_node(self):
-        with ShardServer(_index()) as node:
+    def test_ping_and_bind_stamp_track_the_node(self):
+        with ShardServer(_index([])) as node:
             with RemoteShardClient(*node.address) as client:
-                assert client.generation == (0, 0)  # nothing seen yet
-                epoch, generation = client.ping()
-                assert epoch == 0
-                assert client.generation == (0, generation)
-                before = client.generation
-                client.add("fresh record tokens")
+                assert client.binding == 0  # nothing seen yet
+                assert client.ping() == (0, 0)  # nothing bound yet
+                client.add("fresh record tokens")  # the first add binds
                 # The very response that staled the stamp refreshed it.
-                assert client.generation != before
+                assert client.binding == node.index.binding != 0
+                assert client.ping() == (0, client.binding)
+                client.add("another record")  # appends keep the stamp
+                assert client.binding == node.index.binding
 
     def test_remote_reindex_flips_the_node_epoch(self):
         with ShardServer(_index()) as node:
             with RemoteShardClient(*node.address) as client:
                 baseline = _fingerprint(client.query("alpha beta gamma"))
+                before = client.binding
                 report = client.reindex(timeout=WAIT)
                 assert report["flipped"] is True
                 assert node.epoch == 1
-                assert client.generation[0] == 1
+                assert client.binding == node.index.binding != before
                 # Answers are identical across the flip.
                 assert _fingerprint(client.query("alpha beta gamma")) == baseline
+
+    def test_query_answer_fields_and_extension_round_trip(self):
+        local = _index()
+        with ShardServer(_index()) as node:
+            with RemoteShardClient(*node.address) as client:
+                probe = "alpha beta gamma"
+                old = client.query(probe)
+                assert (old.records, old.extendable) == (len(CORPUS), True)
+                assert old.binding == node.index.binding == client.binding
+                for text in ("alpha beta gamma zeta", "theta iota"):
+                    assert client.add(text) == local.add(text)
+                served = node.requests["query"]
+                extended = client.query(probe, since=old)
+                assert node.requests["query"] == served + 1
+                assert _fingerprint(extended) == _fingerprint(local.query(probe))
+                assert extended.records == len(CORPUS) + 2
+                assert len(extended) == len(old) + 1
+                # An answer with a token the node lacked is re-probed.
+                unknown = client.query("alpha beta kappa")
+                assert not unknown.extendable
+                client.add("kappa alpha")
+                local.add("kappa alpha")
+                assert _fingerprint(
+                    client.query("alpha beta kappa", since=unknown)
+                ) == _fingerprint(local.query("alpha beta kappa"))
+
+    def test_malformed_since_is_refused_not_retried(self):
+        with ShardServer(_index()) as node:
+            client = RemoteShardClient(
+                *node.address,
+                retry_policy=RetryPolicy(
+                    max_attempts=3, base_delay=0.01, sleep=lambda s: None
+                ),
+            )
+            try:
+                for since in ([5], [-1, 1], ["5", 1], {"records": 5}):
+                    body = wire.encode_json({"item": "alpha", "since": since})
+                    with pytest.raises(WireProtocolError, match="malformed since"):
+                        client._call(wire.OP_QUERY, body)
+                assert client.retries == 0
+                assert _fingerprint(client.query("alpha beta"))  # still served
+            finally:
+                client.close()
+
+    def test_answer_of_a_replaced_generation_is_not_extended(self):
+        # The replacement binds with a lower threshold: splicing the old
+        # answer would miss the matches only the new index admits.
+        lower = lambda: SimilarityIndex(  # noqa: E731
+            JaccardPredicate(0.1), tokenizer=tokenize_words
+        )
+        with ShardServer(_index(), index_factory=lower) as node:
+            with RemoteShardClient(*node.address) as client:
+                old = client.query("alpha beta")
+                client.reindex(timeout=WAIT)
+                fresh = node.index.query("alpha beta")
+                assert len(fresh) > len(old)
+                got = client.query("alpha beta", since=old)
+                assert _fingerprint(got) == _fingerprint(fresh)
 
 
 class TestIdempotentAdd:
@@ -365,6 +426,69 @@ class TestFailureTyping:
                 assert _fingerprint(client.query(CORPUS[0]))  # still served
             finally:
                 client.close()
+
+
+    def test_version_1_request_is_refused_typed(self):
+        with ShardServer(_index()) as node:
+            raw = socket.create_connection(node.address, timeout=5.0)
+            header = wire.HEADER.pack(
+                wire.MAGIC, 1, wire.OP_PING, 0, 7, -1.0, 0, 0, 0
+            )
+            raw.sendall(header + struct.pack(">I", zlib.crc32(header)))
+            frame = wire.read_frame(wire.socket_reader(raw))
+            assert frame.is_error and frame.request_id == 0
+            record = wire.decode_error(frame.payload)
+            assert record["name"] == "WireProtocolError"
+            assert "version 1" in record["message"]
+            assert raw.recv(1) == b""  # connection dropped
+            raw.close()
+
+    def test_version_1_peer_is_not_retried(self):
+        """A node still speaking version 1 answers in v1 frames: the
+        client refuses them once, as the non-retryable protocol error."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+        dialed = []
+
+        def v1_node():
+            while True:
+                try:
+                    conn, _peer = listener.accept()
+                except OSError:
+                    return
+                dialed.append(conn)
+                request = wire.read_frame(wire.socket_reader(conn))
+                header = wire.HEADER.pack(
+                    wire.MAGIC, 1, request.op, wire.FLAG_RESPONSE,
+                    request.request_id, -1.0, 0, 1, 4,
+                )
+                body = struct.pack(">I", 0)
+                crc = zlib.crc32(body, zlib.crc32(header))
+                conn.sendall(header + body + struct.pack(">I", crc))
+
+        thread = threading.Thread(target=v1_node, daemon=True)
+        thread.start()
+        client = RemoteShardClient(
+            "127.0.0.1",
+            listener.getsockname()[1],
+            retry_policy=RetryPolicy(
+                max_attempts=3, base_delay=0.01, sleep=lambda s: None
+            ),
+        )
+        try:
+            with pytest.raises(WireProtocolError, match="version 1") as info:
+                client.query("alpha beta")
+            assert not isinstance(info.value, OSError)
+            assert client.retries == 0
+            assert len(dialed) == 1
+        finally:
+            client.close()
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+            listener.close()
+            thread.join(WAIT)
+            for conn in dialed:
+                conn.close()
 
 
 class TestFaultRecovery:

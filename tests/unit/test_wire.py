@@ -10,10 +10,12 @@ rejected before any allocation or dispatch happens.
 """
 
 import struct
+import zlib
 
 import pytest
 
 from repro.core.results import MatchPair
+from repro.core.service import QueryAnswer
 from repro.runtime.errors import (
     FrameChecksumError,
     JoinTimeout,
@@ -46,14 +48,14 @@ class TestFrameRoundTrip:
             deadline=2.5,
             flags=wire.FLAG_RESPONSE,
             epoch=3,
-            generation=41,
+            binding=41,
         )
         frame = _roundtrip(raw)
         assert frame.op == wire.OP_QUERY
         assert frame.request_id == 7
         assert frame.deadline == 2.5
         assert frame.epoch == 3
-        assert frame.generation == 41
+        assert frame.binding == 41
         assert frame.payload == b"payload-bytes"
         assert frame.is_response and not frame.is_error
 
@@ -118,6 +120,16 @@ class TestCorruptionDetection:
         with pytest.raises(WireProtocolError, match="version"):
             _roundtrip(header + crc)
 
+    def test_version_1_frame_is_refused(self):
+        # Version 1 had this very header layout (``binding`` was
+        # ``generation``); a v1 peer's intact frame is a protocol error.
+        assert wire.VERSION == 2
+        header = wire.HEADER.pack(wire.MAGIC, 1, wire.OP_QUERY, 0, 7, -1.0, 0, 3, 0)
+        crc = struct.pack(">I", zlib.crc32(header) & 0xFFFFFFFF)
+        with pytest.raises(WireProtocolError, match="version 1") as info:
+            _roundtrip(header + crc)
+        assert not isinstance(info.value, OSError)  # not retryable
+
     def test_absurd_length_rejected_before_allocation(self):
         header = wire.HEADER.pack(
             wire.MAGIC, wire.VERSION, wire.OP_PING, 0, 0, -1.0, 0, 0,
@@ -177,6 +189,23 @@ class TestMatchCodec:
             wire.decode_matches(data[:-4])
         with pytest.raises(WireProtocolError, match="truncated"):
             wire.decode_matches(b"\x00")
+
+
+class TestAnswerCodec:
+    def test_answer_fields_roundtrip(self):
+        pairs = TestMatchCodec.PAIRS
+        for extendable, extended in ((True, False), (False, False), (True, True)):
+            sent = QueryAnswer(pairs, 2**40, 0xFFFFFFFF, extendable)
+            got, flag = wire.decode_answer(wire.encode_answer(sent, extended))
+            assert isinstance(got, QueryAnswer) and got == pairs
+            assert (got.records, got.binding) == (2**40, 0xFFFFFFFF)
+            assert (got.extendable, flag) == (extendable, extended)
+
+    def test_truncated_answer_is_typed(self):
+        data = wire.encode_answer(QueryAnswer(TestMatchCodec.PAIRS, 3, 1), False)
+        for cut in (data[:5], data[:-4]):
+            with pytest.raises(WireProtocolError, match="truncated"):
+                wire.decode_answer(cut)
 
 
 class TestErrorCodec:
