@@ -14,7 +14,9 @@ empties the cache. The stamp moves on a rebind or a flip, never on an
 ``add``: appends change no indexed record, so an entry stays exact for
 the records it answers and a probe of the appended records extends it.
 An entry that cannot be extended (its query had a token the index
-lacked) is a miss.
+lacked) scores that token by an id past the end of the vocabulary, so
+it is a miss once the index has more records or the vocabulary has
+grown — shards sharing one vocabulary grow it on each other's adds.
 
 Thread-safety: all operations take the cache's own lock, never the
 index's, so cache hits don't touch the read lock at all (that is the
@@ -71,13 +73,16 @@ class QueryCache:
         except TypeError:
             return None
 
-    def lookup(self, key: tuple, stamp, records: int):
+    def lookup(self, key: tuple, stamp, records: int, vocabulary: int = 0):
         """Look up and vet: ``(answer, since)``; a new stamp flushes first.
 
         ``answer`` is an entry answering all the index's ``records``,
         to serve as is. An entry answering fewer is ``since``, to
         extend — a hit, counted in ``patched`` — or, when it cannot be
-        extended, a miss (it stays until replaced).
+        extended, a miss (it stays until replaced). An entry that
+        cannot be extended is also a miss when ``vocabulary`` (the
+        size of the token-id space) differs from the one it was stored
+        with.
         """
         with self._lock:
             if self._stamp != stamp:
@@ -85,8 +90,11 @@ class QueryCache:
                     self._invalidations += 1
                     self._entries.clear()
                 self._stamp = stamp
-            entry = self._entries.get(key)
-            if entry is None or (entry.records < records and not entry.extendable):
+            entry, seen = self._entries.get(key, (None, None))
+            if entry is None or (
+                not entry.extendable
+                and (entry.records < records or seen != vocabulary)
+            ):
                 self._misses += 1
                 return None, None
             self._entries.move_to_end(key)
@@ -96,12 +104,17 @@ class QueryCache:
             self._patched += 1
             return None, entry
 
-    def store(self, key: tuple, stamp, answer) -> None:
-        """Insert a computed answer; dropped when the index moved on."""
+    def store(self, key: tuple, stamp, answer, vocabulary: int = 0) -> None:
+        """Insert a computed answer; dropped when the index moved on.
+
+        ``vocabulary`` is the token-id space's size read *before* the
+        probe: a vocabulary grown during it makes the entry look older
+        than it is, which only costs a miss.
+        """
         with self._lock:
             if self._stamp != stamp:
                 return
-            self._entries[key] = answer
+            self._entries[key] = (answer, vocabulary)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

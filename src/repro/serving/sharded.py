@@ -676,8 +676,9 @@ class ShardedIndexServer(_QueueServer):
 
         # Scatter: consult each shard's cache (its record count from the
         # global-rid map, which gains a row before the shard gains the
-        # record), then launch the misses and the extensions onto their
-        # shards' pools concurrently.
+        # record, and the shared vocabulary's size, which any shard's
+        # add may grow), then launch the misses and the extensions onto
+        # their shards' pools concurrently.
         results: dict[int, list[MatchPair]] = {}
         pending: list[tuple[_Shard, Future, object]] = []
         failed: list[int] = []
@@ -693,7 +694,7 @@ class ShardedIndexServer(_QueueServer):
             if key is not None:
                 _, stamp = shard.current()
                 answer, since = shard.cache.lookup(
-                    key, stamp, len(shard.global_rids)
+                    key, stamp, len(shard.global_rids), len(self._vocabulary)
                 )
                 if answer is not None:
                     results[shard.sid] = answer
@@ -754,7 +755,8 @@ class ShardedIndexServer(_QueueServer):
 
         Returns the shard-*local* answer, extending ``since`` when the
         index can; stores it stamped with the (epoch, binding) pair read
-        when the index reference was grabbed. A flip since the lookup
+        when the index reference was grabbed, and with the shared
+        vocabulary's size read then too. A flip since the lookup
         hands ``since`` to an index of another binding, which probes in
         full; one after the grab moves the stamp and drops the store.
         """
@@ -765,6 +767,7 @@ class ShardedIndexServer(_QueueServer):
                 shard.name, f"quarantined: {shard.quarantined}"
             )
         index, stamp = shard.current()
+        vocabulary = len(self._vocabulary)
         started = self.clock()
 
         def attempt():
@@ -789,7 +792,7 @@ class ShardedIndexServer(_QueueServer):
         )
         shard.latency.observe(self.clock() - started)
         if key is not None:
-            shard.cache.store(key, stamp, local)
+            shard.cache.store(key, stamp, local, vocabulary)
         return local
 
     def _await_shard(

@@ -247,6 +247,20 @@ def test_cached_edit_distance_answers_equal_fresh_probes(tier, ops):
     _run(tier, EDIT, STRINGS[0], STRINGS, ops, tokenizer=numbered_qgrams)
 
 
+def test_unknown_token_answer_goes_stale_on_another_shards_add():
+    """Two local shards share one vocabulary: an add routed to one grows
+    it for both, moving the ephemeral ids of the other shard's cached
+    unknown-token answer, though that shard gained no record."""
+    item = ["probe", "merge", "count", "word"]
+    with _served("sharded-2", SET_PREDICATES["cosine-stats"]) as (
+        server, add, _rebind, oracle,
+    ):
+        add(["join", "set", "probe", "merge"])
+        assert _triples(server.query(item, timeout=WAIT)) == _triples(oracle.query(item))
+        add(["join", "index"])  # the other shard; "index" is new
+        assert _triples(server.query(item, timeout=WAIT)) == _triples(oracle.query(item))
+
+
 @pytest.mark.parametrize("tier", ["sharded-1", "remote"])
 def test_flip_between_lookup_and_probe_is_not_spliced(tier):
     """A shard flipped after the cache lookup and before the probe is
