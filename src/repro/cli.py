@@ -655,6 +655,15 @@ def _print_serve_health(server) -> None:
     def _ms(seconds: float | None) -> str:
         return "-" if seconds is None else f"{seconds * 1000.0:.1f}ms"
 
+    # One cache, or each shard's own (remote ones included), summed.
+    rows = health["shards"] if "shards" in health else [health]
+    caches = [row["cache"] for row in rows if row["cache"] is not None]
+    cache_note = ""
+    if caches:
+        hits = sum(cache["hits"] for cache in caches)
+        lookups = hits + sum(cache["misses"] for cache in caches)
+        cache_note = f" cache {hits}/{lookups} hits,"
+
     if "shards" in health:
         latency = health["latency"]
         partial = health["partial"]
@@ -689,6 +698,7 @@ def _print_serve_health(server) -> None:
             f" retries={retries},"
             f"{remote_note}"
             f"{hedge_note}"
+            f"{cache_note}"
             f" p50 {_ms(latency['p50_seconds'])}, p99 {_ms(latency['p99_seconds'])},"
             f" breakers={','.join(breaker_states)},"
             f" unknown_query_tokens={counters.get('unknown_query_tokens', 0)}",
@@ -700,12 +710,6 @@ def _print_serve_health(server) -> None:
     breaker = health["breaker"]
     counters = health["index"]["counters"]
     pool = health["pool"]
-    cache = health["cache"]
-    cache_note = (
-        f" cache {cache['hits']}/{cache['hits'] + cache['misses']} hits,"
-        if cache is not None
-        else ""
-    )
     print(
         f"# serve: {health['completed']} completed, {health['failed']} failed,"
         f" {health['shed']} shed, {health['retried']} retried,"

@@ -64,7 +64,7 @@ from repro.runtime.errors import (
     MemoryBudgetExceeded,
     UnsupportedConfiguration,
 )
-from repro.storage.mmap_index import resolve_index_backend
+from repro.storage.mmap_index import map_index, resolve_index_backend
 from repro.utils.counters import CostCounters
 
 __all__ = [
@@ -474,31 +474,18 @@ class SetJoinAlgorithm(ABC):
         ``(index, dispose)``.
 
         ``keep`` optionally filters each record's ``(tokens, scores)``
-        before insertion (Probe-Count's stopwords variant). Under a
-        mapped ``index_backend`` the pass lands in a write-once columnar
-        file (varbyte id blocks for ``"mmap-varbyte"``) probed through
-        the mapping — build inserts are not charged to the memory budget
-        (the data leaves RAM); the opened index charges its directory
-        plus each posting list on first touch instead. ``dispose`` must
-        run when probing is done (closes the mapping and removes a temp
-        file).
+        before insertion (Probe-Count's stopwords variant). Every backend
+        builds the same sealed :class:`ScoredInvertedIndex`; under a
+        mapped ``index_backend`` it is then written to a write-once
+        columnar file (varbyte id blocks for ``"mmap-varbyte"``) and
+        probed through the mapping. Mapped build inserts are not charged
+        to the memory budget (the data leaves RAM); the opened index
+        charges its directory plus each posting list on first touch
+        instead. ``dispose`` must run when probing is done (closes the
+        mapping and removes a temp file).
         """
-        from repro.storage.mmap_index import JoinIndexBuilder
-
         backend = resolve_index_backend(self.index_backend)
-        if backend != "memory":
-            builder = JoinIndexBuilder(
-                self.index_path, compressed=backend == "mmap-varbyte"
-            )
-            for rid in rids:
-                self._tick(counters)
-                tokens = dataset[rid]
-                scores = bound.cached_score_vector(rid)
-                if keep is not None:
-                    tokens, scores = keep(tokens, scores)
-                builder.insert(rid, tokens, scores, bound.norm(rid))
-            index = builder.finish(counters)
-            return index, index.dispose
+        charged = counters if backend == "memory" else None
         index = ScoredInvertedIndex()
         for rid in rids:
             self._tick(counters)
@@ -506,11 +493,17 @@ class SetJoinAlgorithm(ABC):
             scores = bound.cached_score_vector(rid)
             if keep is not None:
                 tokens, scores = keep(tokens, scores)
-            index.insert(rid, tokens, scores, bound.norm(rid), counters)
+            index.insert(rid, tokens, scores, bound.norm(rid), charged)
         # The build phase is over; freeze the columnar postings so the
         # probe phase provably cannot mutate shared lists.
         index.seal()
-        return index, _noop_dispose
+        if backend == "memory":
+            return index, _noop_dispose
+        mapped = map_index(
+            index, self.index_path, compressed=backend == "mmap-varbyte"
+        )
+        mapped.attach_counters(counters)
+        return mapped, mapped.dispose
 
     # ------------------------------------------------------------------
     # Merge-backend dispatch

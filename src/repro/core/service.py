@@ -154,6 +154,29 @@ _PER_RECORD_CACHES = (
 )
 
 
+def _untagged_payload(path: str, entry, codec):
+    """The payload a ``["json", value]`` / ``["codec", text]`` snapshot
+    entry holds (the inverse of ``SimilarityIndex._tagged_payload``)."""
+    if (
+        not isinstance(entry, list)
+        or len(entry) != 2
+        or entry[0] not in ("json", "codec")
+        or (entry[0] == "codec" and not isinstance(entry[1], str))
+    ):
+        raise SnapshotCorrupted(
+            path, "payload entry is not a tagged [kind, value] pair"
+        )
+    tag, value = entry
+    if tag == "json":
+        return value
+    if codec is None:
+        raise SnapshotEncodingError(
+            f"snapshot {path!r} contains codec-encoded payloads;"
+            " pass the codec used at save time"
+        )
+    return codec.decode(value)
+
+
 def _probe_bound(base_bound, record: tuple[int, ...], payload):
     """A disposable bound-predicate clone covering the probe record.
 
@@ -381,7 +404,7 @@ class SimilarityIndex:
             raise ReadOnlyIndex("rebind", self._index.path)
         with self._write_locked("rebind"):
             self._rebind()
-            self._rebuild_index()
+            self._index = self._build_index(self._bound, self.counters)
             self._pruner = self._new_pruner()
 
     def _rebind(self) -> None:
@@ -392,18 +415,18 @@ class SimilarityIndex:
         self._bound.band_filter()
         self._binding = next(_BINDINGS)
 
-    def _rebuild_index(self) -> None:
-        """Re-insert every record under the current bound's scores."""
+    def _build_index(self, bound, counters=None) -> ScoredInvertedIndex:
+        """Every record inserted under ``bound``'s scores."""
         index = ScoredInvertedIndex()
         for rid in range(len(self._dataset)):
             index.insert(
                 rid,
                 self._dataset[rid],
-                self._bound.cached_score_vector(rid),
-                self._bound.norm(rid),
-                self.counters,
+                bound.cached_score_vector(rid),
+                bound.norm(rid),
+                counters,
             )
-        self._index = index
+        return index
 
     def _ensure_bound(self):
         if self._bound is None:
@@ -662,21 +685,19 @@ class SimilarityIndex:
 
         Postings are rebuilt from a *fresh* predicate bind — exactly
         what a snapshot ``load`` would compute via ``_rebind`` +
-        ``_rebuild_index`` — so a service restored with ``mmap=True``
+        ``_build_index`` — so a service restored with ``mmap=True``
         answers queries bit-identically to one restored from the JSON
         snapshot, even when this instance's live index carries
-        insert-time scores that a rebind would refresh.
+        insert-time scores that a rebind would refresh. Like every mapped
+        index, a unit-score one is written without a score column.
         """
         import json as _json
         from array import array
 
-        from repro.storage.mmap_index import MappedIndexWriter
+        from repro.storage.mmap_index import write_index
 
         n = len(self._dataset)
-        bound = self.predicate.bind(self._dataset) if n else None
-        token_ids: dict[int, array] = {}
-        token_scores: dict[int, array] = {}
-        min_norm = float("inf")
+        index = self._build_index(self.predicate.bind(self._dataset) if n else None)
         record_tokens = array("q")
         record_offsets = array("q", [0])
         payload_blob = bytearray()
@@ -684,20 +705,7 @@ class SimilarityIndex:
         token_list_blob = bytearray()
         token_list_offsets = array("q", [0])
         for rid in range(n):
-            record = self._dataset[rid]
-            vector = bound.cached_score_vector(rid)
-            for token, score in zip(record, vector):
-                id_column = token_ids.get(token)
-                if id_column is None:
-                    id_column = array("q")
-                    token_ids[token] = id_column
-                    token_scores[token] = array("d")
-                id_column.append(rid)
-                token_scores[token].append(score)
-            norm = bound.norm(rid)
-            if norm < min_norm:
-                min_norm = norm
-            record_tokens.extend(record)
+            record_tokens.extend(self._dataset[rid])
             record_offsets.append(len(record_tokens))
             entry = self._tagged_payload(rid, self._dataset.payload(rid), codec)
             payload_blob += _json.dumps(entry, separators=(",", ":")).encode("utf-8")
@@ -709,26 +717,23 @@ class SimilarityIndex:
         vocab_by_id = [None] * len(self._vocabulary)
         for token, token_id in self._vocabulary.items():
             vocab_by_id[token_id] = token
-        writer = MappedIndexWriter(path, scored=True, compressed=False)
-        try:
-            for token, id_column in token_ids.items():
-                writer.add_posting(token, id_column, token_scores[token])
-            writer.add_section("records_tokens", record_tokens.tobytes())
-            writer.add_section("records_offsets", record_offsets.tobytes())
-            writer.add_section("payloads", bytes(payload_blob))
-            writer.add_section("payload_offsets", payload_offsets.tobytes())
-            writer.add_section("token_lists", bytes(token_list_blob))
-            writer.add_section("token_list_offsets", token_list_offsets.tobytes())
-            writer.add_section(
-                "vocab",
-                _json.dumps(vocab_by_id, separators=(",", ":")).encode("utf-8"),
-            )
-            writer.finish(
-                min_norm=min_norm, n_entities=n, meta={"kind": _SNAPSHOT_KIND}
-            )
-        except BaseException:
-            writer.abort()
-            raise
+        write_index(
+            path,
+            index,
+            sections=[
+                ("records_tokens", record_tokens.tobytes()),
+                ("records_offsets", record_offsets.tobytes()),
+                ("payloads", bytes(payload_blob)),
+                ("payload_offsets", payload_offsets.tobytes()),
+                ("token_lists", bytes(token_list_blob)),
+                ("token_list_offsets", token_list_offsets.tobytes()),
+                (
+                    "vocab",
+                    _json.dumps(vocab_by_id, separators=(",", ":")).encode("utf-8"),
+                ),
+            ],
+            meta={"kind": _SNAPSHOT_KIND},
+        )
 
     @classmethod
     def load(
@@ -803,21 +808,14 @@ class SimilarityIndex:
             merge_backend=merge_backend,
         )
         for tokens, entry in zip(token_lists, payload_entries):
-            tag, value = entry
-            if tag == "codec":
-                if codec is None:
-                    raise SnapshotEncodingError(
-                        f"snapshot {path!r} contains codec-encoded payloads;"
-                        " pass the codec used at save time"
-                    )
-                value = codec.decode(value)
+            value = _untagged_payload(path, entry, codec)
             record = service._record_of(tokens)
             service._token_lists.append(tokens)
             service._dataset.records.append(record)
             service._dataset.payloads.append(value)
         service._dataset._frequency = None
         service._rebind()
-        service._rebuild_index()
+        service._index = service._build_index(service._bound, service.counters)
         service._pruner = service._new_pruner(bitmap_state)
         return service
 
@@ -831,8 +829,7 @@ class SimilarityIndex:
         from repro.storage.mmap_index import (
             MappedDataset,
             MappedInvertedIndex,
-            mapped_blob_view,
-            mapped_record_view,
+            mapped_column,
         )
 
         index = MappedInvertedIndex.open(path)
@@ -873,34 +870,18 @@ class SimilarityIndex:
             if len(vocabulary) != len(vocab_by_id):
                 raise SnapshotCorrupted(path, "'vocab' holds duplicate tokens")
 
-            def decode_payload(raw: bytes):
+            def decode_payload(raw):
                 try:
-                    entry = _json.loads(raw)
+                    entry = _json.loads(bytes(raw))
                 except (UnicodeDecodeError, _json.JSONDecodeError) as exc:
                     raise SnapshotCorrupted(
                         path, f"payload entry is not valid JSON: {exc}"
                     ) from exc
-                if (
-                    not isinstance(entry, list)
-                    or len(entry) != 2
-                    or entry[0] not in ("json", "codec")
-                ):
-                    raise SnapshotCorrupted(
-                        path, "payload entry is not a tagged [kind, value] pair"
-                    )
-                tag, value = entry
-                if tag == "codec":
-                    if codec is None:
-                        raise SnapshotEncodingError(
-                            f"snapshot {path!r} contains codec-encoded"
-                            " payloads; pass the codec used at save time"
-                        )
-                    return codec.decode(value)
-                return value
+                return _untagged_payload(path, entry, codec)
 
-            def decode_token_list(raw: bytes):
+            def decode_token_list(raw):
                 try:
-                    tokens = _json.loads(raw)
+                    tokens = _json.loads(bytes(raw))
                 except (UnicodeDecodeError, _json.JSONDecodeError) as exc:
                     raise SnapshotCorrupted(
                         path, f"token-list entry is not valid JSON: {exc}"
@@ -913,11 +894,13 @@ class SimilarityIndex:
                     )
                 return tokens
 
-            records = mapped_record_view(index)
-            payloads = mapped_blob_view(
+            records = mapped_column(
+                index, "records_tokens", "records_offsets", tuple, int64=True
+            )
+            payloads = mapped_column(
                 index, "payloads", "payload_offsets", decode_payload
             )
-            token_lists = mapped_blob_view(
+            token_lists = mapped_column(
                 index, "token_lists", "token_list_offsets", decode_token_list
             )
             if not (
@@ -981,16 +964,6 @@ class SimilarityIndex:
             ):
                 raise SnapshotCorrupted(
                     path, f"token list {i} is not a list of strings"
-                )
-        for i, entry in enumerate(payload_entries):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or entry[0] not in ("json", "codec")
-                or (entry[0] == "codec" and not isinstance(entry[1], str))
-            ):
-                raise SnapshotCorrupted(
-                    path, f"payload entry {i} is not a tagged [kind, value] pair"
                 )
         bitmap_state = state.get("bitmap")
         if bitmap_state is not None:

@@ -30,6 +30,10 @@ clear error)::
                payload byte length when compressed), index statistics
                (min_norm / n_entries / n_entities), section table, meta
 
+Every file is a built :class:`~repro.core.inverted_index.ScoredInvertedIndex`
+(plus named sections) written by :func:`write_index`; a two-pass join
+maps its index through :func:`map_index`.
+
 Integrity follows the :mod:`repro.runtime.snapshot` discipline: the
 writer goes write-to-temp + fsync + atomic rename; the reader checks the
 magic, version and directory CRC at open, and each posting region's
@@ -69,18 +73,20 @@ from itertools import repeat
 from zlib import crc32
 
 from repro.compression.varbyte import varbyte_decode_deltas, varbyte_encode
+from repro.core.inverted_index import ScoredInvertedIndex
+from repro.core.records import Dataset
 from repro.runtime.errors import SnapshotCorrupted
 from repro.utils.counters import CostCounters
 
 __all__ = [
-    "JoinIndexBuilder",
     "MappedDataset",
     "MappedIndexWriter",
     "MappedInvertedIndex",
     "MappedPostingList",
-    "mapped_blob_view",
-    "mapped_record_view",
+    "map_index",
+    "mapped_column",
     "resolve_index_backend",
+    "write_index",
 ]
 
 _MAGIC = b"RPMX1\n"
@@ -809,84 +815,61 @@ class MappedInvertedIndex:
 
 
 # ----------------------------------------------------------------------
-# Two-pass join builder
+# Writing a built index
 # ----------------------------------------------------------------------
 
 
-class JoinIndexBuilder:
-    """Accumulates one join's scored postings, lands them mapped.
+def write_index(
+    path: str,
+    index: ScoredInvertedIndex,
+    *,
+    compressed: bool = False,
+    sections: Iterable[tuple[str, bytes]] = (),
+    meta: dict | None = None,
+) -> str:
+    """Write a built :class:`ScoredInvertedIndex`, plus named
+    ``sections``, as an RPMX file landing atomically at ``path``.
 
-    The build pass mirrors ``ScoredInvertedIndex.insert`` (same
-    insertion order, same float64 scores, same ``min_norm`` statistic),
-    then :meth:`finish` writes the columnar file and reopens it mapped —
-    so the probe pass reads the identical columns the in-memory path
-    would hold, and pairs come out bit-identical. Build-phase inserts
-    are *not* counted against the memory budget (the builder is
-    transient and the data lands on disk); the opened index counts
-    directory + touched postings instead.
-
-    When every inserted score is exactly 1.0 the file omits the score
-    column (readers synthesize the constant), so unit-score predicates
-    pay for ids only — the §4/§6 compressed footprint.
+    Every mapped index is written here, so the file holds exactly the
+    columns, list maxima and ``min_norm`` that ``ScoredInvertedIndex.insert``
+    built, and a probe of it is bit-identical to a probe of ``index``.
+    When every score is exactly 1.0 the file omits the score column
+    (readers synthesize the constant), so unit-score predicates pay for
+    ids only — the §4/§6 compressed footprint.
     """
-
-    def __init__(self, path: str | None = None, *, compressed: bool = False):
-        self._path = path
-        self._owns_path = path is None
-        self._compressed = compressed
-        self._ids: dict[int, array] = {}
-        self._scores: dict[int, array] = {}
-        self._unit_scores = True
-        self.min_norm = math.inf
-        self.n_entities = 0
-
-    def insert(
-        self,
-        entity_id: int,
-        tokens: Sequence[int],
-        scores: Sequence[float],
-        norm: float,
-    ) -> None:
-        ids = self._ids
-        score_columns = self._scores
-        for token, score in zip(tokens, scores):
-            id_column = ids.get(token)
-            if id_column is None:
-                id_column = array("q")
-                ids[token] = id_column
-                score_columns[token] = array("d")
-            id_column.append(entity_id)
-            score_columns[token].append(score)
-            if score != 1.0:
-                self._unit_scores = False
-        self.n_entities += 1
-        if norm < self.min_norm:
-            self.min_norm = norm
-
-    def finish(self, counters: CostCounters | None = None) -> MappedInvertedIndex:
-        """Write, open mapped, and (optionally) wire residency counters."""
-        path = self._path
-        if path is None:
-            fd, path = tempfile.mkstemp(prefix="repro-mmapindex-", suffix=".rpmx")
-            os.close(fd)
-        writer = MappedIndexWriter(
-            path, scored=not self._unit_scores, compressed=self._compressed
+    postings = [(token, index.get(token)) for token in index.tokens()]
+    scored = any(
+        plist.min_score != 1.0 or plist.max_score != 1.0 for _, plist in postings
+    )
+    with MappedIndexWriter(path, scored=scored, compressed=compressed) as writer:
+        for token, plist in postings:
+            writer.add_posting(token, plist.ids, plist.scores, plist.max_score)
+        for name, data in sections:
+            writer.add_section(name, data)
+        return writer.finish(
+            min_norm=index.min_norm, n_entities=index.n_entities, meta=meta
         )
-        try:
-            for token, id_column in self._ids.items():
-                writer.add_posting(token, id_column, self._scores[token])
-            writer.finish(min_norm=self.min_norm, n_entities=self.n_entities)
-        except BaseException:
-            writer.abort()
-            if self._owns_path and os.path.exists(path):
-                os.remove(path)
-            raise
-        self._ids = {}
-        self._scores = {}
-        index = MappedInvertedIndex.open(path, owns_path=self._owns_path)
-        if counters is not None:
-            index.attach_counters(counters)
-        return index
+
+
+def map_index(
+    index: ScoredInvertedIndex, path: str | None = None, *, compressed: bool = False
+) -> MappedInvertedIndex:
+    """:func:`write_index` a join's built index, then open it mapped.
+
+    Without a ``path`` the file is a temp file that the returned index
+    owns: its :meth:`~MappedInvertedIndex.dispose` removes it.
+    """
+    owns_path = path is None
+    if owns_path:
+        fd, path = tempfile.mkstemp(prefix="repro-mmapindex-", suffix=".rpmx")
+        os.close(fd)
+    try:
+        write_index(path, index, compressed=compressed)
+    except BaseException:
+        if owns_path and os.path.exists(path):
+            os.remove(path)
+        raise
+    return MappedInvertedIndex.open(path, owns_path=owns_path)
 
 
 # ----------------------------------------------------------------------
@@ -894,38 +877,9 @@ class JoinIndexBuilder:
 # ----------------------------------------------------------------------
 
 
-class _MappedRecords:
-    """Record tuples decoded on demand from two mapped int64 columns."""
-
-    __slots__ = ("_tokens", "_offsets", "_n")
-
-    def __init__(self, tokens, offsets):
-        self._tokens = tokens
-        self._offsets = offsets
-        self._n = len(offsets) - 1
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, rid: int):
-        if isinstance(rid, slice):
-            return [self[i] for i in range(*rid.indices(self._n))]
-        if rid < 0:
-            rid += self._n
-        if not 0 <= rid < self._n:
-            raise IndexError(rid)
-        return tuple(self._tokens[self._offsets[rid] : self._offsets[rid + 1]])
-
-    def __iter__(self):
-        for rid in range(self._n):
-            yield self[rid]
-
-    def append(self, _record) -> None:
-        raise TypeError("memory-mapped records are read-only")
-
-
-class _MappedPayloads:
-    """Payloads decoded lazily from a mapped byte region + offsets."""
+class _MappedColumn:
+    """Per-record values decoded on demand from mapped sections: value
+    ``i`` is ``decode(data[offsets[i]:offsets[i + 1]])``."""
 
     __slots__ = ("_data", "_offsets", "_n", "_decode")
 
@@ -945,15 +899,14 @@ class _MappedPayloads:
             rid += self._n
         if not 0 <= rid < self._n:
             raise IndexError(rid)
-        raw = bytes(self._data[self._offsets[rid] : self._offsets[rid + 1]])
-        return self._decode(raw)
+        return self._decode(self._data[self._offsets[rid] : self._offsets[rid + 1]])
 
     def __iter__(self):
         for rid in range(self._n):
             yield self[rid]
 
-    def append(self, _payload) -> None:
-        raise TypeError("memory-mapped payloads are read-only")
+    def append(self, _value) -> None:
+        raise TypeError("memory-mapped columns are read-only")
 
 
 def _int64_section(index: "MappedInvertedIndex", name: str):
@@ -967,74 +920,39 @@ def _int64_section(index: "MappedInvertedIndex", name: str):
         ) from exc
 
 
-def mapped_record_view(index: "MappedInvertedIndex") -> _MappedRecords:
-    """Record tuples over the ``records_tokens``/``records_offsets``
-    sections of a serving snapshot; decodes one record per access."""
-    tokens = _int64_section(index, "records_tokens")
-    offsets = _int64_section(index, "records_offsets")
-    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(tokens):
-        raise _corrupt(
-            index.path,
-            "records_offsets does not cover the records_tokens column",
-        )
-    return _MappedRecords(tokens, offsets)
-
-
-def mapped_blob_view(
-    index: "MappedInvertedIndex", data_name: str, offsets_name: str, decode
-) -> _MappedPayloads:
-    """Lazy per-record ``decode``-d view over a blob section sliced by an
-    ``int64`` offsets section (payloads, token lists)."""
-    data = index.section(data_name)
+def mapped_column(
+    index: "MappedInvertedIndex",
+    data_name: str,
+    offsets_name: str,
+    decode,
+    *,
+    int64: bool = False,
+) -> _MappedColumn:
+    """Lazy per-record ``decode``-d view over a section sliced by an
+    ``int64`` offsets section: record token tuples (``int64=True``,
+    ``decode=tuple``), payloads, token lists. Blob ``decode``s receive
+    a ``memoryview`` slice."""
+    data = _int64_section(index, data_name) if int64 else index.section(data_name)
     offsets = _int64_section(index, offsets_name)
     if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(data):
         raise _corrupt(
             index.path,
             f"{offsets_name!r} does not cover the {data_name!r} section",
         )
-    return _MappedPayloads(data, offsets, decode)
+    return _MappedColumn(data, offsets, decode)
 
 
-class MappedDataset:
-    """Read-only :class:`~repro.core.records.Dataset` facade over mapped
-    sections: records and payloads decode per access (nothing is
-    materialized up front), corpus ``frequency`` is computed lazily on
-    first demand (one streaming pass — only corpus-statistic predicates
-    pay it)."""
+class MappedDataset(Dataset):
+    """Read-only :class:`~repro.core.records.Dataset` over mapped
+    columns: records and payloads decode per access (nothing is
+    materialized up front); the statistics are ``Dataset``'s, so corpus
+    ``frequency`` costs one streaming pass on first demand (only
+    corpus-statistic predicates pay it)."""
 
     def __init__(self, records, vocabulary, payloads):
+        # Not Dataset.__init__: it would materialize every record.
         self.records = records
         self.vocabulary = vocabulary
         self.payloads = payloads
-        self._frequency: dict[int, int] | None = None
-        self._id_to_token: dict[int, str] | None = None
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, rid: int):
-        return self.records[rid]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def frequency(self) -> dict[int, int]:
-        if self._frequency is None:
-            freq: dict[int, int] = {}
-            for record in self.records:
-                for token in record:
-                    freq[token] = freq.get(token, 0) + 1
-            self._frequency = freq
-        return self._frequency
-
-    def token_string(self, token_id: int) -> str:
-        if self._id_to_token is None:
-            self._id_to_token = {tid: tok for tok, tid in self.vocabulary.items()}
-        return self._id_to_token[token_id]
-
-    def payload(self, rid: int):
-        return self.payloads[rid]
-
-    def total_word_occurrences(self) -> int:
-        return sum(len(record) for record in self.records)
+        self._frequency = None
+        self._id_to_token = None

@@ -88,11 +88,14 @@ def _triples(answer) -> list[tuple]:
 
 
 def _ops(record, n_queries: int):
+    """Op lists long enough to repeat queries across adds. A rebind
+    flushes the cache, so it is one op in nineteen (about two per
+    list), leaving repeats across adds an entry to extend."""
     add = st.tuples(st.just("add"), record)
     query = st.tuples(st.just("query"), st.integers(0, n_queries - 1))
     rebind = st.tuples(st.just("rebind"), st.none())
     return st.lists(
-        st.one_of(add, add, query, query, query, rebind), min_size=1, max_size=30
+        st.one_of(*[add] * 6, *[query] * 12, rebind), min_size=30, max_size=60
     )
 
 

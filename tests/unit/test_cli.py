@@ -255,6 +255,24 @@ class TestServeShardedCommand:
         assert code == 0
         assert "hedges" in captured.err
 
+    def test_health_line_sums_shard_cache_hits(self, sample_file, tmp_path, capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("efficient set joins on similarity\n" * 3)
+
+        def health(*extra):
+            code = main(
+                ["serve", "-i", sample_file, "--predicate", "jaccard", "-t", "0.7",
+                 "--queries", str(queries), "--workers", "1", *extra]
+            )
+            assert code == 0
+            return capsys.readouterr().err
+
+        # One worker asks the three lines in turn: each shard misses the
+        # first and hits the two repeats.
+        assert "cache 4/6 hits," in health("--shards", "2", "--query-cache", "8")
+        assert "cache 2/3 hits," in health("--query-cache", "8")
+        assert "cache" not in health("--shards", "2")
+
     def test_sharded_cosine_matches_single_index(self, tmp_path, capsys):
         """Cosine's IDF weights are corpus statistics: serving must pin
         them to the *global* corpus. A bare predicate binds the corpus

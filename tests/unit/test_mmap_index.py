@@ -9,6 +9,7 @@ bytes), residency accounting against the memory-budget runtime, the
 behind ``SimilarityIndex.save(format='mmap')`` / ``load(mmap=True)``.
 """
 
+import hashlib
 import math
 import os
 from array import array
@@ -38,13 +39,12 @@ from repro.runtime.errors import ReadOnlyIndex, SnapshotCorrupted
 from repro.runtime.faults import CountdownCancellation, FakeClock
 from repro.storage.mmap_index import (
     _BLOCK_SIZE,
-    JoinIndexBuilder,
     MappedIndexWriter,
     MappedInvertedIndex,
-    mapped_blob_view,
-    mapped_record_view,
     _BlockedIds,
     _encode_blocks,
+    map_index,
+    mapped_column,
     resolve_index_backend,
 )
 from repro.utils.counters import CostCounters
@@ -408,21 +408,31 @@ class TestResidencyAccounting:
         assert result.counters.index_entries <= 100_000
 
 
-class TestJoinIndexBuilder:
+def built_index(entities) -> ScoredInvertedIndex:
+    """A sealed index of ``(entity id, tokens, scores, norm)`` inserts."""
+    index = ScoredInvertedIndex()
+    for entity in entities:
+        index.insert(*entity)
+    return index.seal()
+
+
+def dataset_index(data, bound) -> ScoredInvertedIndex:
+    return built_index(
+        (rid, data[rid], bound.cached_score_vector(rid), bound.norm(rid))
+        for rid in range(len(data))
+    )
+
+
+class TestMapIndex:
     def test_matches_in_memory_index(self):
         data = random_dataset(seed=41)
-        bound = JaccardPredicate(0.5).bind(data)
-        memory = ScoredInvertedIndex()
-        builder = JoinIndexBuilder()
-        for rid in range(len(data)):
-            vector = bound.cached_score_vector(rid)
-            memory.insert(rid, data[rid], vector, bound.norm(rid), CostCounters())
-            builder.insert(rid, data[rid], vector, bound.norm(rid))
-        memory.seal()
-        mapped = builder.finish()
+        memory = dataset_index(data, JaccardPredicate(0.5).bind(data))
+        mapped = map_index(memory)
         try:
             assert mapped.min_norm == memory.min_norm
             assert mapped.n_entries == memory.n_entries
+            assert mapped.n_entities == memory.n_entities
+            assert list(mapped.tokens()) == list(memory.tokens())
             for token in memory.tokens():
                 expected = memory.get(token)
                 got = mapped.get(token)
@@ -434,13 +444,12 @@ class TestJoinIndexBuilder:
 
     @pytest.mark.parametrize("compressed", [False, True])
     def test_score_column_only_when_needed(self, compressed):
-        unit = JoinIndexBuilder(compressed=compressed)
-        unit.insert(0, (1, 2), (1.0, 1.0), 2.0)
-        unit.insert(1, (2,), (1.0,), 1.0)
-        weighted = JoinIndexBuilder(compressed=compressed)
-        weighted.insert(0, (1, 2), (1.0, 1.0), 2.0)
-        weighted.insert(1, (2,), (0.5,), 0.5)
-        unit_index, weighted_index = unit.finish(), weighted.finish()
+        unit = built_index([(0, (1, 2), (1.0, 1.0), 2.0), (1, (2,), (1.0,), 1.0)])
+        weighted = built_index(
+            [(0, (1, 2), (1.0, 1.0), 2.0), (1, (2,), (0.5,), 0.5)]
+        )
+        unit_index = map_index(unit, compressed=compressed)
+        weighted_index = map_index(weighted, compressed=compressed)
         try:
             assert not unit_index.scored
             assert list(unit_index.get(2).scores) == [1.0, 1.0]
@@ -456,32 +465,23 @@ class TestJoinIndexBuilder:
 
     def test_varbyte_file_smaller_than_raw(self):
         data = random_dataset(seed=49, n_base=100)
-        bound = OverlapPredicate(4).bind(data)
+        index = dataset_index(data, OverlapPredicate(4).bind(data))
         sizes = {}
         for compressed in (False, True):
-            builder = JoinIndexBuilder(compressed=compressed)
-            for rid in range(len(data)):
-                builder.insert(
-                    rid, data[rid], bound.cached_score_vector(rid), bound.norm(rid)
-                )
-            index = builder.finish()
-            sizes[compressed] = os.path.getsize(index.path)
-            index.dispose()
+            mapped = map_index(index, compressed=compressed)
+            sizes[compressed] = os.path.getsize(mapped.path)
+            mapped.dispose()
         assert sizes[True] < sizes[False]
 
     def test_temp_file_removed_on_dispose(self):
-        builder = JoinIndexBuilder()
-        builder.insert(0, (1, 2), (1.0, 1.0), 2.0)
-        index = builder.finish()
+        index = map_index(built_index([(0, (1, 2), (1.0, 1.0), 2.0)]))
         path = index.path
         assert os.path.exists(path)
         index.dispose()
         assert not os.path.exists(path)
 
     def test_dispose_with_live_views_is_safe(self):
-        builder = JoinIndexBuilder()
-        builder.insert(0, (1, 2), (1.0, 1.0), 2.0)
-        index = builder.finish()
+        index = map_index(built_index([(0, (1, 2), (1.0, 1.0), 2.0)]))
         plist = index.get(1)
         index.dispose()  # caller still holds a view: must not raise
         assert list(plist.ids) == [0]
@@ -489,11 +489,62 @@ class TestJoinIndexBuilder:
 
     def test_pinned_path_not_removed(self, tmp_path):
         path = str(tmp_path / "join.rpmx")
-        builder = JoinIndexBuilder(path)
-        builder.insert(0, (1,), (1.0,), 1.0)
-        index = builder.finish()
+        index = map_index(built_index([(0, (1,), (1.0,), 1.0)]), path)
         index.dispose()
         assert os.path.exists(path)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        import tempfile as _tempfile
+
+        def fail(*_args):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(_tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(MappedIndexWriter, "add_posting", fail)
+        index = built_index([(0, (1,), (1.0,), 1.0)])
+        with pytest.raises(RuntimeError, match="disk full"):
+            map_index(index)
+        with pytest.raises(RuntimeError, match="disk full"):
+            map_index(index, str(tmp_path / "join.rpmx"))
+        assert list(tmp_path.iterdir()) == []
+
+
+#: sha256 of the mapped join index ``probe-count-optmerge`` writes over
+#: ``random_dataset(seed=50)``, per backend and score kind. Recorded
+#: before joins built their mapped index through ``ScoredInvertedIndex``;
+#: the file format must not drift under refactors of the build path.
+#: Little-endian columns: a big-endian build writes other bytes.
+JOIN_INDEX_SHA256 = {
+    ("mmap", "unit"): "08e109f73470ecc7543d6fde641c28d4e0830f89b5370d0b415b0be07e69e7ef",
+    ("mmap", "weighted"): "9ceec16c90c2ecca3c06a44465990d57913e109af44e1f575cce406134735653",
+    ("mmap-varbyte", "unit"): "8f78b549261687aba8e80ae867f6dde75f41f7ea49698aea30e6a16462b1b93d",
+    ("mmap-varbyte", "weighted"): "228e05f329db805eff6018da1a0e58ff44d9e52c946f25f094f7a3c265d875a8",
+}
+
+
+@pytest.mark.skipif(
+    __import__("sys").byteorder != "little", reason="hashes of little-endian files"
+)
+@pytest.mark.parametrize("backend, scores", sorted(JOIN_INDEX_SHA256))
+def test_join_index_bytes_are_stable(tmp_path, backend, scores):
+    predicate = {
+        "unit": OverlapPredicate(3),
+        # sqrt of binary fractions: exact on every IEEE-754 platform.
+        "weighted": WeightedOverlapPredicate(
+            2.0, weights=lambda token: 0.5 + (token % 4) / 2
+        ),
+    }[scores]
+    path = str(tmp_path / "join.rpmx")
+    similarity_join(
+        random_dataset(seed=50, n_base=60),
+        predicate,
+        algorithm="probe-count-optmerge",
+        index_backend=backend,
+        index_path=path,
+    )
+    with open(path, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    assert digest == JOIN_INDEX_SHA256[backend, scores]
 
 
 class TestIndexBackendKnob:
@@ -652,6 +703,12 @@ class TestMappedJoinRuntime:
 
 
 class TestMappedViews:
+    @staticmethod
+    def records(index):
+        return mapped_column(
+            index, "records_tokens", "records_offsets", tuple, int64=True
+        )
+
     def test_record_view_offset_mismatch(self, tmp_path):
         writer = MappedIndexWriter(str(tmp_path / "ix.rpmx"))
         writer.add_section("records_tokens", array("q", [1, 2, 3]).tobytes())
@@ -659,7 +716,7 @@ class TestMappedViews:
         writer.finish()
         with MappedInvertedIndex.open(str(tmp_path / "ix.rpmx")) as index:
             with pytest.raises(SnapshotCorrupted, match="records_offsets"):
-                mapped_record_view(index)
+                self.records(index)
 
     def test_blob_view_offset_mismatch(self, tmp_path):
         writer = MappedIndexWriter(str(tmp_path / "ix.rpmx"))
@@ -668,7 +725,7 @@ class TestMappedViews:
         writer.finish()
         with MappedInvertedIndex.open(str(tmp_path / "ix.rpmx")) as index:
             with pytest.raises(SnapshotCorrupted, match="payload_offsets"):
-                mapped_blob_view(index, "payloads", "payload_offsets", bytes)
+                mapped_column(index, "payloads", "payload_offsets", bytes)
 
     def test_non_int64_offsets_column(self, tmp_path):
         writer = MappedIndexWriter(str(tmp_path / "ix.rpmx"))
@@ -677,7 +734,25 @@ class TestMappedViews:
         writer.finish()
         with MappedInvertedIndex.open(str(tmp_path / "ix.rpmx")) as index:
             with pytest.raises(SnapshotCorrupted, match="int64"):
-                mapped_record_view(index)
+                self.records(index)
+
+    def test_columns_decode_per_record(self, tmp_path):
+        writer = MappedIndexWriter(str(tmp_path / "ix.rpmx"))
+        writer.add_section("records_tokens", array("q", [1, 2, 3]).tobytes())
+        writer.add_section("records_offsets", array("q", [0, 2, 2, 3]).tobytes())
+        writer.add_section("payloads", b"abcdef")
+        writer.add_section("payload_offsets", array("q", [0, 1, 4, 6]).tobytes())
+        writer.finish()
+        with MappedInvertedIndex.open(str(tmp_path / "ix.rpmx")) as index:
+            records = self.records(index)
+            payloads = mapped_column(index, "payloads", "payload_offsets", bytes)
+            assert list(records) == [(1, 2), (), (3,)]
+            assert records[-1] == (3,) and records[1:] == [(), (3,)]
+            assert list(payloads) == [b"a", b"bcd", b"ef"]
+            with pytest.raises(IndexError):
+                payloads[3]
+            with pytest.raises(TypeError, match="read-only"):
+                records.append((4,))
 
 
 class TestMappedService:
@@ -723,6 +798,60 @@ class TestMappedService:
             assert mapped.payload(3) == {"doc": 3}
             assert mapped.export_records() == from_snapshot.export_records()
             assert len(mapped) == len(self.DOCS)
+        finally:
+            mapped.close()
+
+    def test_unit_score_save_has_no_score_column(self, tmp_path):
+        mpath = str(tmp_path / "i.rpmx")
+        self.build().save(mpath, format="mmap")
+        with MappedInvertedIndex.open(mpath) as index:
+            assert not index.scored
+            assert index.get(0).min_score == index.get(0).max_score == 1.0
+        weighted = SimilarityIndex(CosinePredicate(0.4), tokenizer=str.split)
+        for doc in self.DOCS:
+            weighted.add(doc)
+        weighted.save(mpath, format="mmap")
+        with MappedInvertedIndex.open(mpath) as index:
+            assert index.scored
+
+    #: sha256 of ``build()``'s ``save(format="mmap")`` file as written
+    #: while serving files always carried a score column.
+    SCORED_LAYOUT_SHA256 = (
+        "537f1eadac337f7a9d033167c6bc79ebd2616fba9128eb48188b4fb5a9e89280"
+    )
+
+    def test_scored_layout_file_still_answers_like_live_index(self, tmp_path):
+        service = self.build()
+        unit_path, scored_path = str(tmp_path / "u.rpmx"), str(tmp_path / "s.rpmx")
+        service.save(unit_path, format="mmap")
+        # Rewrite the unit-score file with an explicit 1.0 score column:
+        # the layout earlier versions wrote for every serving file.
+        with MappedInvertedIndex.open(unit_path) as unit:
+            with MappedIndexWriter(scored_path, scored=True) as writer:
+                for token in unit.tokens():
+                    plist = unit.get(token)
+                    writer.add_posting(
+                        token, array("q", plist.ids), array("d", plist.scores)
+                    )
+                for name in unit._sections:
+                    writer.add_section(name, bytes(unit.section(name)))
+                writer.finish(
+                    min_norm=unit.min_norm,
+                    n_entities=unit.n_entities,
+                    meta=dict(unit.meta),
+                )
+        with open(scored_path, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == (
+                self.SCORED_LAYOUT_SHA256
+            )
+        queries = ["a b c", "c d e f", "zzz", "m n o", "a b d e"]
+        mapped = SimilarityIndex.load(
+            scored_path, JaccardPredicate(0.4), tokenizer=str.split, mmap=True
+        )
+        try:
+            assert mapped._index.scored
+            assert self.answers(mapped, queries) == self.answers(service, queries)
+            assert mapped.export_records() == service.export_records()
         finally:
             mapped.close()
 
@@ -774,9 +903,9 @@ class TestMappedService:
             service.save(str(tmp_path / "x"), format="pickle")
 
     def test_mmap_load_of_join_index_rejected(self, tmp_path):
-        builder = JoinIndexBuilder(str(tmp_path / "join.rpmx"))
-        builder.insert(0, (1, 2), (1.0, 1.0), 2.0)
-        builder.finish().close()
+        map_index(
+            built_index([(0, (1, 2), (1.0, 1.0), 2.0)]), str(tmp_path / "join.rpmx")
+        ).close()
         with pytest.raises(SnapshotCorrupted, match="serving state"):
             SimilarityIndex.load(
                 str(tmp_path / "join.rpmx"), JaccardPredicate(0.4), mmap=True
