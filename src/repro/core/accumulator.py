@@ -42,6 +42,20 @@ counter is an exact function of the positions found. An entity the
 screen drops fails the first bound, so it is never searched and never
 a candidate, on either backend.
 
+When every list of the probe is unit (S and L alike), the completion
+takes a loop that tests the bound only after a miss. The weights are
+then int counts and ``cumulative[i] == float(i + 1)`` exactly, so all
+of the bound's arithmetic is exact: a hit in list ``i`` turns
+``weight + cumulative[i]`` into ``(weight + 1) + i``, the same number,
+which already passed. Only a miss can make the next test fail, and the
+test after a miss in list ``i``, ``weight + i < limit``, is the one the
+general loop makes before list ``i - 1``. The lists searched, and the
+positions found, are the same, so ``binary_searches`` and
+``gallop_steps`` are too. A float weight (weighted S lists over unit L
+lists) keeps the general loop: ``(w + 1.0) + i`` and ``w + (i + 1.0)``
+can round one ulp apart, and a limit between them would tell the two
+loops apart.
+
 **Result identity.** For a given entity, both backends sum the same
 contributions in the same order — the heap pops equal RIDs in
 increasing list index, the scan visits lists in that same order — so
@@ -136,10 +150,8 @@ def accumulate_merge(
     """
     if not lists:
         return []
-    return [
-        (entity, float(weight))
-        for entity, weight, _limit in _screen(lists, 0.0, threshold_of, accept, counters)
-    ]
+    survivors, _unit = _screen(lists, 0.0, threshold_of, accept, counters)
+    return [(entity, float(weight)) for entity, weight, _limit in survivors]
 
 
 def accumulate_merge_opt(
@@ -163,7 +175,7 @@ def accumulate_merge_opt(
     if k == len(ordered):
         # Entities appearing only in L lists cannot reach the threshold.
         return []
-    survivors = _screen(
+    survivors, unit = _screen(
         ordered[k:], cumulative[k - 1] if k else 0.0, threshold_of, accept, counters
     )
     if k == 0:
@@ -189,21 +201,40 @@ def accumulate_merge_opt(
     gallop_steps = 0
     candidates: list[tuple[int, float]] = []
     append = candidates.append
-    for entity, weight, limit in survivors:
-        for i in range(k - 1, -1, -1):
-            if weight + cumulative[i] < limit:
-                break
-            searches += 1
-            frontier = search_from[i]
-            position = search[i](entity, frontier)
-            jump = position - frontier
-            if jump > 1:
-                gallop_steps += (jump - 1).bit_length()
-            search_from[i] = position
-            if position < sizes[i] and ids_of[i][position] == entity:
-                weight += probe_of[i] * scores_of[i][position]
-        if weight >= limit:
-            append((entity, float(weight)))
+    if unit and _all_unit(ordered[:k]):
+        # Int weights and cumulative[i] == i + 1: only a miss can fail
+        # the bound (see "Rare-word skip path" above).
+        for entity, weight, limit in survivors:
+            for i in range(k - 1, -1, -1):
+                searches += 1
+                frontier = search_from[i]
+                position = search[i](entity, frontier)
+                jump = position - frontier
+                if jump > 1:
+                    gallop_steps += (jump - 1).bit_length()
+                search_from[i] = position
+                if position < sizes[i] and ids_of[i][position] == entity:
+                    weight += 1
+                elif weight + i < limit:
+                    break
+            if weight >= limit:
+                append((entity, float(weight)))
+    else:
+        for entity, weight, limit in survivors:
+            for i in range(k - 1, -1, -1):
+                if weight + cumulative[i] < limit:
+                    break
+                searches += 1
+                frontier = search_from[i]
+                position = search[i](entity, frontier)
+                jump = position - frontier
+                if jump > 1:
+                    gallop_steps += (jump - 1).bit_length()
+                search_from[i] = position
+                if position < sizes[i] and ids_of[i][position] == entity:
+                    weight += probe_of[i] * scores_of[i][position]
+            if weight >= limit:
+                append((entity, float(weight)))
     counters.binary_searches += searches
     counters.gallop_steps += gallop_steps
     return candidates
@@ -217,24 +248,19 @@ def accumulate_merge_opt(
 def _screen(lists, first_bound, threshold_of, accept, counters):
     """Scan ``lists`` and screen each scanned entity once.
 
-    Returns the survivors as ``(entity, weight, limit)`` in increasing
-    entity order: the entities ``accept`` passes whose scanned weight
-    plus ``first_bound`` (what the unscanned lists can still add)
-    reaches ``limit = (T(r, s) - cut) - WEIGHT_EPS``. ``weight`` is an
-    int count on the unit path (callers emit ``float(weight)``), a float
-    sum otherwise. Contributions are non-negative, so an entity
-    screened out could never have reached its limit.
+    Returns ``(survivors, unit)``. The survivors are ``(entity, weight,
+    limit)`` in increasing entity order: the entities ``accept`` passes
+    whose scanned weight plus ``first_bound`` (what the unscanned lists
+    can still add) reaches ``limit = (T(r, s) - cut) - WEIGHT_EPS``.
+    ``unit`` says every contribution was 1.0; ``weight`` is then an int
+    count (callers emit ``float(weight)``), a float sum otherwise.
+    Contributions are non-negative, so an entity screened out could
+    never have reached its limit.
     """
-    scans = 0
-    unit = True
-    for plist, probe_score in lists:
-        scans += len(plist.ids)
-        if unit and not (
-            probe_score == 1.0 and plist.min_score == 1.0 and plist.max_score == 1.0
-        ):
-            unit = False
     columns = [plist.ids for plist, _probe_score in lists]
+    scans = sum(map(len, columns))
     counts = None
+    unit = _all_unit(lists)
     if unit:
         weights = counts = Counter(chain.from_iterable(columns))
     else:
@@ -285,7 +311,18 @@ def _screen(lists, first_bound, threshold_of, accept, counters):
     counters.list_items_touched += touched
     counters.candidates_checked += accepted
     survivors.sort()
-    return survivors
+    return survivors, unit
+
+
+def _all_unit(lists) -> bool:
+    """Whether every contribution of ``lists`` is exactly 1.0: probe
+    score 1.0 and each list's scores pinned to ``[1.0, 1.0]``."""
+    for plist, probe_score in lists:
+        if not (
+            probe_score == 1.0 and plist.min_score == 1.0 and plist.max_score == 1.0
+        ):
+            return False
+    return True
 
 
 #: ``_ENTITIES[entity] == entity``: the norms of :func:`_per_entity`.

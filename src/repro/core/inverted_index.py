@@ -6,12 +6,18 @@ word. Entities must be inserted in increasing id order so every posting
 list stays id-sorted — the property the heap merge and the doubling
 binary search rely on.
 
-Posting storage is columnar: ids live in an ``array('q')`` and scores
-in a parallel ``array('d')``. Compared to lists of boxed ints/floats
-this is ~6x more compact, keeps each column contiguous for the merge
-loops (and the score-accumulator backend's batch scans), and slices
-cheaply. Both columns still support the ``Sequence`` protocol, so the
-heap merge, the galloping binary search, and ``bisect`` work unchanged.
+Posting storage is columnar: ids live in a plain ``list`` and scores
+in a parallel ``array('d')``. :meth:`ScoredInvertedIndex.insert`
+appends the caller's one ``entity_id`` object under every word of the
+entity, so an id entry is one 8-byte pointer to an int shared by all
+of the entity's lists — as compact as an ``array('q')`` slot, and a
+read hands back that int instead of boxing a fresh one. Every read the
+merges make (the ``Counter`` scan, ``bisect_left``, the ``==`` hit
+test, the heap merges' pushes) then allocates nothing. Scores stay an
+unboxed ``array('d')``: the ``float`` a product needs is built anyway.
+Both columns support the ``Sequence`` protocol, so the heap merge, the
+galloping binary search, and ``bisect`` read them (and the mapped
+columns of :mod:`repro.storage.mmap_index`) alike.
 
 Per §5.1.1 the index incrementally maintains, for each word ``w``, the
 maximum score ``score(w, I) = max_s score(w, s)`` (Eq. 3), and globally
@@ -34,17 +40,18 @@ __all__ = ["PostingList", "ScoredInvertedIndex"]
 class PostingList:
     """Id-sorted entities containing one word, with per-entity scores.
 
-    Columnar: ``ids`` is an ``array('q')`` and ``scores`` an
-    ``array('d')``, kept index-aligned. A list can be :meth:`seal`-ed
-    into a frozen view once its build phase is over; sealed lists
-    reject further mutation, which is what makes a built index safe to
-    share across probe threads and snapshot without copying.
+    Columnar: ``ids`` is a ``list`` of ints (one shared int object per
+    entity, see the module docstring) and ``scores`` an ``array('d')``,
+    kept index-aligned. A list can be :meth:`seal`-ed into a frozen
+    view once its build phase is over; sealed lists reject further
+    mutation, which is what makes a built index safe to share across
+    probe threads and snapshot without copying.
     """
 
     __slots__ = ("ids", "scores", "max_score", "min_score", "sealed")
 
     def __init__(self):
-        self.ids: array = array("q")
+        self.ids: list[int] = []
         self.scores: array = array("d")
         self.max_score: float = 0.0
         #: A lower bound on every score (exact unless a score was raised

@@ -1,11 +1,11 @@
 """Memory-mapped columnar posting storage (zero-copy serving).
 
-PR 5 made posting lists columnar typed arrays (``array('q')`` ids,
-``array('d')`` scores) frozen by ``seal()``; this module takes the last
-step and puts those exact columns in a write-once on-disk file that is
-``mmap``-ed back verbatim. A probe then reads postings *directly off the
-mapped columns* — no per-probe decode, no copy, no deserialization —
-via :class:`MappedPostingList`, whose ``ids``/``scores`` are
+In memory a posting list is columnar (a ``list`` of ids, an
+``array('d')`` of scores) and frozen by ``seal()``; this module writes
+those columns as ``int64``/``float64`` into a write-once on-disk file
+that is ``mmap``-ed back verbatim. A probe then reads postings
+*directly off the mapped columns* — no per-probe decode, no copy, no
+deserialization — via :class:`MappedPostingList`, whose ``ids``/``scores`` are
 ``memoryview.cast`` views satisfying the same Sequence surface as
 ``PostingList.ids``/``.scores``. The heap merge, MergeOpt's galloping
 skip, ``bisect`` cuts and the ScanCount accumulator all run unchanged
@@ -35,10 +35,11 @@ Every file is a built :class:`~repro.core.inverted_index.ScoredInvertedIndex`
 maps its index through :func:`map_index`.
 
 Integrity follows the :mod:`repro.runtime.snapshot` discipline: the
-writer goes write-to-temp + fsync + atomic rename; the reader checks the
-magic, version and directory CRC at open, and each posting region's
-CRC32 lazily on its first touch — so a multi-GB index still opens in
-milliseconds, but a flipped byte anywhere raises
+writer goes write-to-temp + fsync + atomic rename (a join's own temp
+index, deleted when the join ends, is written in place); the reader
+checks the magic, version and directory CRC at open, and each posting
+region's CRC32 lazily on its first touch — so a multi-GB index still
+opens in milliseconds, but a flipped byte anywhere raises
 :class:`~repro.runtime.errors.SnapshotCorrupted` before it can produce a
 wrong pair. Every corruption mode (truncation, bad magic, mangled
 header, damaged column) surfaces as that one typed error.
@@ -145,12 +146,20 @@ class MappedIndexWriter:
             per-block decode on read instead of zero-copy.
     """
 
+    #: Land by write-to-temp + fsync + atomic rename (see
+    #: :class:`_TempIndexWriter` for the one writer that does not).
+    _durable = True
+
     def __init__(self, path: str, *, scored: bool = True, compressed: bool = False):
         self.path = path
         self.scored = scored
         self.compressed = compressed
-        self._tmp_path = f"{path}.tmp.{os.getpid()}"
-        self._handle = open(self._tmp_path, "wb")
+        if self._durable:
+            self._tmp_path = f"{path}.tmp.{os.getpid()}"
+            self._handle = open(self._tmp_path, "wb")
+        else:
+            self._tmp_path = path
+            self._handle = open(path, "r+b")
         self._handle.write(bytes(_PREAMBLE_SIZE))
         self._tokens: list[int] = []
         self._offsets: list[int] = []
@@ -284,9 +293,11 @@ class MappedIndexWriter:
             )
         )
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        if self._durable:
+            os.fsync(self._handle.fileno())
         self._handle.close()
-        os.replace(self._tmp_path, self.path)
+        if self._durable:
+            os.replace(self._tmp_path, self.path)
         self._finished = True
         return self.path
 
@@ -304,6 +315,21 @@ class MappedIndexWriter:
     def __exit__(self, exc_type, *_exc) -> None:
         if exc_type is not None:
             self.abort()
+
+
+class _TempIndexWriter(MappedIndexWriter):
+    """Writer for the empty file :func:`map_index` just made with
+    ``mkstemp``: writes it in place, without fsync or rename.
+
+    Nothing reads that file after a crash, and the join deletes it when
+    it ends, so durability buys nothing. Landing it is not free either:
+    ext4 (``auto_da_alloc``) forces a file's data to disk when it is
+    truncated or renamed over, which made each
+    ``map_index(...).dispose()`` cost 30-60 ms on an ext4 volume of a
+    2-vCPU VM, against well under 1 ms in place.
+    """
+
+    _durable = False
 
 
 # ----------------------------------------------------------------------
@@ -837,11 +863,16 @@ def write_index(
     (readers synthesize the constant), so unit-score predicates pay for
     ids only — the §4/§6 compressed footprint.
     """
+    return _write_index(path, index, compressed, sections, meta, MappedIndexWriter)
+
+
+def _write_index(path, index, compressed, sections, meta, writer_class) -> str:
+    """:func:`write_index` through ``writer_class``."""
     postings = [(token, index.get(token)) for token in index.tokens()]
     scored = any(
         plist.min_score != 1.0 or plist.max_score != 1.0 for _, plist in postings
     )
-    with MappedIndexWriter(path, scored=scored, compressed=compressed) as writer:
+    with writer_class(path, scored=scored, compressed=compressed) as writer:
         for token, plist in postings:
             writer.add_posting(token, plist.ids, plist.scores, plist.max_score)
         for name, data in sections:
@@ -857,14 +888,19 @@ def map_index(
     """:func:`write_index` a join's built index, then open it mapped.
 
     Without a ``path`` the file is a temp file that the returned index
-    owns: its :meth:`~MappedInvertedIndex.dispose` removes it.
+    owns: its :meth:`~MappedInvertedIndex.dispose` removes it. That
+    file is written in place with no fsync (:class:`_TempIndexWriter`);
+    a pinned ``path`` lands durably, like every other :func:`write_index`
+    file.
     """
     owns_path = path is None
+    writer_class = MappedIndexWriter
     if owns_path:
         fd, path = tempfile.mkstemp(prefix="repro-mmapindex-", suffix=".rpmx")
         os.close(fd)
+        writer_class = _TempIndexWriter
     try:
-        write_index(path, index, compressed=compressed)
+        _write_index(path, index, compressed, (), None, writer_class)
     except BaseException:
         if owns_path and os.path.exists(path):
             os.remove(path)

@@ -68,6 +68,20 @@ accepts = st.sampled_from([None, lambda e: e % 3 != 0])
 # 0.0 puts every list in S (k == 0); the rest usually leave some in L.
 index_thresholds = st.one_of(st.just(0.0), thresholds)
 
+
+@st.composite
+def unit_opt_probes(draw):
+    """All-unit lists with an ``index_threshold`` that leaves ``k > 0``
+    of them in L and at least one in S: the accumulator's unit
+    completion loop, which a general draw reaches only now and then."""
+    lists_spec = draw(st.lists(unit_list, min_size=2, max_size=8))
+    # cumulative[i] == i + 1, and k counts the i + 1 < index_threshold.
+    k = draw(st.integers(min_value=1, max_value=len(lists_spec) - 1))
+    return lists_spec, draw(st.floats(min_value=k + 0.01, max_value=k + 1.0))
+
+
+opt_probes = st.one_of(st.tuples(probe, index_thresholds), unit_opt_probes())
+
 #: Posting ids are drawn from ``range(ENTITIES)``.
 ENTITIES = 61
 #: A few norms for many entities: the screen's per-norm limit cache
@@ -183,10 +197,9 @@ class TestMergeLevelEquivalence:
         assert counters == reference_counters(lists, None, threshold_of, accept)
 
     @settings(max_examples=400, deadline=None)
-    @given(probe, index_thresholds, plans())
-    def test_accumulate_merge_opt_equals_merge_opt(
-        self, lists_spec, index_threshold, plan
-    ):
+    @given(opt_probes, plans())
+    def test_accumulate_merge_opt_equals_merge_opt(self, opt_probe, plan):
+        lists_spec, index_threshold = opt_probe
         lists = build(lists_spec)
         threshold_of, accept = plan
         heap_counters = CostCounters()

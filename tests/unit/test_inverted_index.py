@@ -1,10 +1,12 @@
 """Unit tests for the scored inverted index."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from repro.core.inverted_index import PostingList, ScoredInvertedIndex
+from repro.datagen import citation_all_3grams
 from repro.utils.counters import CostCounters
 
 
@@ -181,3 +183,32 @@ class TestNEntriesContract:
         index.get_or_create(9).insert_sorted(0, 1.0)
         with pytest.raises(AssertionError):
             index.audit_n_entries()
+
+
+class TestIdColumnMemory:
+    """Ids are a list of pointers to one shared int per entity: no
+    entry may hold an int of its own."""
+
+    def test_every_list_of_an_entity_holds_the_same_int(self):
+        index = ScoredInvertedIndex()
+        entity = int("1000000007")  # not a cached small int
+        index.insert(entity, (1, 2, 3), (1.0, 0.5, 1.0), norm=3.0)
+        assert all(index.get(token).ids[-1] is entity for token in (1, 2, 3))
+
+    def test_id_column_costs_about_one_pointer_per_entry(self):
+        records = citation_all_3grams(2000, seed=3).records
+        tracemalloc.start()
+        try:
+            index = ScoredInvertedIndex()
+            for rid, tokens in enumerate(records):
+                index.insert(rid, tokens, [1.0] * len(tokens), float(len(tokens)))
+            built = tracemalloc.get_traced_memory()[0]
+            for token in list(index.tokens()):
+                index.get(token).ids = None
+            id_bytes = built - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 8-byte pointers plus list slack and one int per entity came to
+        # 9.8 bytes per entry here; an int object per entry adds 28-32.
+        assert index.n_entries > 250_000
+        assert id_bytes / index.n_entries < 12

@@ -493,6 +493,28 @@ class TestMapIndex:
         index.dispose()
         assert os.path.exists(path)
 
+    def test_only_a_pinned_path_is_fsynced_and_renamed(self, tmp_path, monkeypatch):
+        # The temp file dies with the join: it is written in place.
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync") or fsync(fd))
+        monkeypatch.setattr(
+            os, "replace", lambda src, dst: calls.append("replace") or replace(src, dst)
+        )
+        index = built_index([(0, (1, 2), (1.0, 0.5), 2.0), (1, (2,), (1.0,), 1.0)])
+        for compressed in (False, True):
+            temp = map_index(index, compressed=compressed)
+            with open(temp.path, "rb") as handle:
+                temp_bytes = handle.read()
+            temp.dispose()
+            assert calls == []
+            path = str(tmp_path / f"join-{compressed}.rpmx")
+            map_index(index, path, compressed=compressed).dispose()
+            assert calls == ["fsync", "replace"]
+            calls.clear()
+            with open(path, "rb") as handle:
+                assert handle.read() == temp_bytes
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         import tempfile as _tempfile
 
