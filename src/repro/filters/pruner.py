@@ -145,9 +145,9 @@ class BitmapPruner:
         entries = self.store._entries
         controller = self.controller
         if threshold is None:
-            norm = bound.norm
+            norms = bound.filled_norms()
             pair_threshold = bound.threshold
-            norm_r = norm(rid)
+            norm_r = bound.norm(rid)
             # partner norm -> threshold - WEIGHT_EPS, per orientation
             limits_below: dict[float, float] = {}
             limits_above: dict[float, float] = {}
@@ -175,7 +175,7 @@ class BitmapPruner:
                 if ub_b < ub:
                     ub = ub_b
                 if threshold is None:
-                    norm_s = norm(sid)
+                    norm_s = norms[sid]
                     if sid < rid:
                         limit = limits_below.get(norm_s)
                         if limit is None:

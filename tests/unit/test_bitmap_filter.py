@@ -7,6 +7,7 @@ import pytest
 from repro import (
     CosinePredicate,
     Dataset,
+    DicePredicate,
     EditDistancePredicate,
     JaccardPredicate,
     OverlapPredicate,
@@ -410,6 +411,41 @@ class TestScreen:
             store_bound=indexed,
         )
         assert counters.bitmap_checks
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [JaccardPredicate(0.5), DicePredicate(0.6), OverlapPredicate(3)],
+        ids=["jaccard", "dice", "overlap"],
+    )
+    def test_fresh_binding_keeps_exactly_what_rejects_keeps(self, predicate):
+        # Each probe is screened through a binding that has computed no
+        # norm yet, so the per-pair thresholds must come from norms the
+        # screen fills itself. Overlap's threshold is constant: it
+        # never reads a norm.
+        data = random_dataset(seed=11)
+        pruner = BitmapPruner.for_join(
+            predicate.bind(data), BitmapFilterConfig(width=64, adaptive=False)
+        )
+        assert (pruner.const_threshold is None) == (
+            not isinstance(predicate, OverlapPredicate)
+        )
+        reference = predicate.bind(data)
+        counters = CostCounters()
+        for rid, candidates in self._probes(len(data), seed=3):
+            survivors = pruner.screen(
+                predicate.bind(data), rid, list(candidates), counters
+            )
+            entry = pruner.entry_of(reference, rid)
+            kept = []
+            for sid in candidates:
+                low, high = (sid, rid) if sid < rid else (rid, sid)
+                threshold = reference.threshold(
+                    reference.norm(low), reference.norm(high)
+                )
+                if not pruner.rejects(entry, sid, threshold, CostCounters()):
+                    kept.append(sid)
+            assert survivors == kept
+        assert 0 < counters.bitmap_rejects < counters.bitmap_checks
 
     def test_empty_and_switched_off_lists_pass_through(self):
         bound = OverlapPredicate(2).bind(Dataset(list(RECORDS)))

@@ -6,10 +6,13 @@ from repro import (
     CosinePredicate,
     Dataset,
     JaccardPredicate,
+    JoinContext,
+    MemoryBudgetExceeded,
     NaiveJoin,
     OverlapPredicate,
     WordGroupsJoin,
 )
+from repro.datagen import citation_all_3grams
 from tests.conftest import random_dataset
 
 
@@ -133,3 +136,42 @@ class TestWordGroups:
         assert result.pair_set() == NaiveJoin().join(data, predicate).pair_set()
         assert len(result.pair_set()) == 15
         assert result.counters.extra["groups_compacted"] > 0
+
+
+class TestMemoryBudget:
+    """Word-Groups charges its tid-lists to the memory budget.
+
+    Long records give the lattice far more tid-list entries than the
+    corpus has tokens; the budget is checked while a level is
+    generated, and a trip degrades the join to ClusterMem.
+    """
+
+    BUDGET = 10_000
+
+    @staticmethod
+    def _corpus():
+        data = citation_all_3grams(60, seed=5)
+        assert sum(map(len, data.records)) < TestMemoryBudget.BUDGET
+        return data
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_small_budget_degrades_and_stays_exact(self, optimized):
+        data = self._corpus()
+        predicate = JaccardPredicate(0.6)
+        context = JoinContext(memory_budget_entries=self.BUDGET)
+        result = WordGroupsJoin(optimized=optimized).join(data, predicate, context)
+        assert result.degraded_from == WordGroupsJoin(optimized=optimized).name
+        assert "budget" in result.degradation_reason
+        assert result.counters.extra["degradations"] == 1
+        assert result.pair_set() == NaiveJoin().join(data, predicate).pair_set()
+
+    def test_trips_while_a_later_level_is_generated(self):
+        # Level 1 holds at most one entry per corpus token, under the
+        # budget: the trip comes from a generated level's tid-lists.
+        data = self._corpus()
+        context = JoinContext(
+            memory_budget_entries=self.BUDGET, on_memory_exceeded="raise"
+        )
+        with pytest.raises(MemoryBudgetExceeded) as err:
+            WordGroupsJoin().join(data, JaccardPredicate(0.6), context)
+        assert err.value.entries > err.value.budget == self.BUDGET
