@@ -151,9 +151,14 @@ class JoinContext:
             if elapsed >= self.deadline_seconds:
                 raise JoinTimeout(elapsed, self.deadline_seconds)
         if check_memory and self.memory_budget_entries is not None:
-            entries = counters.index_entries + counters.peak_pair_table
-            if entries > self.memory_budget_entries:
-                raise MemoryBudgetExceeded(entries, self.memory_budget_entries)
+            self.check_entries(counters.index_entries + counters.peak_pair_table)
+
+    def check_entries(self, entries: int) -> None:
+        """Raise :class:`MemoryBudgetExceeded` when ``entries`` live
+        index entries exceed the memory budget (no-op without one)."""
+        budget = self.memory_budget_entries
+        if budget is not None and entries > budget:
+            raise MemoryBudgetExceeded(entries, budget)
 
     def for_degraded_run(self) -> "JoinContext":
         """Context for the ClusterMem fallback after a budget trip.

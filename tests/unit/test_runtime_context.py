@@ -153,6 +153,14 @@ class TestMemoryBudget:
         assert not result.degraded
         assert result.pair_set() == truth.pair_set()
 
+    def test_check_entries_is_the_budget_rule(self):
+        context = JoinContext(memory_budget_entries=20)
+        context.check_entries(20)
+        with pytest.raises(MemoryBudgetExceeded) as err:
+            context.check_entries(21)
+        assert (err.value.entries, err.value.budget) == (21, 20)
+        JoinContext().check_entries(10**9)  # no budget, no check
+
     def test_large_budget_never_trips(self):
         data = random_dataset(seed=38, n_base=20)
         context = JoinContext(memory_budget_entries=10**9)
