@@ -327,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sharding.add_argument(
         "--shard-workers", metavar="N", type=int, default=2,
-        help="probe threads per shard (default 2; hedging needs >= 2)",
+        help="probe threads per local shard (default 2; hedging a local"
+        " shard needs >= 2); remote shards have none: the --workers"
+        " threads send and read their probes",
     )
     sharding.add_argument(
         "--hedge-delay", metavar="SECONDS", type=float, default=None,
