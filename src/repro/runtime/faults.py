@@ -124,7 +124,13 @@ class ShardFaults:
     * ``slow``  — the probe sleeps ``seconds`` first, simulating a
       straggler; with a deadline shorter than the sleep the probe then
       dies of :class:`~repro.runtime.errors.JoinTimeout`, with a hedging
-      policy the re-issued probe races it.
+      policy the re-issued probe races it. That holds for a local
+      shard, whose probe runs on its pool; a remote shard's probe
+      applies the fault on the admission worker before its frame is
+      sent, so there the sleep stalls the whole scatter — the other
+      shards' frames and probes wait too, the deadline cannot cut it
+      short, and no hedge races it. A slow *node* is
+      :class:`NetworkFaults` ``delay``.
     * ``error`` — same raise as ``kill``, kept distinct in the message
       and tallies so tests can assert which scenario fired.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import socket
 
 import pytest
 
@@ -80,3 +81,33 @@ def small_dataset() -> Dataset:
 @pytest.fixture
 def dup_dataset() -> Dataset:
     return random_dataset(seed=123)
+
+
+@pytest.fixture
+def blackhole_port():
+    """A loopback port whose dials hang, as a host that drops SYNs does.
+
+    The listener's accept queue (``listen(0)``: one connection) is
+    filled and never drained, so the kernel drops every further SYN
+    and a dial waits out its timeout.
+    """
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(0)
+    address = listener.getsockname()
+    fillers = []
+    try:
+        for _ in range(4):
+            filler = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            fillers.append(filler)
+            filler.settimeout(0.2)
+            try:
+                filler.connect(address)
+            except OSError:
+                break  # the queue is full: this SYN was dropped
+        else:
+            pytest.skip("the kernel accepted every dial; no SYN was dropped")
+        yield address[1]
+    finally:
+        for sock in (*fillers, listener):
+            sock.close()
