@@ -404,6 +404,7 @@ class NetworkFaults:
                 # Node really is down: behaves exactly like refuse.
                 self._close(client)
                 continue
+            upstream.settimeout(None)  # bound the dial only, not idling
             with self._lock:
                 self._sockets.add(client)
                 self._sockets.add(upstream)

@@ -458,13 +458,17 @@ class ShardedIndexServer(_QueueServer):
             for query traffic, and the ping that finds a recovered node
             is the half-open trial that closes it again. Each remote
             shard is pinged by its own thread, bounded by
-            ``remote_request_timeout``.
+            ``remote_request_timeout``; ``drain`` waits at most 1 s
+            beyond its own ``timeout`` for these threads to stop.
         remote_pool_size / remote_connect_timeout / remote_request_timeout:
             forwarded to each :class:`RemoteShardClient`. The idle pool
             defaults to ``workers + 1`` connections per node: each
             admission worker holds one for its round trip, plus one
-            for a hedge. A query's dial is bounded by the connect
-            timeout and by the query's deadline, whichever is sooner.
+            for a hedge. Every op's dial (query, add, ping, health,
+            reindex) runs non-blocking, bounded by the connect timeout
+            and by the op's deadline, whichever is sooner; a round trip
+            is bounded by the request timeout, which is also the one
+            deadline of :meth:`health` across all nodes.
         vocabulary: optional prefilled token-id dict shared by every
             local shard. With remote shards and a corpus-dependent
             predicate this must be the full-corpus assignment: records
@@ -583,7 +587,6 @@ class ShardedIndexServer(_QueueServer):
             pool_size=self._remote_pool_size,
             connect_timeout=self._remote_connect_timeout,
             request_timeout=self._remote_request_timeout,
-            clock=self.clock,
             on_retry=self._count_retry,
         )
         return client, True
@@ -673,7 +676,9 @@ class ShardedIndexServer(_QueueServer):
         holds the owning shard's reference lock on the read side, so a
         concurrent generation flip either waits for it or happens
         entirely before — either way the record survives the flip via
-        the catch-up replay.
+        the catch-up replay. A remote insert waits at most one dial
+        (``remote_connect_timeout``) plus one round trip
+        (``remote_request_timeout``) per attempt of the retry policy.
         """
         with self._mutate_lock:
             rid = self._total
@@ -771,7 +776,12 @@ class ShardedIndexServer(_QueueServer):
         timeout: float | None = None,
         require_complete: bool = False,
     ) -> ShardedResult:
-        """Synchronous convenience wrapper around :meth:`submit`."""
+        """Synchronous convenience wrapper around :meth:`submit`.
+
+        With a ``deadline`` the answer comes back within it: a shard
+        that cannot answer in time is lost for this query, not waited
+        for (a remote shard's ``faults`` hook aside, see ``faults``).
+        """
         return self.submit(
             item, deadline=deadline, require_complete=require_complete
         ).result(timeout=timeout)
@@ -1150,7 +1160,8 @@ class ShardedIndexServer(_QueueServer):
                 carries them so the caller can keep waiting).
                 ``block=False`` returns immediately with the running
                 builders — ``wait()`` them yourself.
-            timeout: per-builder wait bound when blocking.
+            timeout: bound on the whole wait when blocking, however
+                many shards rebuild.
 
         Queries never wait on a build (it runs entirely off-lock) and
         never observe a torn index (the swap is a single reference
@@ -1177,8 +1188,12 @@ class ShardedIndexServer(_QueueServer):
                     ).start()
                 )
         if block:
+            until = None if timeout is None else time.monotonic() + timeout
             stalled = [
-                builder for builder in builders if not builder.wait(timeout)
+                builder for builder in builders
+                if not builder.wait(
+                    None if until is None else max(until - time.monotonic(), 0.0)
+                )
             ]
             if stalled:
                 raise ReindexTimeout(stalled, builders, timeout)
@@ -1199,7 +1214,10 @@ class ShardedIndexServer(_QueueServer):
         across shards, same shape the single-index server reports), and
         ``shards`` — one entry per shard with its records, flip epoch,
         index ``binding``, breaker state, cache stats, probe latency
-        window, and probe/hedge/failure tallies.
+        window, and probe/hedge/failure tallies. Every remote node's
+        counters are asked for at once and waited for within one
+        ``remote_request_timeout`` in all; the row of a node that does
+        not answer in time carries an ``error`` instead of counters.
         """
         snapshot = self._base_health()
         with self._cond:
@@ -1225,14 +1243,26 @@ class ShardedIndexServer(_QueueServer):
             "spread": [len(s.global_rids) for s in self._shards],
         }
         snapshot["latency"] = self.latency.summary()
+        views = []
+        for shard in self._shards:
+            with shard.rwlock.read_locked():
+                views.append((shard.index, shard.epoch))
+        # One HEALTH op per remote node, all begun at once and all read
+        # under one deadline, retries included.
+        context = JoinContext(deadline_seconds=self._remote_request_timeout)
+        context.start()
+        asked = [
+            index.begin_counters(context) if shard.remote else None
+            for shard, (index, _) in zip(self._shards, views)
+        ]
+        finish_dials(pending for pending in asked if pending is not None)
         aggregate: dict = {}
         shard_rows = []
         total_reconnects = 0
-        for shard, tallies in zip(self._shards, per_shard_tallies):
+        for shard, tallies, (index, epoch), pending in zip(
+            self._shards, per_shard_tallies, views, asked
+        ):
             probes, hedges, hedge_wins, failures, retries, hb_ok, hb_failed = tallies
-            with shard.rwlock.read_locked():
-                index = shard.index
-                epoch = shard.epoch
             reconnects = 0
             error = None
             if shard.remote:
@@ -1242,10 +1272,10 @@ class ShardedIndexServer(_QueueServer):
                 reconnects = index.reconnects
                 counters = {}
                 try:
-                    counters = index.counters_snapshot()
+                    counters = pending.result()
                 except (OSError, JoinRuntimeError) as exc:
-                    # A dead node must not take health() down with it —
-                    # its row reports the failure instead of counters.
+                    # A dead or slow node must not take health() down
+                    # with it — its row reports why instead of counters.
                     error = f"{type(exc).__name__}: {exc}"
             else:
                 counters = index.counters_snapshot()
@@ -1293,22 +1323,6 @@ class ShardedIndexServer(_QueueServer):
         return snapshot
 
     def counters_snapshot(self) -> dict:
-        """Cost counters summed across every shard's current generation.
-
-        A remote shard's counters cost one health round trip; an
-        unreachable node contributes nothing (rather than failing the
-        whole snapshot).
-        """
-        aggregate: dict = {}
-        for shard in self._shards:
-            with shard.rwlock.read_locked():
-                index = shard.index
-            try:
-                counters = index.counters_snapshot()
-            except (OSError, JoinRuntimeError):
-                if not shard.remote:
-                    raise
-                continue
-            for name, value in counters.items():
-                aggregate[name] = aggregate.get(name, 0) + value
-        return aggregate
+        """Cost counters summed across every shard's current generation
+        (:meth:`health`'s ``index.counters``, with its one bound)."""
+        return self.health()["index"]["counters"]

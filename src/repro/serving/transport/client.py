@@ -3,13 +3,20 @@
 The front-end side of the remote shard transport. A
 :class:`RemoteShardClient` exposes the same probe surface the sharded
 tier already programs against for an in-process shard index —
-``query`` / ``add`` / ``binding`` / ``counters_snapshot`` /
-``__len__`` — so :class:`~repro.serving.sharded.ShardedIndexServer`
-can hold one in a ``_Shard`` slot and scatter-gather over a mix of
-local and remote shards without a single branch in the merge path.
+``query`` / ``add`` / ``binding`` / ``__len__`` — so
+:class:`~repro.serving.sharded.ShardedIndexServer` can hold one in a
+``_Shard`` slot and scatter-gather over a mix of local and remote
+shards without a single branch in the merge path.
 
-Robustness model, per the tentpole contract:
+Robustness model:
 
+* **One request path.** Every op — query, add, ping, health, reindex —
+  is a :class:`PendingQuery`: its frame goes out on an idle pooled
+  connection, or a non-blocking dial is begun and :func:`finish_dials`
+  completes it within the connect timeout or the op's deadline,
+  whichever is sooner; then its answer is read. A retry begins afresh
+  the same way. The endpoint is resolved once, when the client is
+  built, so no dial waits on a resolver.
 * **Small connection pool, reconnect on failure.** Idle connections
   are reused; a connection that fails mid-exchange is torn down
   (counted in :attr:`reconnects`) and the next attempt dials fresh —
@@ -17,7 +24,7 @@ Robustness model, per the tentpole contract:
   too, as the same peer has dropped them.
   Reconnect-retry runs under the existing
   :class:`~repro.serving.retry.RetryPolicy` — exponential backoff +
-  jitter, clamped to the carved :class:`JoinContext` deadline, which
+  jitter, clamped to the op's :class:`JoinContext` deadline, which
   also rides the frame header so the node enforces the same budget.
 * **Typed failures.** Connect/transport failures raise
   :class:`~repro.runtime.errors.ShardUnavailable` (a
@@ -82,7 +89,8 @@ class RemoteShardClient:
     """Probe interface to one :class:`ShardServer` over TCP.
 
     Args:
-        host / port: the shard node's address.
+        host / port: the shard node's address, resolved here, once:
+            :class:`ShardUnavailable` when it cannot be.
         retry_policy: reconnect-on-failure policy for each op; ``None``
             means one attempt. Backoff is clamped to the op's carved
             deadline (see :meth:`RetryPolicy.run`).
@@ -92,7 +100,6 @@ class RemoteShardClient:
             bounds a dial tighter.
         request_timeout: per-round-trip socket timeout when the op has
             no deadline; a deadline always bounds the trip tighter.
-        clock: injectable monotonic clock.
         on_retry: extra ``(attempt, exc, delay)`` callback alongside
             the internal retry counter — the sharded server wires its
             global ``retried`` tally through this.
@@ -107,19 +114,20 @@ class RemoteShardClient:
         pool_size: int = 2,
         connect_timeout: float = 1.0,
         request_timeout: float | None = 5.0,
-        clock: Callable[[], float] = time.monotonic,
         on_retry: Callable | None = None,
     ):
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-        self.host = host
-        self.port = port
         self.endpoint = f"{host}:{port}"
+        try:
+            #: Where a dial goes: each address in turn until one connects.
+            self._addresses = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+        except (OSError, UnicodeError) as exc:
+            raise ShardUnavailable(self.endpoint, f"cannot resolve: {exc}") from exc
         self.retry_policy = retry_policy
         self.pool_size = pool_size
         self.connect_timeout = connect_timeout
         self.request_timeout = request_timeout
-        self.clock = clock
         self._extra_on_retry = on_retry
         self._lock = threading.Lock()
         self._idle: list[socket.socket] = []
@@ -136,21 +144,6 @@ class RemoteShardClient:
     # Connection pool
     # ------------------------------------------------------------------
 
-    def _checkout(self, context: JoinContext | None = None) -> socket.socket:
-        """An idle connection, or a fresh one dialed within
-        :meth:`_dial_bound`."""
-        conn = self._take_idle()
-        if conn is not None:
-            return conn
-        try:
-            conn = socket.create_connection(
-                (self.host, self.port), timeout=self._dial_bound(context)
-            )
-        except OSError as exc:
-            raise self._dial_failed(exc, context) from exc
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return conn
-
     def _take_idle(self) -> socket.socket | None:
         """Check out an idle connection, or None when there is none."""
         with self._lock:
@@ -158,29 +151,12 @@ class RemoteShardClient:
                 raise ShardUnavailable(self.endpoint, "client is closed")
             return self._idle.pop() if self._idle else None
 
-    def _dial_bound(self, context: JoinContext | None) -> float | None:
-        """Seconds a dial may take: the connect timeout, clamped to what
-        is left of ``context``'s deadline — a node that drops SYNs must
-        not hold an op past its deadline."""
-        bound = self.connect_timeout
-        remaining = context.remaining() if context is not None else None
-        if remaining is not None:
-            remaining = max(remaining, 0.0)
-            bound = remaining if bound is None else min(bound, remaining)
-        return bound
-
-    def _dial_failed(self, exc: OSError, context: JoinContext | None) -> BaseException:
-        """The typed error for a dial that failed or ran out of time."""
-        return _expired(context) or ShardUnavailable(
-            self.endpoint, f"connect failed: {exc}"
-        )
-
     def _checkin(self, conn: socket.socket) -> None:
         with self._lock:
             if not self._closed and len(self._idle) < self.pool_size:
                 self._idle.append(conn)
                 return
-        _close_quietly(conn)
+        wire.close_quietly(conn)
 
     def _discard(self, conn: socket.socket, flush: bool = False) -> None:
         """Tear down a failed connection (one reconnect); with ``flush``
@@ -192,7 +168,7 @@ class RemoteShardClient:
             if flush:
                 stale, self._idle = self._idle, []
         for dead in (conn, *stale):
-            _close_quietly(dead)
+            wire.close_quietly(dead)
 
     def close(self) -> None:
         """Close every pooled connection; idempotent."""
@@ -200,7 +176,7 @@ class RemoteShardClient:
             self._closed = True
             idle, self._idle = self._idle, []
         for conn in idle:
-            _close_quietly(conn)
+            wire.close_quietly(conn)
 
     def __enter__(self) -> "RemoteShardClient":
         return self
@@ -225,53 +201,23 @@ class RemoteShardClient:
         context: JoinContext | None = None,
         timeout: float | None = None,
     ) -> wire.Frame:
-        return self._retried(
-            lambda: self._attempt(op, payload, context, timeout), context
-        )
-
-    def _retried(self, attempt: Callable[[], wire.Frame], context) -> wire.Frame:
-        """``attempt()`` under the retry policy (one attempt without)."""
-        if self.retry_policy is not None:
-            return self.retry_policy.run(
-                attempt, on_retry=self._count_retry, context=context
-            )
-        return attempt()
-
-    def _attempt(
-        self,
-        op: int,
-        payload: bytes,
-        context: JoinContext | None,
-        timeout: float | None,
-    ) -> wire.Frame:
-        """One full round trip: send the request, read its response."""
-        return self._receive(
-            self._send(op, payload, context, timeout), op, context, timeout
-        )
+        """One op, begun and read — the one path every op takes."""
+        return PendingQuery(self, op, payload, context, timeout).result()
 
     def _budget(
         self, context: JoinContext | None, timeout: float | None
-    ) -> tuple[float, float | None]:
-        """The frame's deadline header (-1: none) and the round trip's
-        socket timeout; raises :class:`DeadlineExceeded` once the
-        deadline is spent."""
-        deadline = -1.0
-        trip_timeout = timeout if timeout is not None else self.request_timeout
-        if context is not None:
-            context.start()
-            remaining = context.remaining()
-            if remaining is not None:
-                if remaining <= 0:
-                    raise DeadlineExceeded(
-                        context.elapsed(), context.deadline_seconds
-                    )
-                deadline = remaining
-                trip_timeout = (
-                    remaining
-                    if trip_timeout is None
-                    else min(trip_timeout, remaining)
-                )
-        return deadline, trip_timeout
+    ) -> tuple[float | None, float | None]:
+        """What is left of ``context``'s deadline (None: no deadline)
+        and the round trip's socket timeout, clamped to it; raises
+        :class:`DeadlineExceeded` once the deadline is spent."""
+        trip = timeout if timeout is not None else self.request_timeout
+        if context is None or context.deadline_seconds is None:
+            return None, trip
+        context.start()
+        remaining = context.remaining()
+        if remaining <= 0:
+            raise DeadlineExceeded(context.elapsed(), context.deadline_seconds)
+        return remaining, remaining if trip is None else min(trip, remaining)
 
     def _send(
         self,
@@ -279,34 +225,32 @@ class RemoteShardClient:
         payload: bytes,
         context: JoinContext | None,
         timeout: float | None,
-        conn: socket.socket | None = None,
+        conn: socket.socket,
     ) -> tuple[socket.socket, int]:
-        """Write one request frame; returns ``(connection, request_id)``.
+        """Write one request frame on ``conn``; returns ``(connection,
+        request_id)``.
 
-        Sends on ``conn`` when given (checked out by the caller; checked
-        back in when the deadline is already spent), else on a
-        connection checked out here. It stays checked out until
+        ``conn`` is checked out by the caller, and checked back in here
+        when the deadline is already spent. It stays checked out until
         :meth:`_receive` reads the response on it (or the caller closes
         it).
         """
         try:
             deadline, trip_timeout = self._budget(context, timeout)
         except DeadlineExceeded:
-            if conn is not None:
-                self._checkin(conn)
+            self._checkin(conn)
             raise
         # The id is a u32 on the wire: wrap it into [1, 0xFFFFFFFF] so
         # the echo comparison survives past 2**32 ops, and keep 0 out of
         # the range — it is reserved for the node's *unrequested* error
         # frames (a request it could not even frame).
         request_id = (next(self._request_ids) - 1) % 0xFFFFFFFF + 1
-        if conn is None:
-            conn = self._checkout(context)
         try:
             conn.settimeout(trip_timeout)
             conn.sendall(
                 wire.encode_frame(
-                    op, payload, request_id=request_id, deadline=deadline
+                    op, payload, request_id=request_id,
+                    deadline=-1.0 if deadline is None else deadline,
                 )
             )
         except OSError as exc:
@@ -330,13 +274,12 @@ class RemoteShardClient:
         """
         conn, request_id = sent
         try:
-            if context is not None:
-                remaining = context.remaining()
-                if remaining is not None:
-                    trip = timeout if timeout is not None else self.request_timeout
-                    if trip is not None:
-                        remaining = min(trip, remaining)
-                    conn.settimeout(max(remaining, 0.0))
+            try:
+                remaining, trip = self._budget(context, timeout)
+            except DeadlineExceeded:
+                remaining = trip = 0.0
+            if remaining is not None:  # else the send set the timeout
+                conn.settimeout(trip)
             frame = wire.read_frame(wire.socket_reader(conn))
         except WireProtocolError:
             # Checksum (a subclass) and framing violations alike: the
@@ -472,7 +415,19 @@ class RemoteShardClient:
         body: dict = {"item": item}
         if since is not None and since.extendable:
             body["since"] = [since.records, since.binding]
-        return PendingQuery(self, wire.encode_json(body), context, since)
+
+        def answer(frame: wire.Frame):
+            matches, extended = wire.decode_answer(frame.payload)
+            if extended:
+                matches[:0] = [
+                    MatchPair(pair.rid_a, matches.records, pair.similarity)
+                    for pair in since
+                ]
+            return matches
+
+        return PendingQuery(
+            self, wire.OP_QUERY, wire.encode_json(body), context, decode=answer
+        )
 
     def add(self, item, payload=None, expected_rid: int | None = None) -> int:
         """Insert a record on the node; returns its shard-local rid.
@@ -524,10 +479,10 @@ class RemoteShardClient:
         with self._lock:
             return self._binding
 
-    def counters_snapshot(self) -> dict:
-        """The node's cost counters (one health round trip)."""
-        counters = self.health().get("counters", {})
-        return counters if isinstance(counters, dict) else {}
+    def begin_counters(self, context: JoinContext | None = None) -> "PendingQuery":
+        """Ask the node for its cost counters now (one HEALTH op, begun
+        as :meth:`begin_query` begins a probe); ``result()`` reads them."""
+        return PendingQuery(self, wire.OP_HEALTH, b"", context, decode=_counters)
 
     def __len__(self) -> int:
         return int(self.health().get("records", 0))
@@ -543,56 +498,82 @@ class RemoteShardClient:
 
 
 class PendingQuery:
-    """One remote probe in flight: its QUERY frame sent (or its
-    connection still being dialed), the answer not yet read (see
-    :meth:`RemoteShardClient.begin_query`).
+    """One op in flight — a probe's QUERY (see
+    :meth:`RemoteShardClient.begin_query`) or any other op the client
+    makes: its frame sent (or its connection still being dialed), the
+    answer not yet read.
 
-    :meth:`result` reads the answer under the client's retry policy,
-    with the same ``on_retry`` and deadline clamp as any other op: its
-    first attempt finishes the dial if one is pending, then receives
-    the frame already sent (or raises the send's failure); later
-    attempts are full round trips. :meth:`fileno` exposes the reply's
-    socket to ``select``/``poll``; :meth:`cancel` closes it unread.
-    Exactly one of the two must end every handle, or its connection
-    stays checked out.
+    Every attempt begins the same way and never raises: the frame goes
+    out on an idle pooled connection, or a non-blocking dial to the
+    node's next address is begun, which :func:`finish_dials` completes
+    (sending the frame the moment the connection is up). :meth:`result`
+    reads the answer under the client's retry policy, with the same
+    ``on_retry`` and deadline clamp for every op: the first attempt is
+    the one begun already, each retry begins a fresh one.
+    :meth:`fileno` exposes the reply's socket to ``select``/``poll``;
+    :meth:`cancel` closes it unread. Exactly one of the two must end
+    every handle, or its connection stays checked out.
     """
 
     __slots__ = (
-        "_client", "_payload", "_context", "_since", "_sent", "_error",
-        "_dial", "_dial_expires", "_addresses",
+        "_client", "_op", "_payload", "_context", "_timeout", "_decode",
+        "_sent", "_error", "_dial", "_dial_expires", "_addresses",
     )
 
-    def __init__(self, client: RemoteShardClient, payload: bytes, context, since):
+    def __init__(
+        self,
+        client: RemoteShardClient,
+        op: int,
+        payload: bytes = b"",
+        context: JoinContext | None = None,
+        timeout: float | None = None,
+        decode: Callable[[wire.Frame], object] | None = None,
+    ):
         self._client = client
+        self._op = op
         self._payload = payload
         self._context = context
-        self._since = since
-        self._sent: tuple[socket.socket, int] | None = None
-        self._error: Exception | None = None
+        self._timeout = timeout
+        #: Turns the response frame into ``result()``'s value (None:
+        #: the frame itself).
+        self._decode = decode
         #: The connection being dialed (non-blocking), until it is up.
         self._dial: socket.socket | None = None
-        self._dial_expires = 0.0
-        self._addresses: list = []
+        self._begin()
+
+    def _begin(self) -> None:
+        """Begin one attempt; a failure is kept for :meth:`result`."""
+        client = self._client
+        self._sent: tuple[socket.socket, int] | None = None
+        self._error: Exception | None = None
         try:
             conn = client._take_idle()
             if conn is not None:
-                self._sent = client._send(wire.OP_QUERY, payload, context, None, conn)
-            else:
-                client._budget(context, None)  # a spent deadline dials nothing
-                self._addresses = socket.getaddrinfo(
-                    client.host, client.port, type=socket.SOCK_STREAM
-                )
-                # Real time, as a socket timeout is: poll waits in it.
-                self._dial_expires = time.monotonic() + _or_inf(
-                    client._dial_bound(context)
-                )
-                self._dial_next(OSError("no address to dial"))
+                self._send(conn)
+                return
+            # A spent deadline dials nothing; a node that drops SYNs
+            # holds the dial for the connect timeout or the rest of the
+            # deadline, whichever is sooner — in real time, as a socket
+            # timeout is: poll waits in it.
+            remaining, _ = client._budget(self._context, self._timeout)
+            self._dial_expires = time.monotonic() + min(
+                b for b in (client.connect_timeout, remaining, _INF) if b is not None
+            )
+            self._addresses = list(client._addresses)
+            self._dial_next(OSError("no address to dial"))
+        except Exception as exc:  # noqa: BLE001 — raised by result()
+            self._error = exc
+
+    def _send(self, conn: socket.socket) -> None:
+        try:
+            self._sent = self._client._send(
+                self._op, self._payload, self._context, self._timeout, conn
+            )
         except Exception as exc:  # noqa: BLE001 — raised by result()
             self._error = exc
 
     def _dial_next(self, error: OSError) -> None:
-        """Begin a non-blocking connect to the next address, as
-        ``socket.create_connection`` tries them in turn; with none
+        """Begin a non-blocking connect to the next address; with none
         left, keep the last failure for :meth:`result`."""
         while self._addresses:
             family, kind, proto, _, address = self._addresses.pop(0)
@@ -606,9 +587,15 @@ class PendingQuery:
             if code in (0, errno.EINPROGRESS):
                 self._dial = conn
                 return
-            _close_quietly(conn)
+            wire.close_quietly(conn)
             error = OSError(code, os.strerror(code))
-        self._error = self._client._dial_failed(error, self._context)
+        self._dial_failed(error)
+
+    def _dial_failed(self, exc: OSError) -> None:
+        """Keep the typed error of a dial that failed or ran out of time."""
+        self._error = _expired(self._context) or ShardUnavailable(
+            self._client.endpoint, f"connect failed: {exc}"
+        )
 
     def _dial_left(self) -> float:
         return self._dial_expires - time.monotonic()
@@ -619,24 +606,17 @@ class PendingQuery:
         conn, self._dial = self._dial, None
         code = conn.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
         if code:
-            _close_quietly(conn)
+            wire.close_quietly(conn)
             self._dial_next(OSError(code, os.strerror(code)))
             return
         conn.setblocking(True)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            self._sent = self._client._send(
-                wire.OP_QUERY, self._payload, self._context, None, conn
-            )
-        except Exception as exc:  # noqa: BLE001 — raised by result()
-            self._error = exc
+        self._send(conn)
 
     def _dial_timed_out(self) -> None:
         conn, self._dial = self._dial, None
-        _close_quietly(conn)
-        self._error = self._client._dial_failed(
-            socket.timeout("timed out"), self._context
-        )
+        wire.close_quietly(conn)
+        self._dial_failed(socket.timeout("timed out"))
 
     def fileno(self) -> int:
         """The socket the answer arrives on; -1 when no frame is out
@@ -645,28 +625,28 @@ class PendingQuery:
         return self._sent[0].fileno() if self._sent is not None else -1
 
     def result(self):
-        """The node's shard-local answer, ``since`` spliced on."""
-        client = self._client
-        context = self._context
+        """The node's answer, decoded (a QUERY's shard-local matches,
+        ``since`` spliced on)."""
+        policy = self._client.retry_policy
+        if policy is None:
+            frame = self._try()
+        else:
+            frame = policy.run(
+                self._try, on_retry=self._client._count_retry,
+                context=self._context,
+            )
+        return frame if self._decode is None else self._decode(frame)
 
-        def attempt() -> wire.Frame:
-            finish_dials((self,))
-            sent, error = self._sent, self._error
-            if sent is None and error is None:
-                return client._attempt(wire.OP_QUERY, self._payload, context, None)
-            self._sent = self._error = None
-            if error is not None:
-                raise error
-            return client._receive(sent, wire.OP_QUERY, context, None)
-
-        frame = client._retried(attempt, context)
-        answer, extended = wire.decode_answer(frame.payload)
-        if extended:
-            answer[:0] = [
-                MatchPair(pair.rid_a, answer.records, pair.similarity)
-                for pair in self._since
-            ]
-        return answer
+    def _try(self) -> wire.Frame:
+        """One attempt: begun here unless it is the one begun already."""
+        if self._sent is None and self._error is None and self._dial is None:
+            self._begin()
+        finish_dials((self,))
+        sent, error = self._sent, self._error
+        self._sent = self._error = None
+        if error is not None:
+            raise error
+        return self._client._receive(sent, self._op, self._context, self._timeout)
 
     def cancel(self) -> None:
         """Close the connection without reading the answer. A closed
@@ -677,18 +657,18 @@ class PendingQuery:
         self._error = None
         for conn in (sent[0] if sent is not None else None, dial):
             if conn is not None:
-                _close_quietly(conn)
+                wire.close_quietly(conn)
 
 
 def finish_dials(pending) -> None:
-    """Complete the dials still in progress among ``pending`` queries,
-    all at once.
+    """Complete the dials still in progress among ``pending`` ops, all
+    at once.
 
     Each dial is waited for within its own bound (the client's connect
-    timeout, clamped to the query's deadline), and its query's frame is
-    sent the moment the connection is up: a node that drops SYNs holds
-    this call for that bound, never the other nodes' frames past theirs.
-    A dial that fails or runs out of time keeps its failure for
+    timeout, clamped to the op's deadline), and its op's frame is sent
+    the moment the connection is up: a node that drops SYNs holds this
+    call for that bound, never the other nodes' frames past theirs. A
+    dial that fails or runs out of time keeps its failure for
     :meth:`PendingQuery.result`.
     """
     dialing = [query for query in pending if query._dial is not None]
@@ -713,8 +693,9 @@ def finish_dials(pending) -> None:
 _INF = float("inf")
 
 
-def _or_inf(bound: float | None) -> float:
-    return _INF if bound is None else bound
+def _counters(frame: wire.Frame) -> dict:
+    counters = wire.decode_json(frame.payload).get("counters", {})
+    return counters if isinstance(counters, dict) else {}
 
 
 def _expired(context: JoinContext | None) -> JoinTimeout | None:
@@ -724,10 +705,3 @@ def _expired(context: JoinContext | None) -> JoinTimeout | None:
         if remaining is not None and remaining <= 0:
             return JoinTimeout(context.elapsed(), context.deadline_seconds)
     return None
-
-
-def _close_quietly(conn: socket.socket) -> None:
-    try:
-        conn.close()
-    except OSError:
-        pass

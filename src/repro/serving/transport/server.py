@@ -191,7 +191,7 @@ class ShardServer:
             except OSError:
                 pass
         for conn in connections:
-            _close_quietly(conn)
+            wire.close_quietly(conn)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=1.0)
         # Wait (bounded) for the connection handlers, so one that dies
@@ -223,7 +223,7 @@ class ShardServer:
                 # Checked under the lock stop() takes, so every
                 # connection it misses is closed here instead.
                 if self._stopping:
-                    _close_quietly(conn)
+                    wire.close_quietly(conn)
                     return
                 self._connections.add(conn)
                 # A handler leaves the set only once it is dead, which
@@ -268,7 +268,7 @@ class ShardServer:
                 except OSError:
                     return
         finally:
-            _close_quietly(conn)
+            wire.close_quietly(conn)
             with self._lock:
                 self._connections.discard(conn)
 
@@ -432,14 +432,3 @@ class ShardServer:
             merge_backend=live.merge_backend,
             vocabulary=live._vocabulary,
         )
-
-
-def _close_quietly(conn: socket.socket) -> None:
-    try:
-        conn.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        conn.close()
-    except OSError:
-        pass

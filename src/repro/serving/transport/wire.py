@@ -36,6 +36,7 @@ these answer fields and ``since`` and renamed the header's
 from __future__ import annotations
 
 import json
+import socket
 import struct
 import zlib
 from typing import Callable, NamedTuple, Sequence
@@ -220,6 +221,20 @@ def socket_reader(sock) -> Callable[[int], bytes]:
         return b"".join(parts) if len(parts) != 1 else parts[0]
 
     return read_exactly
+
+
+def close_quietly(sock) -> None:
+    """Shut down and close ``sock`` (waking a ``recv`` blocked on it in
+    another thread); a dead or never-connected socket's errors are
+    ignored."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ The invariants are the tentpole's contract, checked continuously:
   manual intervention.
 
 Everything is time-bounded: a hang is a failed wait, not a hung job.
+A failure carries the run's per-phase timeline (the faulted shard's
+breaker state, its heartbeat tallies, the last query's lost shards), so
+a flake that cannot be reproduced still says where it went wrong.
 """
 
 import threading
@@ -82,6 +85,9 @@ class TestNetworkChaos:
         """single reference + front end with shard 1 behind a proxy."""
         texts = _texts()
         self.texts = texts
+        self.timeline: list[str] = []
+        self.started = time.monotonic()
+        self.last_failed = None
 
         index = SimilarityIndex(JaccardPredicate(0.4), tokenizer=tokenize_words)
         for text in texts:
@@ -129,9 +135,26 @@ class TestNetworkChaos:
         self.node_a.stop()
         self.node_b.stop()
 
+    def _query(self, probe, **kwargs):
+        result = self.server.query(probe, timeout=WAIT, **kwargs)
+        self.last_failed = result.shards_failed
+        return result
+
+    def _mark(self, phase: str) -> None:
+        """One timeline row, read off the faulted shard itself: a
+        ``health()`` call would send its own traffic through the proxy
+        and could take an armed fault."""
+        shard = self.server._shards[self.FAULTED]
+        self.timeline.append(
+            f"{time.monotonic() - self.started:7.3f}s {phase}:"
+            f" breaker {shard.breaker.state},"
+            f" heartbeats {shard.heartbeats_ok} ok/{shard.heartbeats_failed} failed,"
+            f" last shards_failed {self.last_failed}"
+        )
+
     def _assert_all_complete_and_exact(self):
         for probe in self.queries:
-            result = self.server.query(probe, timeout=WAIT)
+            result = self._query(probe)
             assert not result.partial, (
                 f"lost shards {result.shards_failed} with no fault armed"
             )
@@ -140,15 +163,17 @@ class TestNetworkChaos:
     def test_full_taxonomy_then_restart(self):
         self._build()
         try:
+            self._mark("phase 0: baseline")
             # Phase 0: fault-free baseline — identical to the reference.
             self._assert_all_complete_and_exact()
 
+            self._mark("phase 1: refuse")
             # Phase 1: connections refused. Retries burn out, the shard
             # is lost with exact accounting; require_complete raises
             # the same accounting as a typed error.
             self.proxy.refuse(times=1000)
             self.proxy.sever()  # a dead node resets pooled connections too
-            result = self.server.query(self.queries[0], timeout=WAIT)
+            result = self._query(self.queries[0])
             assert result.partial
             assert result.shards_failed == (self.FAULTED,)
             assert result.shards_ok == (0, 2)
@@ -160,6 +185,7 @@ class TestNetworkChaos:
             assert self.proxy.injected["refuse"] > 0
             self.proxy.clear()
 
+            self._mark("phase 1: refusals cleared")
             # The breaker likely tripped on the refusals; heartbeats
             # are its trial traffic, so recovery needs no queries.
             assert _wait_until(self._all_complete), (
@@ -167,6 +193,7 @@ class TestNetworkChaos:
             )
             self._assert_all_complete_and_exact()
 
+            self._mark("phase 2: corrupt")
             # Phase 2: corrupted frames — absorbed by reconnect-retry,
             # answers stay exact. One armed fault at a time: a single
             # corruption can land on a query response or a heartbeat
@@ -176,7 +203,7 @@ class TestNetworkChaos:
             before = self._client_counters()
             for probe in self.queries[:3]:
                 self.proxy.corrupt(times=1)
-                result = self.server.query(probe, timeout=WAIT)
+                result = self._query(probe)
                 assert not result.partial
                 assert _fingerprint(result) == self.reference[probe]
                 assert _wait_until(lambda: not self.proxy.pending)
@@ -186,29 +213,30 @@ class TestNetworkChaos:
             assert self.proxy.injected["corrupt"] == 3
             self.proxy.clear()
 
+            self._mark("phase 3: truncate")
             # Phase 3: truncated responses — the torn frame surfaces as
             # a connection error, also retried to success.
             for probe in self.queries[:2]:
                 self.proxy.truncate(nbytes=8, times=1)
-                result = self.server.query(probe, timeout=WAIT)
+                result = self._query(probe)
                 assert not result.partial
                 assert _fingerprint(result) == self.reference[probe]
                 assert _wait_until(lambda: not self.proxy.pending)
             assert self.proxy.injected["truncate"] == 2
             self.proxy.clear()
 
+            self._mark("phase 4: delay")
             # Phase 4: responses delayed past the query deadline — the
             # slow shard is lost, not the query. The deadline bounds the
             # scatter-gather; the generous future wait just collects it.
             self.proxy.delay(seconds=5.0, times=1000)
-            result = self.server.query(
-                self.queries[0], deadline=1.0, timeout=WAIT
-            )
+            result = self._query(self.queries[0], deadline=1.0)
             assert result.partial
             assert result.shards_failed == (self.FAULTED,)
             self.proxy.clear()
             assert _wait_until(self._all_complete)
 
+            self._mark("phase 5: kill")
             # Phase 5: connections killed mid-response under threaded
             # traffic: every answer is either complete-and-exact or
             # partial blaming exactly the faulted shard.
@@ -218,7 +246,7 @@ class TestNetworkChaos:
 
             def worker(probe):
                 try:
-                    result = self.server.query(probe, timeout=WAIT)
+                    result = self._query(probe)
                     if result.partial:
                         outcomes.append(("partial", result.shards_failed))
                         assert result.shards_failed == (self.FAULTED,)
@@ -241,17 +269,17 @@ class TestNetworkChaos:
             self.proxy.clear()
             assert _wait_until(self._all_complete)
 
+            self._mark("phase 6: node killed")
             # Phase 6: node killed outright, then restarted at a NEW
             # address with the same shard state. The proxy retargets;
             # heartbeats find the recovered node, close the breaker,
             # and the tier returns to complete answers by itself.
             self.node_a.stop()
             assert _wait_until(
-                lambda: self.server.query(
-                    self.queries[0], timeout=WAIT
-                ).shards_failed == (self.FAULTED,)
+                lambda: self._query(self.queries[0]).shards_failed == (self.FAULTED,)
             ), "killed node was never detected"
 
+            self._mark("phase 6: death detected")
             # While the node is still down, the breaker's half-open
             # trial slot goes to a heartbeat ping — which fails and is
             # counted. (While the circuit is open pings are *skipped*,
@@ -267,6 +295,7 @@ class TestNetworkChaos:
                 for rid, text in enumerate(self.texts)
                 if self.server.router.shard_of(rid) == self.FAULTED
             ]
+            self._mark("phase 6: node restarted")
             self.node_a = _node(shard_records)  # same state, new port
             self.proxy.retarget(*self.node_a.address)
             assert _wait_until(self._all_complete), (
@@ -274,6 +303,7 @@ class TestNetworkChaos:
             )
             self._assert_all_complete_and_exact()
 
+            self._mark("phase 6: recovered")
             # Accounting sanity: reconnects and heartbeat failures were
             # observed and surfaced in health.
             health = self.server.health()
@@ -283,6 +313,11 @@ class TestNetworkChaos:
             assert row["heartbeats"]["failed"] > 0
             assert row["heartbeats"]["ok"] > 0
             assert health["reconnects"] >= row["reconnects"]
+        except AssertionError as exc:
+            self._mark("failed")
+            raise AssertionError(
+                f"{exc}\n--- timeline ---\n" + "\n".join(self.timeline)
+            ) from exc
         finally:
             self._teardown()
 
@@ -291,7 +326,7 @@ class TestNetworkChaos:
     # ------------------------------------------------------------------
 
     def _all_complete(self) -> bool:
-        result = self.server.query(self.queries[0], timeout=WAIT)
+        result = self._query(self.queries[0])
         return not result.partial and (
             _fingerprint(result) == self.reference[self.queries[0]]
         )

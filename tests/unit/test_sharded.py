@@ -2,6 +2,7 @@
 
 import contextlib
 import re
+import socket
 import threading
 import time
 
@@ -12,6 +13,7 @@ from repro.core.results import MatchPair
 from repro.core.service import SimilarityIndex
 from repro.runtime.errors import (
     PartialResult,
+    ReindexTimeout,
     RidDesync,
     ServerOverloaded,
     ShardUnavailable,
@@ -440,6 +442,19 @@ def _remote_tier(nodes=2, texts=TEXTS, **kwargs):
             node.stop()
 
 
+def _drop_syns(server, sid, proxy, port) -> None:
+    """Shard ``sid``'s node goes away: its proxy stops, so its pooled
+    connections die, and every later dial lands on ``port``, a host
+    that drops SYNs. One failed ping flushes the dead pool."""
+    client = server._shards[sid].index
+    client._addresses = socket.getaddrinfo(
+        "127.0.0.1", port, type=socket.SOCK_STREAM
+    )
+    proxy.stop()
+    with pytest.raises(ShardUnavailable):
+        client.ping()
+
+
 def _shard_worker_threads() -> set:
     return {
         thread for thread in threading.enumerate()
@@ -515,11 +530,7 @@ class TestRemoteScatter:
         so its answer comes back within the deadline."""
         with _remote_tier() as (server, proxies):
             assert not server.query(PROBE, timeout=WAIT).partial
-            # Node 0 goes away: its pooled connection dies, and every
-            # later dial lands on a host that drops SYNs.
-            server._shards[0].index.port = blackhole_port
-            proxies[0].stop()
-            server.query(PROBE, timeout=WAIT)  # drops the dead connection
+            _drop_syns(server, 0, proxies[0], blackhole_port)
             started = time.monotonic()
             result = server.query(PROBE, deadline=0.3, timeout=WAIT)
             elapsed = time.monotonic() - started
@@ -580,6 +591,94 @@ class TestRemoteScatter:
                 thread.join(WAIT)
             assert errors == []
             assert [proxy.connections for proxy in proxies] == accepted
+
+
+class TestBoundedWaits:
+    """Every public entry point returns within the bound its docstring
+    states while one node drops SYNs and another delays its replies 5 s
+    (connect and request timeouts 0.5 s, no retry policy)."""
+
+    CONNECT = REQUEST = 0.5
+    SLACK = 0.4  # scheduling headroom, below any one bound
+
+    def _tier(self, **kwargs):
+        return _remote_tier(
+            nodes=3,
+            remote_connect_timeout=self.CONNECT,
+            remote_request_timeout=self.REQUEST,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("add_lands_on", ["dropping", "delayed"])
+    def test_every_entry_point_is_bounded(self, blackhole_port, add_lands_on):
+        with self._tier(heartbeat_interval=0.1) as (server, proxies):
+            # The next insert's shard gets the fault under test.
+            target = server.router.shard_of(len(server))
+            other, healthy = [sid for sid in range(3) if sid != target]
+            dropping, delayed = (
+                (target, other) if add_lands_on == "dropping" else (other, target)
+            )
+            _drop_syns(server, dropping, proxies[dropping], blackhole_port)
+            proxies[delayed].delay(5.0)
+            lost = tuple(sorted((dropping, delayed)))
+            in_flight: list = []
+
+            def drain():
+                in_flight.append(server.submit(PROBE))  # no deadline
+                return server.drain(timeout=self.REQUEST)
+
+            table = [
+                ("query", lambda: server.query(
+                    PROBE, deadline=self.REQUEST, timeout=WAIT
+                ), self.REQUEST),
+                ("add", lambda: server.add("a record"), self.CONNECT + self.REQUEST),
+                ("health", server.health, self.REQUEST),
+                ("counters_snapshot", server.counters_snapshot, self.REQUEST),
+                ("reindex", lambda: server.reindex(timeout=self.REQUEST), self.REQUEST),
+                ("drain", drain, self.REQUEST + 1.0),
+            ]
+            outcome, took = {}, {}
+            for name, call, bound in table:
+                started = time.monotonic()
+                try:
+                    outcome[name] = call()
+                except Exception as exc:  # noqa: BLE001 — checked below
+                    outcome[name] = exc
+                took[name] = time.monotonic() - started
+            assert all(
+                took[name] < bound + self.SLACK for name, _, bound in table
+            ), f"waits past their bounds: {took}"
+
+            assert outcome["query"].shards_failed == lost
+            assert outcome["query"].shards_ok == (healthy,)
+            assert isinstance(outcome["add"], ShardUnavailable)
+            rows = outcome["health"]["shards"]
+            assert [sid for sid, row in enumerate(rows) if "error" in row] == list(lost)
+            assert outcome["health"]["index"]["counters"]  # the healthy node's
+            assert outcome["counters_snapshot"] == outcome["health"]["index"]["counters"]
+            assert isinstance(outcome["reindex"], (ReindexTimeout, ShardUnavailable))
+            assert in_flight[0].result(timeout=WAIT).shards_failed == lost
+
+    def test_health_waits_one_bound_however_many_nodes_are_slow(self):
+        """Two delayed nodes cost ``health()`` and ``counters_snapshot()``
+        one request timeout, not one each."""
+        with self._tier() as (server, proxies):
+            healthy = server._shards[2].index.begin_counters().result()
+            assert healthy
+            for proxy in proxies[:2]:
+                proxy.delay(5.0)
+            for name in ("health", "counters_snapshot"):
+                started = time.monotonic()
+                answer = getattr(server, name)()
+                elapsed = time.monotonic() - started
+                assert elapsed < 2 * self.REQUEST, (
+                    f"{name} waited {elapsed:.2f}s: once per slow node"
+                )
+                if name == "health":
+                    rows = answer["shards"]
+                    assert ["error" in row for row in rows] == [True, True, False]
+                    answer = answer["index"]["counters"]
+                assert answer == healthy
 
 
 class TestServerLifecycle:

@@ -269,6 +269,11 @@ class TestFailureTyping:
             client.ping()
         assert isinstance(info.value, ConnectionError)  # retryable class
 
+    def test_unresolvable_endpoint_fails_at_construction(self):
+        # A label over 63 characters fails to encode, so no lookup runs.
+        with pytest.raises(ShardUnavailable, match="cannot resolve"):
+            RemoteShardClient("a" * 64, 7601)
+
     def test_expired_deadline_is_a_typed_timeout(self):
         with ShardServer(_index()) as node:
             with RemoteShardClient(*node.address) as client:
@@ -578,6 +583,19 @@ class TestFaultRecovery:
                     assert client.reconnects == 1  # only the one that failed
                 finally:
                     client.close()
+
+    def test_a_pooled_connection_through_the_proxy_survives_idling(self):
+        """The proxy's upstream dial timeout bounds the dial only: a
+        pooled connection idle past it still answers, with no retry
+        policy to hide a reconnect."""
+        with ShardServer(_index()) as node:
+            with NetworkFaults(*node.address) as proxy:
+                with RemoteShardClient("127.0.0.1", proxy.port) as client:
+                    client.ping()
+                    time.sleep(1.5)
+                    assert client.ping()[0] == 0
+                    assert client.reconnects == 0
+                    assert proxy.connections == 1
 
     def test_pool_reuses_a_healthy_connection(self):
         with ShardServer(_index()) as node:
