@@ -103,8 +103,7 @@ class _QueueServer:
     does) and may hook :meth:`_on_start` / :meth:`_on_drained` for
     their own resources (the sharded tier's shard pools and heartbeat).
     Everything else — the load-shedding admission path, deadline
-    anchoring at submit, the worker loop, the breaker-and-retry step
-    around each dependency call (:meth:`_guarded`), graceful drain with
+    anchoring at submit, the worker loop, graceful drain with
     queued-request failure, and the shed/completed/failed/retried
     accounting — is shared verbatim between the single-index and
     sharded servers, so the two tiers cannot drift apart operationally.
@@ -365,29 +364,6 @@ class _QueueServer:
         with self._cond:
             self._retried += 1
 
-    def _guarded(self, attempt, breaker, retry_policy, on_retry, context):
-        """One dependency call behind ``breaker``, retried per ``retry_policy``.
-
-        The breaker admits first (an open circuit raises ``CircuitOpen``
-        without recording anything); then ``retry_policy`` runs
-        ``attempt`` (``None`` = exactly one attempt), and the outcome is
-        recorded on the breaker as one failure or one success.
-        """
-        if breaker is not None:
-            breaker.admit()
-        try:
-            if retry_policy is not None:
-                result = retry_policy.run(attempt, on_retry=on_retry, context=context)
-            else:
-                result = attempt()
-        except BaseException:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return result
-
     def _finish(
         self, completed: bool = False, failed: bool = False, shed: bool = False
     ) -> None:
@@ -512,9 +488,21 @@ class IndexServer(_QueueServer):
         def attempt():
             return query(index, item, context, since)
 
-        fresh = self._guarded(
-            attempt, self.breaker, self.retry_policy, self._count_retry, context
-        )
+        # The breaker admits first (an open circuit raises CircuitOpen,
+        # recording nothing); the retried call is one outcome on it.
+        breaker, policy = self.breaker, self.retry_policy
+        if breaker is not None:
+            breaker.admit()
+        try:
+            fresh = attempt() if policy is None else policy.run(
+                attempt, on_retry=self._count_retry, context=context
+            )
+        except BaseException:
+            if breaker is not None:
+                breaker.record_failure()
+            raise
+        if breaker is not None:
+            breaker.record_success()
         if key is not None:
             cache.store(key, stamp, fresh)
         return fresh

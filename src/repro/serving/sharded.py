@@ -3,11 +3,12 @@
 :class:`ShardedIndexServer` partitions records across N
 :class:`~repro.core.service.SimilarityIndex` shards by stable
 record-id hash (:class:`~repro.serving.router.ShardRouter`) and serves
-each query scatter-gather: probe every shard at once (a local shard on
-its own worker pool, a remote one by a query frame the admission worker
-sends and later reads itself), then merge the per-shard candidates into
-the exact global result — the paper's §5 record-partition
-decomposition, applied to the online probe instead of the batch join.
+each query scatter-gather: begin every shard's probe at once (a local
+one on its shard's worker pool, a remote one as a query frame the
+admission worker sends), finish them in one gather, then merge the
+per-shard candidates into the exact global result — the paper's §5
+record-partition decomposition, applied to the online probe instead of
+the batch join.
 Because every shard scores with the shared vocabulary (one token = one
 id everywhere) and similarity predicates are pair-local once bound, the
 merged answer is pair-for-pair identical to a single-index
@@ -22,8 +23,8 @@ What sharding buys is *fault isolation*, not different answers:
   shard trips one breaker, skews one latency window, flushes one cache.
 * **Hedged probes** — when a shard dawdles past its hedge delay
   (fixed, or derived from that shard's own p99), the probe is re-issued
-  and the first completion wins; one straggler degrades tail latency
-  instead of defining it.
+  and the first completion wins (the loser records nothing); one
+  straggler degrades tail latency instead of defining it.
 * **Partial results with explicit accounting** — a query that loses
   shards still answers from the survivors:
   :class:`ShardedResult` carries ``shards_ok`` / ``shards_failed`` /
@@ -66,6 +67,7 @@ from repro.runtime.context import JoinContext
 from repro.runtime.errors import (
     CircuitOpen,
     JoinRuntimeError,
+    JoinTimeout,
     PartialResult,
     ReindexTimeout,
     RidDesync,
@@ -79,6 +81,7 @@ from repro.serving.server import _QueueServer, _Request
 from repro.serving.stats import LatencyTracker
 from repro.serving.router import ShardRouter
 from repro.serving.transport.client import (
+    PendingQuery,
     RemoteShardClient,
     finish_dials,
     parse_endpoint,
@@ -182,7 +185,7 @@ class _ShardPool:
     it runs here rather than on the admission worker: the worker waits
     on its future and can abandon a wedged probe at the deadline. A
     remote shard has no pool — its probe is a socket wait, which the
-    admission worker does itself (:meth:`ShardedIndexServer._await_remote`).
+    admission worker does itself (:meth:`ShardedIndexServer._await_shard`).
 
     ``concurrent.futures.ThreadPoolExecutor`` joins non-daemon workers
     at interpreter exit, so a probe wedged on a fault-injected sleep
@@ -204,9 +207,9 @@ class _ShardPool:
         for thread in self._threads:
             thread.start()
 
-    def submit(self, fn, *args) -> Future:
+    def submit(self, fn) -> Future:
         future: Future = Future()
-        self._queue.put((future, fn, args))
+        self._queue.put((future, fn))
         return future
 
     def _run(self) -> None:
@@ -214,11 +217,11 @@ class _ShardPool:
             task = self._queue.get()
             if task is _STOP:
                 return
-            future, fn, args = task
+            future, fn = task
             if not future.set_running_or_notify_cancel():
                 continue
             try:
-                future.set_result(fn(*args))
+                future.set_result(fn())
             except BaseException as exc:  # noqa: BLE001 — delivered via future
                 future.set_exception(exc)
 
@@ -300,38 +303,47 @@ class _Shard:
             return index, (self.epoch, index.binding)
 
 
+@dataclass(eq=False, slots=True)
 class _Probe:
-    """One remote shard probe, begun by
-    :meth:`ShardedIndexServer._probe_shard`: its QUERY frame is out
-    (``pending``, the client's
-    :class:`~repro.serving.transport.client.PendingQuery`), its answer
-    not yet read.
+    """One shard probe, begun by :meth:`ShardedIndexServer._probe_shard`.
 
-    Holds what the begin step read — the cache stamp and vocabulary
-    size the answer is stored under, the start time its latency is
-    measured from. :meth:`result` finishes the probe: the breaker
-    records its outcome, the latency window and the cache take the
-    answer.
+    ``pending`` is what the begin started: a local probe's future on its
+    shard's pool, or a remote probe's
+    :class:`~repro.serving.transport.client.PendingQuery`. The probe
+    keeps what the begin read (the cache stamp and vocabulary size its
+    answer is stored under, the start of its latency) and ``ready``,
+    when its answer became available: stamped by the pool as a local
+    probe finishes, by the gather as a remote answer's socket turns
+    readable. :meth:`result` is the one place a probe's outcome is
+    recorded — on the breaker, the latency window and the cache.
     """
 
-    __slots__ = (
-        "shard", "key", "stamp", "vocabulary", "started", "clock", "pending",
-    )
+    shard: _Shard
+    key: object
+    stamp: object
+    vocabulary: int
+    clock: Callable[[], float]
+    context: JoinContext | None
+    started: float
+    ready: float | None = None
+    pending: Future | PendingQuery | None = None
 
-    def __init__(
-        self, shard: _Shard, key, stamp, vocabulary: int, clock, started, pending
-    ):
-        self.shard = shard
-        self.key = key
-        self.stamp = stamp
-        self.vocabulary = vocabulary
-        self.clock = clock
-        self.started = started
-        self.pending = pending
+    @property
+    def on_wire(self) -> bool:
+        """A remote probe whose frame is out (or its dial begun)."""
+        return isinstance(self.pending, PendingQuery)
 
     def result(self) -> list[MatchPair]:
         shard = self.shard
         try:
+            if not self.on_wire:
+                # A future (a local probe, or a remote begin that failed)
+                # still running past the carved deadline is lost.
+                context = self.context
+                left = context.remaining() if context is not None else None
+                wait = None if left is None else max(left, 0.0)
+                if not futures_wait((self.pending,), timeout=wait).done:
+                    raise JoinTimeout(context.elapsed(), context.deadline_seconds)
             local = self.pending.result()
         except BaseException:
             if shard.breaker is not None:
@@ -339,38 +351,63 @@ class _Probe:
             raise
         if shard.breaker is not None:
             shard.breaker.record_success()
-        shard.latency.observe(self.clock() - self.started)
+        ready = self.ready if self.ready is not None else self.clock()
+        shard.latency.observe(ready - self.started)
         if self.key is not None:
             shard.cache.store(self.key, self.stamp, local, self.vocabulary)
         return local
 
     def fileno(self) -> int:
         """The remote answer's socket, for ``poll`` (-1: none to wait for)."""
-        return self.pending.fileno()
+        return self.pending.fileno() if self.on_wire else -1
 
     def cancel(self) -> None:
-        """Drop a remote probe unread (a hedge race's loser). Its
-        connection is closed; no outcome is recorded — the race's
-        winner records the shard's."""
+        """Drop the probe unfinished (a hedge race's loser), recording
+        nothing: a remote one's connection is closed unread, a local
+        one still queued never runs."""
         self.pending.cancel()
 
 
-def _readable(probes: list[_Probe], timeout: float | None) -> list[_Probe]:
-    """The remote probes whose answer can be read now, waiting up to
-    ``timeout`` seconds (None: no bound) for the first one.
+def _readable(
+    racers: list[_Probe], timeout: float | None, watch=(), hold: bool = True
+) -> list[_Probe]:
+    """The racers whose answer is ready now, waiting up to ``timeout``
+    seconds (None: no bound) for the first one.
 
-    A probe with no socket to wait on (its send failed) is ready at
-    once: reading it raises the failure. ``poll`` rather than
-    ``select``, which refuses descriptors past ``FD_SETSIZE``.
+    One shard's racers are all one kind: futures for a local shard,
+    sockets to ``poll`` for a remote one (a remote racer whose begin
+    failed is ready at once: reading it raises). Each ``watch`` probe
+    (a later shard's unread remote answer) that turns readable meanwhile
+    is stamped ``ready`` and dropped from the poll, so its latency ends
+    when it arrived, not when the gather reads it. ``hold=False`` stops
+    once nothing is left to watch: the caller's read waits for its one
+    racer.
     """
-    waiting = [probe for probe in probes if probe.fileno() >= 0]
-    if len(waiting) < len(probes):
-        return [probe for probe in probes if probe.fileno() < 0]
-    poller = select.poll()
-    for probe in waiting:
-        poller.register(probe.fileno(), select.POLLIN)
-    ready = {fd for fd, _ in poller.poll(None if timeout is None else timeout * 1000)}
-    return [probe for probe in waiting if probe.fileno() in ready]
+    watch = [probe for probe in watch if probe.ready is None and probe.fileno() >= 0]
+    if not (watch or hold):
+        return []
+    if not racers[0].shard.remote:
+        done, _ = futures_wait(
+            [probe.pending for probe in racers],
+            timeout=timeout, return_when=FIRST_COMPLETED,
+        )
+        return [probe for probe in racers if probe.pending in done]
+    ready = [probe for probe in racers if probe.fileno() < 0 or probe.ready is not None]
+    until = None if timeout is None else time.monotonic() + timeout
+    while not ready:
+        waiting = {probe.fileno(): probe for probe in (*racers, *watch)}
+        poller = select.poll()
+        for fd in waiting:
+            poller.register(fd, select.POLLIN)
+        left = None if until is None else max(until - time.monotonic(), 0.0) * 1000
+        readable = poller.poll(left)
+        for fd, _ in readable:
+            waiting[fd].ready = waiting[fd].clock()
+        watch = [probe for probe in watch if probe.ready is None]
+        ready = [probe for probe in racers if probe.ready is not None]
+        if not readable or not (watch or hold):
+            break
+    return ready
 
 
 class _RemoteReindexHandle(GenerationBuilder):
@@ -458,17 +495,19 @@ class ShardedIndexServer(_QueueServer):
             for query traffic, and the ping that finds a recovered node
             is the half-open trial that closes it again. Each remote
             shard is pinged by its own thread, bounded by
-            ``remote_request_timeout``; ``drain`` waits at most 1 s
-            beyond its own ``timeout`` for these threads to stop.
-        remote_pool_size / remote_connect_timeout / remote_request_timeout:
-            forwarded to each :class:`RemoteShardClient`. The idle pool
-            defaults to ``workers + 1`` connections per node: each
-            admission worker holds one for its round trip, plus one
-            for a hedge. Every op's dial (query, add, ping, health,
-            reindex) runs non-blocking, bounded by the connect timeout
-            and by the op's deadline, whichever is sooner; a round trip
-            is bounded by the request timeout, which is also the one
-            deadline of :meth:`health` across all nodes.
+            ``remote_request_timeout``. ``drain`` closes the clients
+            first, which ends a ping in flight (recorded neither as a
+            failed beat nor on the breaker), then waits at most 1 s for
+            these threads to stop.
+        remote_connect_timeout / remote_request_timeout: forwarded to
+            each :class:`RemoteShardClient`, whose idle pool keeps
+            ``workers + 1`` connections per node: each admission worker
+            holds one for its round trip, plus one for a hedge. Every
+            op's dial (query, add, ping, health, reindex) runs
+            non-blocking, bounded by the connect timeout and by the
+            op's deadline, whichever is sooner; a round trip is bounded
+            by the request timeout, which is also the one deadline of
+            :meth:`health` across all nodes.
         vocabulary: optional prefilled token-id dict shared by every
             local shard. With remote shards and a corpus-dependent
             predicate this must be the full-corpus assignment: records
@@ -500,7 +539,6 @@ class ShardedIndexServer(_QueueServer):
         faults=None,
         shard_endpoints=None,
         heartbeat_interval: float | None = None,
-        remote_pool_size: int | None = None,
         remote_connect_timeout: float = 1.0,
         remote_request_timeout: float | None = 5.0,
         vocabulary: dict[str, int] | None = None,
@@ -534,9 +572,6 @@ class ShardedIndexServer(_QueueServer):
         self.heartbeat_interval = heartbeat_interval
         self._bitmap_filter = bitmap_filter
         self._merge_backend = merge_backend
-        self._remote_pool_size = (
-            remote_pool_size if remote_pool_size is not None else workers + 1
-        )
         self._remote_connect_timeout = remote_connect_timeout
         self._remote_request_timeout = remote_request_timeout
         #: One token-id space across every shard (see SimilarityIndex's
@@ -584,7 +619,7 @@ class ShardedIndexServer(_QueueServer):
             host,
             port,
             retry_policy=self.retry_policy,
-            pool_size=self._remote_pool_size,
+            pool_size=self.n_workers + 1,
             connect_timeout=self._remote_connect_timeout,
             request_timeout=self._remote_request_timeout,
             on_retry=self._count_retry,
@@ -621,14 +656,17 @@ class ShardedIndexServer(_QueueServer):
         # Runs on every drain/stop (possibly repeatedly) — each teardown
         # below is a no-op the second time.
         self._heartbeat_stop.set()
+        # Closing a client ends its ops in flight, so a ping held by a
+        # slow node ends now rather than at its request timeout.
+        for shard in self._shards:
+            if shard.remote:
+                shard.index.close()
         threads, self._heartbeat_threads = self._heartbeat_threads, []
         until = time.monotonic() + 1.0
         for thread in threads:
             thread.join(timeout=max(until - time.monotonic(), 0.0))
         for shard in self._shards:
-            if shard.remote:
-                shard.index.close()
-            else:
+            if not shard.remote:
                 shard.pool.stop()
 
     # ------------------------------------------------------------------
@@ -646,23 +684,34 @@ class ShardedIndexServer(_QueueServer):
         while the circuit is open (cooldown still running) is skipped
         entirely, exactly like a query would be. Every remote shard
         has its own loop: a ping waits up to the request timeout, and
-        a slow node must not hold the other nodes' beats that long.
+        a slow node must not hold the other nodes' beats that long. A
+        ping that drain ended records nothing: it says nothing about
+        the node.
         """
+        # A remote shard's client is never swapped (it rebuilds in place).
+        client, breaker = shard.index, shard.breaker
         while not self._heartbeat_stop.wait(self.heartbeat_interval):
             if shard.quarantined is not None:
                 continue
-            with shard.rwlock.read_locked():
-                client = shard.index
+            if breaker is not None:
+                try:
+                    breaker.admit()
+                except CircuitOpen:
+                    continue  # cooldown running; recheck next beat
             try:
-                self._guarded(client.ping, shard.breaker, None, None, None)
-            except CircuitOpen:
-                continue  # cooldown running; recheck next beat
+                client.ping()
+                ok = True
             except BaseException:  # noqa: BLE001 — any failure is a miss
-                with self._cond:
-                    shard.heartbeats_failed += 1
-            else:
-                with self._cond:
+                if self._heartbeat_stop.is_set():
+                    return
+                ok = False
+            if breaker is not None:
+                (breaker.record_success if ok else breaker.record_failure)()
+            with self._cond:
+                if ok:
                     shard.heartbeats_ok += 1
+                else:
+                    shard.heartbeats_failed += 1
 
     # ------------------------------------------------------------------
     # Writes
@@ -790,14 +839,14 @@ class ShardedIndexServer(_QueueServer):
         """Scatter one query over the shards, gather, merge.
 
         Runs on an admission worker. Each shard's cache is consulted
-        first; then every remote shard that missed gets its QUERY frame
-        sent from this thread (:meth:`_probe_shard`), *then* every
-        local shard's probe is handed to that shard's pool, so the
-        nodes and the pools all work while this thread gathers. The
-        gather goes in shard order: a local probe is awaited on its
-        future (:meth:`_await_shard`), a remote answer is read off its
-        socket here (:meth:`_await_remote`) — no thread is woken to
-        wait on a socket.
+        first; then every shard that missed has its probe begun
+        (:meth:`_probe_shard`), the remote ones first — their QUERY
+        frames sent from this thread — then the local ones, handed to
+        their pools, so the nodes and the pools all work while this
+        thread gathers. The gather (:meth:`_await_shard`) keeps that
+        order: it reads each remote answer off its socket here — no
+        thread is woken to wait on a socket — and stamps the later
+        ones as they arrive, then waits on the local futures.
         """
         context = request.context
         self._check_not_expired(context)
@@ -834,36 +883,35 @@ class ShardedIndexServer(_QueueServer):
 
         # Scatter: the remote frames go out first, so the nodes compute
         # while the local probes are handed to their pools.
+        misses.sort(key=lambda miss: not miss[0].remote)
         probes: dict[int, object] = {}
         for shard, since in misses:
-            if shard.remote:
-                try:
-                    probes[shard.sid] = self._probe_shard(
-                        shard, item, self._carve_context(context), key, since
-                    )
-                except Exception as exc:  # noqa: BLE001 — the shard is lost
-                    probes[shard.sid] = exc
-        for shard, since in misses:
-            if not shard.remote:
-                probes[shard.sid] = shard.pool.submit(
-                    self._probe_shard, shard, item, self._carve_context(context),
-                    key, since,
+            try:
+                probes[shard.sid] = self._probe_shard(
+                    shard, item, self._carve_context(context), key, since
                 )
+            except Exception as exc:  # noqa: BLE001 — the shard is lost
+                probes[shard.sid] = exc
         # A remote shard with no idle connection was only dialed: send
         # its frame once the connection is up, each dial bounded by its
         # own deadline so a node that drops SYNs holds no other shard.
-        finish_dials(
-            probe.pending for probe in probes.values() if isinstance(probe, _Probe)
-        )
+        unread = [
+            probe for probe in probes.values()
+            if isinstance(probe, _Probe) and probe.on_wire
+        ]
+        finish_dials(probe.pending for probe in unread)
         with self._cond:
             for shard, _ in misses:
                 shard.probes += 1
 
-        # Gather, in shard order, each under the query's remaining
-        # deadline and hedged per the shard's own policy.
+        # Gather, in the scatter's order, each under the query's
+        # remaining deadline and hedged per the shard's own policy.
         for shard, since in misses:
-            await_shard = self._await_remote if shard.remote else self._await_shard
-            ok, value = await_shard(shard, probes[shard.sid], item, context, key, since)
+            probe = probes[shard.sid]
+            unread = [other for other in unread if other is not probe]
+            ok, value = self._await_shard(
+                shard, probe, item, context, key, since, unread
+            )
             if ok:
                 results[shard.sid] = value
             else:
@@ -904,17 +952,17 @@ class ShardedIndexServer(_QueueServer):
         carved.start()
         return carved
 
-    def _probe_shard(self, shard: _Shard, item, context, key, since=None):
-        """Probe one shard: a local one whole, a remote one only begun.
+    def _probe_shard(self, shard: _Shard, item, context, key, since=None) -> _Probe:
+        """Begin one shard's probe; its :meth:`_Probe.result` finishes it.
 
-        A local shard's probe runs here, on its pool, under the retry
-        policy (the ``faults`` hook before every attempt) and returns
-        the shard-*local* answer. A remote shard's probe is admitted on
-        its breaker, the ``faults`` hook runs once, and its QUERY frame
-        is sent (or its dial begun, see
+        The breaker admits the probe here and records its one outcome
+        in ``result()``, however many attempts ran inside. A local
+        shard's probe is handed to its pool: each attempt runs the
+        ``faults`` hook, then the query, under the retry policy. A
+        remote shard's probe runs the ``faults`` hook once, here, then
+        its QUERY frame is sent (or its dial begun, see
         :func:`~repro.serving.transport.client.finish_dials`); the
-        returned :class:`_Probe`'s ``result()`` reads the answer, the
-        client retrying inside it.
+        client retries inside ``result()``.
 
         Either way the answer extends ``since`` when the index can, and
         is stored stamped with the (epoch, binding) pair read when the
@@ -930,12 +978,21 @@ class ShardedIndexServer(_QueueServer):
                 shard.name, f"quarantined: {shard.quarantined}"
             )
         index, stamp = shard.current()
-        vocabulary = len(self._vocabulary)
+        probe = _Probe(
+            shard, key, stamp, len(self._vocabulary), self.clock, context, self.clock()
+        )
+        if shard.breaker is not None:
+            shard.breaker.admit()
         if shard.remote:
-            return self._begin_remote(
-                shard, index, stamp, vocabulary, item, context, key, since
-            )
-        started = self.clock()
+            try:
+                if self.faults is not None:
+                    self.faults.apply(shard.sid)
+            except Exception as exc:  # noqa: BLE001 — result() raises it
+                probe.pending = Future()
+                probe.pending.set_exception(exc)
+            else:
+                probe.pending = index.begin_query(item, context, since)
+            return probe
 
         def attempt():
             if self.faults is not None:
@@ -947,104 +1004,34 @@ class ShardedIndexServer(_QueueServer):
                 shard.retries += 1
             self._count_retry(attempt_no, exc, delay)
 
-        local = self._guarded(
-            attempt, shard.breaker, self.retry_policy, count_retry, context
-        )
-        shard.latency.observe(self.clock() - started)
-        if key is not None:
-            shard.cache.store(key, stamp, local, vocabulary)
-        return local
+        def run():
+            policy = self.retry_policy
+            local = attempt() if policy is None else policy.run(
+                attempt, on_retry=count_retry, context=context
+            )
+            probe.ready = self.clock()
+            return local
 
-    def _begin_remote(
-        self, shard: _Shard, client, stamp, vocabulary, item, context, key, since
-    ) -> _Probe:
-        # The breaker admits here and records in _Probe.result(): the
-        # client retries inside that one outcome (running the outer
-        # policy too would square the attempt count).
-        if shard.breaker is not None:
-            shard.breaker.admit()
-        started = self.clock()
-        try:
-            if self.faults is not None:
-                self.faults.apply(shard.sid)
-        except BaseException:
-            if shard.breaker is not None:
-                shard.breaker.record_failure()
-            raise
-        return _Probe(
-            shard, key, stamp, vocabulary, self.clock, started,
-            client.begin_query(item, context, since),
-        )
+        probe.pending = shard.pool.submit(run)
+        return probe
 
     def _await_shard(
-        self, shard: _Shard, probe: Future, item, context, key, since
+        self, shard: _Shard, probe, item, context, key, since, unread=()
     ) -> tuple[bool, list[MatchPair] | None]:
-        """Wait for one local shard's pooled probe within the query's
-        deadline, hedging on the same pool.
+        """Finish one shard's probe within the query's deadline, hedged.
 
-        Returns ``(True, local_matches)`` from whichever probe finishes
-        first with a result, or ``(False, None)`` when every issued
-        probe failed or the deadline ran out — the shard is lost *for
-        this query only*; an abandoned probe keeps running on the
-        shard's pool and may still warm the cache and the breaker.
-        """
+        ``probe`` is the begun :class:`_Probe`, or the exception its
+        begin raised. If no answer is ready within the hedge delay, a
+        hedge is begun the same way and the first answer that succeeds
+        wins; the loser is dropped unfinished and warms neither the
+        cache nor the breaker. An answer that arrived before the
+        deadline is used; a wait past it is a :class:`JoinTimeout`.
+        ``unread`` (later shards' remote probes) are stamped as they
+        turn readable meanwhile.
 
-        def remaining() -> float | None:
-            return context.remaining() if context is not None else None
-
-        futures = [probe]
-        hedged: Future | None = None
-        delay = self.hedge.delay_for(shard.latency) if self.hedge is not None else None
-        left = remaining()
-        if delay is not None and (left is None or left > 0):
-            budget = delay if left is None else min(delay, left)
-            done, _ = futures_wait(futures, timeout=budget, return_when=FIRST_COMPLETED)
-            if not done:
-                hedged = shard.pool.submit(
-                    self._probe_shard, shard, item, self._carve_context(context),
-                    key, since,
-                )
-                futures.append(hedged)
-                with self._cond:
-                    self._hedges += 1
-                    shard.hedges += 1
-
-        outstanding = set(futures)
-        while outstanding:
-            left = remaining()
-            # timeout=0 still collects already-completed probes: a
-            # result that beat the deadline is used, never discarded.
-            timeout = None if left is None else max(left, 0.0)
-            done, outstanding = futures_wait(
-                outstanding, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                return False, None  # deadline elapsed mid-wait
-            for future in done:
-                if future.exception() is None:
-                    if hedged is not None and future is hedged:
-                        with self._cond:
-                            self._hedge_wins += 1
-                            shard.hedge_wins += 1
-                    return True, future.result()
-        return False, None  # every issued probe raised
-
-    def _await_remote(
-        self, shard: _Shard, probe, item, context, key, since
-    ) -> tuple[bool, list[MatchPair] | None]:
-        """Read one remote shard's answer on this admission worker,
-        hedging with a second request in flight from this thread too.
-
-        Same outcomes as :meth:`_await_shard`. ``probe`` is the begun
-        :class:`_Probe`, or the exception its begin raised (the shard
-        is lost at once). The socket waits are bounded by the carved
-        deadline, so an answer that arrived before the deadline is
-        used and a wait past it is a :class:`JoinTimeout`. With a
-        hedge delay, the first socket is polled for that long; if it
-        stays silent a hedge is sent, and the first readable answer
-        that succeeds wins. The loser's connection is closed unread —
-        it does not finish in the background, so it warms neither the
-        cache nor the breaker.
+        Returns ``(True, local_matches)``, or ``(False, None)`` when
+        every probe issued failed — the shard is lost *for this query
+        only*.
         """
         if not isinstance(probe, _Probe):
             return False, None
@@ -1053,7 +1040,7 @@ class ShardedIndexServer(_QueueServer):
         delay = self.hedge.delay_for(shard.latency) if self.hedge is not None else None
         left = context.remaining() if context is not None else None
         if delay is not None and (left is None or left > 0):
-            if not _readable(racers, delay if left is None else min(delay, left)):
+            if not _readable(racers, delay if left is None else min(delay, left), unread):
                 with self._cond:
                     self._hedges += 1
                     shard.hedges += 1
@@ -1064,24 +1051,25 @@ class ShardedIndexServer(_QueueServer):
                 except Exception:  # noqa: BLE001 — the straggler may still answer
                     pass
                 else:
-                    finish_dials((hedged.pending,))
+                    if hedged.on_wire:
+                        finish_dials((hedged.pending,))
                     racers.append(hedged)
         while racers:
-            # Take the first readable answer. When none turns readable
-            # within the deadline (or, without one, the request
-            # timeout), the first request's own read decides.
-            first = racers[0]
-            if len(racers) > 1:
-                left = context.remaining() if context is not None else None
-                if left is None:
-                    left = shard.index.request_timeout
-                ready = _readable(racers, None if left is None else max(left, 0.0))
-                if ready:
-                    first = ready[0]
+            # Take the first answer ready. When none is within the
+            # deadline (without one: a remote shard's request timeout),
+            # the first probe's own wait decides.
+            left = context.remaining() if context is not None else None
+            if left is None and shard.remote:
+                left = shard.index.request_timeout
+            ready = _readable(
+                racers, None if left is None else max(left, 0.0), unread,
+                hold=len(racers) > 1,
+            )
+            first = ready[0] if ready else racers[0]
             racers.remove(first)
             try:
                 value = first.result()
-            except Exception:  # noqa: BLE001 — try the other request
+            except Exception:  # noqa: BLE001 — try the other probe
                 continue
             for loser in racers:
                 loser.cancel()
@@ -1090,7 +1078,7 @@ class ShardedIndexServer(_QueueServer):
                     self._hedge_wins += 1
                     shard.hedge_wins += 1
             return True, value
-        return False, None  # every issued request failed
+        return False, None  # every issued probe failed
 
     def _merge(self, results: dict[int, list[MatchPair]], failed: list[int]) -> ShardedResult:
         """Exact global merge: remap local rids, sort, account shards."""

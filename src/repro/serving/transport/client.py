@@ -53,6 +53,7 @@ import socket
 import threading
 import time
 import uuid
+import weakref
 from collections.abc import Callable
 
 from repro.core.results import MatchPair
@@ -131,6 +132,8 @@ class RemoteShardClient:
         self._extra_on_retry = on_retry
         self._lock = threading.Lock()
         self._idle: list[socket.socket] = []
+        #: Every connection dialed, idle or in use (:meth:`close`).
+        self._sockets: weakref.WeakSet = weakref.WeakSet()
         self._request_ids = itertools.count(1)
         self._binding = 0
         self._closed = False
@@ -171,12 +174,21 @@ class RemoteShardClient:
             wire.close_quietly(dead)
 
     def close(self) -> None:
-        """Close every pooled connection; idempotent."""
+        """Close every pooled connection and end every op in flight;
+        idempotent. An op's connection is shut down under the thread
+        using it, which closes it: a read blocked on it fails at once,
+        a reply already received can still be read."""
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
+            live = list(self._sockets)
         for conn in idle:
             wire.close_quietly(conn)
+        for conn in live:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # closed already, or never connected
 
     def __enter__(self) -> "RemoteShardClient":
         return self
@@ -582,6 +594,12 @@ class PendingQuery:
             except OSError as exc:
                 error = exc
                 continue
+            with self._client._lock:
+                if self._client._closed:  # close() ran since this op began
+                    conn.close()
+                    error = OSError("client is closed")
+                    break
+                self._client._sockets.add(conn)
             conn.setblocking(False)
             code = conn.connect_ex(address)
             if code in (0, errno.EINPROGRESS):

@@ -259,6 +259,40 @@ class TestFaultDomains:
         finally:
             server.drain(timeout=WAIT)
 
+    def test_a_probe_lost_at_the_deadline_reaches_the_breaker_at_once(self):
+        """The breaker records a local probe lost at the deadline when
+        the query loses it, not when the abandoned probe finishes."""
+        faults = ShardFaults()
+        server = _server(
+            faults=faults,
+            breaker_factory=lambda: CircuitBreaker(
+                failure_threshold=2, cooldown_seconds=60.0
+            ),
+        )
+        try:
+            faults.slow(1, 0.5)
+            for _ in range(2):
+                result = server.query(PROBE, deadline=0.05, timeout=WAIT)
+                assert result.shards_failed == (1,)
+            states = [row["breaker"]["state"] for row in server.health()["shards"]]
+            assert states == ["closed", "open", "closed"]
+        finally:
+            server.drain(timeout=WAIT)
+
+    def test_a_slow_shard_skews_only_its_own_latency_window(self):
+        faults = ShardFaults()
+        server = _server(shards=2, workers=1, faults=faults)
+        try:
+            faults.slow(0, 0.2)
+            for _ in range(3):
+                assert not server.query(PROBE, timeout=WAIT).partial
+            slow, healthy = (
+                row["latency"]["p50_seconds"] for row in server.health()["shards"]
+            )
+            assert slow >= 0.2 and healthy < 0.05, (slow, healthy)
+        finally:
+            server.drain(timeout=WAIT)
+
     def test_per_shard_cache_hits_skip_probes(self):
         server = _server(query_cache=8)
         try:
@@ -524,6 +558,18 @@ class TestRemoteScatter:
             assert healthy.heartbeats_ok >= before + 5
             assert slow.heartbeats_failed == 0  # still waiting, not failed
 
+    def test_a_slow_node_skews_only_its_own_latency_window(self):
+        """The healthy node's answer is stamped when it arrives, not
+        when the gather, held by the slow node, reads it."""
+        with _remote_tier(workers=1) as (server, proxies):
+            proxies[0].delay(0.2)
+            for _ in range(3):
+                assert not server.query(PROBE, timeout=WAIT).partial
+            slow, healthy = (
+                row["latency"]["p50_seconds"] for row in server.health()["shards"]
+            )
+            assert slow >= 0.2 and healthy < 0.05, (slow, healthy)
+
     def test_a_node_that_drops_syns_costs_only_its_own_shard(self, blackhole_port):
         """A node that drops SYNs holds a dial for the query's deadline
         at most; the healthy node's frame is out before that dial ends,
@@ -635,7 +681,7 @@ class TestBoundedWaits:
                 ("health", server.health, self.REQUEST),
                 ("counters_snapshot", server.counters_snapshot, self.REQUEST),
                 ("reindex", lambda: server.reindex(timeout=self.REQUEST), self.REQUEST),
-                ("drain", drain, self.REQUEST + 1.0),
+                ("drain", drain, self.REQUEST),
             ]
             outcome, took = {}, {}
             for name, call, bound in table:
@@ -658,6 +704,26 @@ class TestBoundedWaits:
             assert outcome["counters_snapshot"] == outcome["health"]["index"]["counters"]
             assert isinstance(outcome["reindex"], (ReindexTimeout, ShardUnavailable))
             assert in_flight[0].result(timeout=WAIT).shards_failed == lost
+
+    def test_drain_ends_a_ping_in_flight_without_recording_it(self):
+        """A ping held by a slow node ends when drain closes the
+        clients: drain does not wait for it, and it counts neither as a
+        failed beat nor on the breaker."""
+        with _remote_tier(
+            heartbeat_interval=0.05,
+            remote_request_timeout=WAIT,
+            breaker_factory=lambda: CircuitBreaker(
+                failure_threshold=1, cooldown_seconds=60.0
+            ),
+        ) as (server, proxies):
+            proxies[0].delay(5.0)
+            time.sleep(0.2)  # a ping to the slow node is now waiting
+            started = time.monotonic()
+            assert server.drain(timeout=WAIT)
+            assert time.monotonic() - started < self.SLACK
+            slow = server._shards[0]
+            assert slow.heartbeats_failed == 0
+            assert slow.breaker.state == "closed"
 
     def test_health_waits_one_bound_however_many_nodes_are_slow(self):
         """Two delayed nodes cost ``health()`` and ``counters_snapshot()``
