@@ -120,17 +120,15 @@ def test_serving_open_time(benchmark, report, tmp_path):
     service = SimilarityIndex(predicate)
     for record in data.records:
         service.add(record)
-    snap = str(tmp_path / "ix.snap")
     mpath = str(tmp_path / "ix.rpmx")
-    service.save(snap)
-    service.save(mpath, format="mmap")
+    service.save(mpath)
 
     def measure():
         mapped_ms = _open_ms(
             lambda: SimilarityIndex.load(mpath, predicate, mmap=True), rounds=3
         )
         started = time.perf_counter()
-        SimilarityIndex.load(snap, predicate)
+        SimilarityIndex.load(mpath, predicate)
         snapshot_ms = (time.perf_counter() - started) * 1000.0
         return mapped_ms, snapshot_ms
 

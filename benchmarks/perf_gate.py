@@ -60,7 +60,7 @@ The suites:
     The memory-mapped columnar index (:mod:`repro.storage.mmap_index`):
     each case joins on the in-memory, ``mmap`` and ``mmap-varbyte``
     backends, whose matches must be bit-identical, and serves a pinned
-    query stream off a ``save(format='mmap')`` file, whose answers must
+    query stream off a ``SimilarityIndex.save`` file, whose answers must
     match the live index. ``load(mmap=True)`` open time stays under an
     absolute ceiling (open is O(directory)), and the bytes resident
     after the stream — a deterministic counter, not an RSS sample —
@@ -341,7 +341,7 @@ def _run_mmap_case(dataset, predicate, algorithm):
     in-memory run (pairs *and* similarities). The serving pass measures
     open time (best of 3) and the deterministic residency counter —
     directory bytes plus postings the query stream touched — off a
-    ``save(format='mmap')`` file.
+    ``SimilarityIndex.save`` file.
     """
     memory = _join_once(dataset, predicate, algorithm)
     mapped = _join_once(dataset, predicate, algorithm, index_backend="mmap")
@@ -352,7 +352,7 @@ def _run_mmap_case(dataset, predicate, algorithm):
         service.add(record)
     with tempfile.TemporaryDirectory(prefix="repro-mmap-gate-") as tmp:
         path = os.path.join(tmp, "serve.rpmx")
-        service.save(path, format="mmap")
+        service.save(path)
         file_bytes = os.path.getsize(path)
         open_ms = float("inf")
         for _ in range(3):

@@ -627,18 +627,22 @@ def _emit_query_result(qid: int, future, timeout: float) -> bool:
     return True
 
 
-def _global_corpus_stats(corpus: list[str], tokenizer) -> CorpusStats:
-    """IDF statistics over the whole corpus for cosine serving.
+def _corpus_ids(
+    corpus: list[str], tokenizer
+) -> tuple[dict[str, int], list[tuple[int, ...]]]:
+    """Token ids assigned in first-occurrence order over ``corpus``, and
+    every line's record under them.
 
-    A bare ``CosinePredicate`` binds whatever corpus its index holds at
-    first insert — one record on the incremental add path, and a
-    per-shard sub-corpus under ``ShardedIndexServer`` (whose contract
-    requires precomputed global statistics for corpus-dependent
-    predicates). Precomputing here gives every serving configuration
-    the same frozen preprocessing-pass IDF the batch join uses. Token
-    ids are assigned exactly as the indexes' vocabulary will assign
-    them (insertion order over the same corpus, same tokenizer), so
-    the stats key on the same ids.
+    The assignment an index filled from this corpus makes, so the
+    records key cosine's global IDF statistics (``CorpusStats``) on the
+    ids every index will use, and the vocabulary pins them for the
+    indexes whose records never pass through this process: a shard
+    node, or a front end whose shards are remote. A bare
+    ``CosinePredicate`` would bind whatever corpus its index holds at
+    first insert — one record on the incremental add path, a per-shard
+    sub-corpus under ``ShardedIndexServer`` — not the batch join's
+    preprocessing-pass IDF. Tokenizers return first-occurrence-ordered
+    lists, so the assignment is deterministic across processes.
     """
     vocabulary: dict[str, int] = {}
     records = []
@@ -648,7 +652,7 @@ def _global_corpus_stats(corpus: list[str], tokenizer) -> CorpusStats:
             for token in tokenizer(text)
         }
         records.append(tuple(sorted(ids)))
-    return CorpusStats(records)
+    return vocabulary, records
 
 
 def _print_serve_health(server) -> None:
@@ -724,22 +728,6 @@ def _print_serve_health(server) -> None:
     )
 
 
-def _corpus_vocabulary(corpus: list[str], tokenizer) -> dict[str, int]:
-    """Token ids assigned in first-occurrence order over ``corpus``.
-
-    The same assignment :func:`_global_corpus_stats` makes (and the one
-    an index filled from this corpus would make), so a shard node in a
-    different process keys its cosine IDF statistics on the same ids
-    the front end does. Tokenizers return first-occurrence-ordered
-    lists, so the assignment is deterministic across processes.
-    """
-    vocabulary: dict[str, int] = {}
-    for text in corpus:
-        for token in tokenizer(text):
-            vocabulary.setdefault(token, len(vocabulary))
-    return vocabulary
-
-
 def _shard_serve(args) -> int:
     """The ``shard-serve`` subcommand: host one shard behind a socket."""
     if not 0 <= args.port <= 65535:
@@ -754,11 +742,9 @@ def _shard_serve(args) -> int:
         corpus = _read_lines(args.input)
         if not corpus:
             raise _CLIError(f"no records in {args.input} (empty input)")
-        vocabulary = _corpus_vocabulary(corpus, tokenizer)
+        vocabulary, records = _corpus_ids(corpus, tokenizer)
         if isinstance(predicate, CosinePredicate):
-            predicate = CosinePredicate(
-                args.threshold, stats=_global_corpus_stats(corpus, tokenizer)
-            )
+            predicate = CosinePredicate(args.threshold, stats=CorpusStats(records))
     elif isinstance(predicate, CosinePredicate):
         # Without the global corpus the node would bind IDF weights to
         # whatever subset the front end routes to it, and its scores
@@ -862,6 +848,9 @@ def _serve(args, corpus: list[str]) -> int:
         predicate = _PREDICATES[args.predicate](args.threshold)
     except ValueError as exc:
         raise _CLIError(f"bad --threshold for {args.predicate}: {exc}") from exc
+    vocabulary = None
+    if isinstance(predicate, CosinePredicate) or endpoints is not None:
+        vocabulary, records = _corpus_ids(corpus, _TOKENIZERS[args.tokenizer])
     if isinstance(predicate, CosinePredicate):
         # Pin cosine's IDF weights to the *global* corpus up front.
         # Deferred binding happens at the first add — a 1-record
@@ -869,10 +858,7 @@ def _serve(args, corpus: list[str]) -> int:
         # sub-corpus frequencies; either way the weights would not be
         # the paper's preprocessing-pass IDF, and sharded and
         # single-index answers could silently diverge.
-        predicate = CosinePredicate(
-            args.threshold,
-            stats=_global_corpus_stats(corpus, _TOKENIZERS[args.tokenizer]),
-        )
+        predicate = CosinePredicate(args.threshold, stats=CorpusStats(records))
 
     retry_policy = RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
     try:
@@ -906,11 +892,7 @@ def _serve(args, corpus: list[str]) -> int:
                 # front end's vocabulary, so prefill it with the
                 # full-corpus assignment — the one the global stats and
                 # the shard-serve nodes key on.
-                vocabulary=(
-                    _corpus_vocabulary(corpus, _TOKENIZERS[args.tokenizer])
-                    if endpoints is not None
-                    else None
-                ),
+                vocabulary=vocabulary if endpoints is not None else None,
             )
             for line in corpus:
                 server.add(line)

@@ -4,9 +4,11 @@ The paper's introduction motivates set joins with DBMSs that must serve
 similarity *queries* over set-valued columns, not only batch joins.
 This module packages the online probe as a service: add records one at
 a time, query any record-shaped set against everything added so far,
-and persist/restore the whole index. Each query runs the batch joins'
-per-probe kernel (:func:`~repro.core.base.probe_kernel`): the same
-merge-backend dispatch, band filter, bitmap pruner and verification.
+and save the whole index as one mapped file, which loads back into a
+mutable index or serves straight off the mapping. Each query runs the
+batch joins' per-probe kernel (:func:`~repro.core.base.probe_kernel`):
+the same merge-backend dispatch, band filter, bitmap pruner and
+verification.
 An ``add`` only appends, so a query can also extend an earlier answer
 by probing just the records appended since (``query(since=)``) — how
 ``IndexServer`` keeps its cached answers across adds.
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import threading
+from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 
@@ -38,13 +42,28 @@ from repro.runtime.errors import (
     SnapshotEncodingError,
 )
 from repro.runtime.rwlock import RWLock
-from repro.runtime.snapshot import canonical_json, read_snapshot, write_snapshot
+from repro.runtime.snapshot import canonical_json
+from repro.storage.mmap_index import (
+    MappedDataset,
+    MappedInvertedIndex,
+    mapped_column,
+    write_index,
+)
 from repro.utils.counters import CostCounters
 
 __all__ = ["QueryAnswer", "SimilarityIndex"]
 
-#: Snapshot ``kind`` tag for persisted indexes.
+#: ``meta["kind"]`` of a saved index file, and its serving sections.
 _SNAPSHOT_KIND = "similarity-index"
+_SECTIONS = (
+    "records_tokens",
+    "records_offsets",
+    "payloads",
+    "payload_offsets",
+    "token_lists",
+    "token_list_offsets",
+    "vocab",
+)
 
 #: Every bind stamp in the process: no two binds, of one index or of
 #: two (a shard generation and its successor), ever share one.
@@ -155,7 +174,7 @@ _PER_RECORD_CACHES = (
 
 
 def _untagged_payload(path: str, entry, codec):
-    """The payload a ``["json", value]`` / ``["codec", text]`` snapshot
+    """The payload a saved ``["json", value]`` / ``["codec", text]``
     entry holds (the inverse of ``SimilarityIndex._tagged_payload``)."""
     if (
         not isinstance(entry, list)
@@ -276,7 +295,7 @@ class SimilarityIndex:
         self._in_flight: str | None = None
         #: Bitmap candidate filter (:mod:`repro.filters`): one pruner
         #: maintained alongside the inverted index — grown on every
-        #: ``add``, rebuilt on ``rebind``, persisted in snapshots. None
+        #: ``add``, rebuilt on ``rebind`` and on ``load``. None
         #: while the filter is off, the index is empty, or the predicate
         #: declares no soundness argument for it.
         self._bitmap_config = resolve_bitmap_filter(bitmap_filter)
@@ -435,12 +454,12 @@ class SimilarityIndex:
             self._bound.extend_to(len(self._dataset))
         return self._bound
 
-    def _new_pruner(self, saved: dict | None = None) -> BitmapPruner | None:
+    def _new_pruner(self) -> BitmapPruner | None:
         """A pruner over the current records (write-locked callers, or a
-        load not yet shared); ``saved`` reuses snapshot signatures."""
+        load not yet shared)."""
         if self._bitmap_config is None or self._bound is None:
             return None
-        return BitmapPruner.for_join(self._bound, self._bitmap_config, saved=saved)
+        return BitmapPruner.for_join(self._bound, self._bitmap_config)
 
     def bitmap_state(self) -> dict | None:
         """Filter introspection for the health endpoint (None when off)."""
@@ -599,7 +618,7 @@ class SimilarityIndex:
 
     @staticmethod
     def _tagged_payload(rid: int, payload, codec) -> list:
-        """``["json", value]`` / ``["codec", text]`` snapshot entry."""
+        """A saved ``["json", value]`` / ``["codec", text]`` payload entry."""
         try:
             canonical_json(payload)
         except SnapshotEncodingError:
@@ -618,19 +637,18 @@ class SimilarityIndex:
             return ["codec", encoded]
         return ["json", payload]
 
-    def save(self, path: str, codec=None, fs=None, format: str = "snapshot") -> None:
-        """Crash-safely serialize the index to ``path``.
+    def save(self, path: str, codec=None, fs=None) -> None:
+        """Crash-safely write the index to ``path`` as a mapped file.
 
-        ``format="snapshot"`` (the default) writes the JSON snapshot of
-        :mod:`repro.runtime.snapshot`: records and payloads only, with
-        the inverted index rebuilt on load. ``format="mmap"`` writes the
-        columnar :mod:`repro.storage.mmap_index` file instead — postings,
-        records, payloads, and vocabulary land as mapped sections, so
-        ``load(..., mmap=True)`` opens it in milliseconds and serves
-        queries straight off the file with no rebuild. Both formats are
-        versioned, checksummed, and written with write-to-temp + atomic
-        rename: a crash at any point leaves the previous file loadable.
-        Runs under the read lock: concurrent queries proceed, concurrent
+        The file is the columnar :mod:`repro.storage.mmap_index` format:
+        the posting columns plus records, payloads, token lists, and the
+        vocabulary as named, checksummed sections. It materializes under
+        ``<path>.tmp`` and lands by fsync + atomic rename, so a crash at
+        any point leaves the previous file loadable. Postings come from
+        a *fresh* predicate bind — what :meth:`load` computes — so both
+        loads answer exactly as a rebound copy of this index would, even
+        when its live postings carry insert-time scores. Runs under the
+        read lock: concurrent queries proceed, concurrent
         ``add``/``rebind`` wait.
 
         Args:
@@ -639,101 +657,45 @@ class SimilarityIndex:
                 represent. Without one, a non-JSON payload raises
                 :class:`~repro.runtime.errors.SnapshotEncodingError`
                 instead of being silently coerced (and lost) as ``str``.
-            fs: filesystem shim for fault injection in tests
-                (``snapshot`` format only).
-            format: ``"snapshot"`` or ``"mmap"``.
+            fs: filesystem shim for fault injection in tests.
         """
-        if format not in ("snapshot", "mmap"):
-            raise ValueError(
-                f"unknown save format {format!r}; expected 'snapshot' or 'mmap'"
-            )
-        if format == "mmap":
-            if fs is not None:
-                raise ValueError(
-                    "the fault-injection fs shim is only supported for"
-                    " format='snapshot'"
-                )
-            with self._read_locked("save"):
-                self._save_mmap(path, codec)
-            return
         with self._read_locked("save"):
-            payloads = [
-                self._tagged_payload(rid, payload, codec)
-                for rid, payload in enumerate(self._dataset.payloads)
-            ]
-            token_lists = (
-                self._token_lists
-                if isinstance(self._token_lists, list)
-                # A mapped (read-only) service holds a lazy on-file view;
-                # materialize it for the JSON snapshot.
-                else [list(tokens) for tokens in self._token_lists]
+            n = len(self._dataset)
+            index = self._build_index(
+                self.predicate.bind(self._dataset) if n else None
             )
-            state = {"token_lists": token_lists, "payloads": payloads}
-            if self._pruner is not None:
-                # Persist the signatures so a load with the same width
-                # skips the per-token hashing pass. Optional key: old
-                # snapshots load fine, and loads with a different
-                # width (or filter off) just ignore it.
-                state["bitmap"] = {
-                    "width": self._pruner.store.width,
-                    "signatures": self._pruner.store.signatures(),
-                }
-            write_snapshot(path, state, kind=_SNAPSHOT_KIND, fs=fs)
-
-    def _save_mmap(self, path: str, codec) -> None:
-        """Write the columnar mapped snapshot (read-locked caller).
-
-        Postings are rebuilt from a *fresh* predicate bind — exactly
-        what a snapshot ``load`` would compute via ``_rebind`` +
-        ``_build_index`` — so a service restored with ``mmap=True``
-        answers queries bit-identically to one restored from the JSON
-        snapshot, even when this instance's live index carries
-        insert-time scores that a rebind would refresh. Like every mapped
-        index, a unit-score one is written without a score column.
-        """
-        import json as _json
-        from array import array
-
-        from repro.storage.mmap_index import write_index
-
-        n = len(self._dataset)
-        index = self._build_index(self.predicate.bind(self._dataset) if n else None)
-        record_tokens = array("q")
-        record_offsets = array("q", [0])
-        payload_blob = bytearray()
-        payload_offsets = array("q", [0])
-        token_list_blob = bytearray()
-        token_list_offsets = array("q", [0])
-        for rid in range(n):
-            record_tokens.extend(self._dataset[rid])
-            record_offsets.append(len(record_tokens))
-            entry = self._tagged_payload(rid, self._dataset.payload(rid), codec)
-            payload_blob += _json.dumps(entry, separators=(",", ":")).encode("utf-8")
-            payload_offsets.append(len(payload_blob))
-            token_list_blob += _json.dumps(
-                list(self._token_lists[rid]), separators=(",", ":")
-            ).encode("utf-8")
-            token_list_offsets.append(len(token_list_blob))
-        vocab_by_id = [None] * len(self._vocabulary)
-        for token, token_id in self._vocabulary.items():
-            vocab_by_id[token_id] = token
-        write_index(
-            path,
-            index,
-            sections=[
-                ("records_tokens", record_tokens.tobytes()),
-                ("records_offsets", record_offsets.tobytes()),
-                ("payloads", bytes(payload_blob)),
-                ("payload_offsets", payload_offsets.tobytes()),
-                ("token_lists", bytes(token_list_blob)),
-                ("token_list_offsets", token_list_offsets.tobytes()),
-                (
-                    "vocab",
-                    _json.dumps(vocab_by_id, separators=(",", ":")).encode("utf-8"),
-                ),
-            ],
-            meta={"kind": _SNAPSHOT_KIND},
-        )
+            record_tokens = array("q")
+            record_offsets = array("q", [0])
+            payload_blob = bytearray()
+            payload_offsets = array("q", [0])
+            token_list_blob = bytearray()
+            token_list_offsets = array("q", [0])
+            for rid in range(n):
+                record_tokens.extend(self._dataset[rid])
+                record_offsets.append(len(record_tokens))
+                entry = self._tagged_payload(rid, self._dataset.payload(rid), codec)
+                payload_blob += _compact_json(entry)
+                payload_offsets.append(len(payload_blob))
+                token_list_blob += _compact_json(list(self._token_lists[rid]))
+                token_list_offsets.append(len(token_list_blob))
+            vocab_by_id = [None] * len(self._vocabulary)
+            for token, token_id in self._vocabulary.items():
+                vocab_by_id[token_id] = token
+            write_index(
+                path,
+                index,
+                sections=[
+                    ("records_tokens", record_tokens.tobytes()),
+                    ("records_offsets", record_offsets.tobytes()),
+                    ("payloads", bytes(payload_blob)),
+                    ("payload_offsets", payload_offsets.tobytes()),
+                    ("token_lists", bytes(token_list_blob)),
+                    ("token_list_offsets", token_list_offsets.tobytes()),
+                    ("vocab", _compact_json(vocab_by_id)),
+                ],
+                meta={"kind": _SNAPSHOT_KIND},
+                fs=fs,
+            )
 
     @classmethod
     def load(
@@ -742,193 +704,78 @@ class SimilarityIndex:
         predicate: SimilarityPredicate,
         tokenizer=None,
         codec=None,
-        fs=None,
         lock=None,
         bitmap_filter=None,
         merge_backend=None,
         mmap: bool = False,
     ) -> "SimilarityIndex":
-        """Restore an index saved with :meth:`save`.
+        """Restore an index written by :meth:`save`.
 
         Raises :class:`~repro.runtime.errors.SnapshotCorrupted` when the
-        file is damaged, tampered with, of a foreign format, or its state
-        shape is malformed — never a bare ``KeyError``. A snapshot whose
+        file is damaged, tampered with, of a foreign format, or its
+        sections are malformed — never a bare ``KeyError``. A file whose
         payloads were written with a codec requires the same ``codec``
         here (:class:`~repro.runtime.errors.SnapshotEncodingError`
-        otherwise). The restored instance is not shared until this
+        otherwise). Both loads read the file's sections through one
+        reader, so they agree on every token id (the ``vocab`` section)
+        and answer every query bit-identically.
+
+        By default the records, payloads, token lists and vocabulary are
+        read into a mutable index, the mapping is closed, and the
+        predicate is bound afresh over the records and the postings
+        rebuilt. With ``bitmap_filter=`` the signatures are rebuilt from
+        the records too. The restored instance is not shared until this
         returns, so restoration itself needs no locking.
 
-        With ``bitmap_filter=`` set, signatures persisted at save time
-        are restored directly when their width matches the requested
-        config; otherwise (old snapshot, different width) they are
-        rebuilt from the records — the filter works either way.
-
-        With ``mmap=True`` the file must have been written by
-        ``save(format='mmap')``: it is memory-mapped instead of parsed,
-        the inverted index *is* the file's posting columns (nothing is
-        rebuilt — open time is independent of posting volume, plus one
-        band key per record for band-filter predicates; resident
-        memory is the directory plus whatever postings queries touch),
-        and the mapping is shared read-only across threads and fork'd
-        worker processes. Query answers are bit-identical to a snapshot
-        load of the same corpus. The instance is read-only —
-        ``add``/``rebind`` raise
-        :class:`~repro.runtime.errors.ReadOnlyIndex` — and
-        ``bitmap_filter`` is unsupported (signatures are not stored in
-        the mapped format; passing one raises ``ValueError``). Call
+        With ``mmap=True`` the file stays memory-mapped: the inverted
+        index *is* the file's posting columns (nothing is rebuilt — open
+        time is independent of posting volume, plus one band key per
+        record for band-filter predicates; resident memory is the
+        directory plus whatever postings queries touch), and the mapping
+        is shared read-only across threads and fork'd worker processes.
+        The instance is read-only — ``add``/``rebind`` raise
+        :class:`~repro.runtime.errors.ReadOnlyIndex` — payloads decode on
+        access, and ``bitmap_filter`` is unsupported (signatures are not
+        stored in the file; passing one raises ``ValueError``). Call
         :meth:`close` to drop the mapping.
         """
-        if mmap:
-            if bitmap_filter is not None:
-                raise ValueError(
-                    "bitmap_filter cannot be combined with mmap=True:"
-                    " signatures are not stored in the mapped format (load"
-                    " without mmap to rebuild them)"
-                )
-            if fs is not None:
-                raise ValueError(
-                    "the fault-injection fs shim is only supported for"
-                    " snapshot loads"
-                )
-            return cls._load_mmap(
-                path,
-                predicate,
-                tokenizer=tokenizer,
-                codec=codec,
-                lock=lock,
-                merge_backend=merge_backend,
+        if mmap and bitmap_filter is not None:
+            raise ValueError(
+                "bitmap_filter cannot be combined with mmap=True:"
+                " signatures are not stored in the mapped file (load"
+                " without mmap to rebuild them)"
             )
-        state = read_snapshot(path, kind=_SNAPSHOT_KIND, fs=fs)
-        token_lists, payload_entries, bitmap_state = cls._validate_state(path, state)
-        service = cls(
-            predicate,
-            tokenizer=tokenizer,
-            lock=lock,
-            bitmap_filter=bitmap_filter,
-            merge_backend=merge_backend,
-        )
-        for tokens, entry in zip(token_lists, payload_entries):
-            value = _untagged_payload(path, entry, codec)
-            record = service._record_of(tokens)
-            service._token_lists.append(tokens)
-            service._dataset.records.append(record)
-            service._dataset.payloads.append(value)
-        service._dataset._frequency = None
-        service._rebind()
-        service._index = service._build_index(service._bound, service.counters)
-        service._pruner = service._new_pruner(bitmap_state)
-        return service
-
-    @classmethod
-    def _load_mmap(
-        cls, path: str, predicate, *, tokenizer, codec, lock, merge_backend
-    ) -> "SimilarityIndex":
-        """Open a ``save(format='mmap')`` file as a read-only service."""
-        import json as _json
-
-        from repro.storage.mmap_index import (
-            MappedDataset,
-            MappedInvertedIndex,
-            mapped_column,
-        )
-
-        index = MappedInvertedIndex.open(path)
+        index, vocabulary, records, payloads, token_lists = _open_saved(path, codec)
         try:
-            if index.meta.get("kind") != _SNAPSHOT_KIND:
-                raise SnapshotCorrupted(
-                    path,
-                    "mapped file carries no serving state; it was not"
-                    " written by SimilarityIndex.save(format='mmap')",
-                )
-            required = (
-                "records_tokens",
-                "records_offsets",
-                "payloads",
-                "payload_offsets",
-                "token_lists",
-                "token_list_offsets",
-                "vocab",
-            )
-            missing = [name for name in required if not index.has_section(name)]
-            if missing:
-                raise SnapshotCorrupted(
-                    path, f"missing serving sections {missing}"
-                )
-            try:
-                vocab_by_id = _json.loads(bytes(index.section("vocab")))
-            except (UnicodeDecodeError, _json.JSONDecodeError) as exc:
-                raise SnapshotCorrupted(
-                    path, f"'vocab' section is not valid JSON: {exc}"
-                ) from exc
-            if not isinstance(vocab_by_id, list) or not all(
-                isinstance(token, str) for token in vocab_by_id
-            ):
-                raise SnapshotCorrupted(
-                    path, "'vocab' section is not a list of strings"
-                )
-            vocabulary = {token: tid for tid, token in enumerate(vocab_by_id)}
-            if len(vocabulary) != len(vocab_by_id):
-                raise SnapshotCorrupted(path, "'vocab' holds duplicate tokens")
-
-            def decode_payload(raw):
-                try:
-                    entry = _json.loads(bytes(raw))
-                except (UnicodeDecodeError, _json.JSONDecodeError) as exc:
-                    raise SnapshotCorrupted(
-                        path, f"payload entry is not valid JSON: {exc}"
-                    ) from exc
-                return _untagged_payload(path, entry, codec)
-
-            def decode_token_list(raw):
-                try:
-                    tokens = _json.loads(bytes(raw))
-                except (UnicodeDecodeError, _json.JSONDecodeError) as exc:
-                    raise SnapshotCorrupted(
-                        path, f"token-list entry is not valid JSON: {exc}"
-                    ) from exc
-                if not isinstance(tokens, list) or not all(
-                    isinstance(token, str) for token in tokens
-                ):
-                    raise SnapshotCorrupted(
-                        path, "token-list entry is not a list of strings"
-                    )
-                return tokens
-
-            records = mapped_column(
-                index, "records_tokens", "records_offsets", tuple, int64=True
-            )
-            payloads = mapped_column(
-                index, "payloads", "payload_offsets", decode_payload
-            )
-            token_lists = mapped_column(
-                index, "token_lists", "token_list_offsets", decode_token_list
-            )
-            if not (
-                len(records) == len(payloads) == len(token_lists) == index.n_entities
-            ):
-                raise SnapshotCorrupted(
-                    path,
-                    f"serving sections disagree: {len(records)} records,"
-                    f" {len(payloads)} payloads, {len(token_lists)} token"
-                    f" lists, {index.n_entities} indexed entities",
-                )
             service = cls(
                 predicate,
                 tokenizer=tokenizer,
                 lock=lock,
+                bitmap_filter=bitmap_filter,
                 merge_backend=merge_backend,
                 vocabulary=vocabulary,
             )
-            service._dataset = MappedDataset(records, vocabulary, payloads)
-            service._token_lists = token_lists
-            service._index = index
-            service._read_only = True
-            service._rebind()
-            index.attach_counters(service.counters)
-            return service
+            if mmap:
+                service._dataset = MappedDataset(records, vocabulary, payloads)
+                service._token_lists = token_lists
+                service._index = index
+                service._read_only = True
+                service._rebind()
+                index.attach_counters(service.counters)
+                return service
+            service._dataset.records.extend(records)
+            service._dataset.payloads.extend(payloads)
+            service._token_lists.extend(token_lists)
         except BaseException:
             index.close()
             raise
+        # Drop the views into the mapping first, so closing it unmaps.
+        del records, payloads, token_lists
+        index.close()
+        service._rebind()
+        service._index = service._build_index(service._bound, service.counters)
+        service._pruner = service._new_pruner()
+        return service
 
     def close(self) -> None:
         """Release the mapped file behind a ``load(mmap=True)`` instance.
@@ -941,49 +788,76 @@ class SimilarityIndex:
         if release is not None:
             release()
 
-    @staticmethod
-    def _validate_state(path: str, state) -> tuple[list, list, dict | None]:
-        """Shape-check a loaded snapshot payload (no KeyErrors)."""
-        if not isinstance(state, dict):
-            raise SnapshotCorrupted(path, "state is not an object")
-        token_lists = state.get("token_lists")
-        payload_entries = state.get("payloads")
-        if not isinstance(token_lists, list) or not isinstance(payload_entries, list):
-            raise SnapshotCorrupted(
-                path, "state needs 'token_lists' and 'payloads' lists"
-            )
-        if len(token_lists) != len(payload_entries):
+
+def _compact_json(value) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def _json_entry(path: str, raw, what: str):
+    """One JSON value of a section slice; a typed error when it is not."""
+    try:
+        return json.loads(bytes(raw))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotCorrupted(path, f"{what} is not valid JSON: {exc}") from exc
+
+
+def _open_saved(path: str, codec):
+    """Map a :meth:`SimilarityIndex.save` file and validate its serving
+    sections: ``(index, vocabulary, records, payloads, token_lists)``,
+    the last three lazy per-record columns over the mapping.
+
+    The caller owns the returned index (and closes it); on any error it
+    is closed here.
+    """
+    index = MappedInvertedIndex.open(path)
+    try:
+        if index.meta.get("kind") != _SNAPSHOT_KIND:
             raise SnapshotCorrupted(
                 path,
-                f"{len(token_lists)} token lists vs"
-                f" {len(payload_entries)} payloads",
+                "mapped file carries no serving state; it was not"
+                " written by SimilarityIndex.save",
             )
-        for i, tokens in enumerate(token_lists):
-            if not isinstance(tokens, list) or not all(
-                isinstance(t, str) for t in tokens
-            ):
+        missing = [name for name in _SECTIONS if not index.has_section(name)]
+        if missing:
+            raise SnapshotCorrupted(path, f"missing serving sections {missing}")
+        vocab_by_id = _json_entry(path, index.section("vocab"), "'vocab' section")
+        if not _is_str_list(vocab_by_id):
+            raise SnapshotCorrupted(path, "'vocab' section is not a list of strings")
+        vocabulary = {token: tid for tid, token in enumerate(vocab_by_id)}
+        if len(vocabulary) != len(vocab_by_id):
+            raise SnapshotCorrupted(path, "'vocab' holds duplicate tokens")
+
+        def decode_payload(raw):
+            entry = _json_entry(path, raw, "payload entry")
+            return _untagged_payload(path, entry, codec)
+
+        def decode_token_list(raw):
+            tokens = _json_entry(path, raw, "token-list entry")
+            if not _is_str_list(tokens):
                 raise SnapshotCorrupted(
-                    path, f"token list {i} is not a list of strings"
+                    path, "token-list entry is not a list of strings"
                 )
-        bitmap_state = state.get("bitmap")
-        if bitmap_state is not None:
-            if (
-                not isinstance(bitmap_state, dict)
-                or not isinstance(bitmap_state.get("width"), int)
-                or isinstance(bitmap_state.get("width"), bool)
-                or not isinstance(bitmap_state.get("signatures"), list)
-                or not all(
-                    isinstance(sig, int) and not isinstance(sig, bool) and sig >= 0
-                    for sig in bitmap_state["signatures"]
-                )
-            ):
-                raise SnapshotCorrupted(
-                    path, "'bitmap' must hold an int width and a list of int signatures"
-                )
-            if len(bitmap_state["signatures"]) != len(token_lists):
-                raise SnapshotCorrupted(
-                    path,
-                    f"{len(bitmap_state['signatures'])} bitmap signatures vs"
-                    f" {len(token_lists)} records",
-                )
-        return token_lists, payload_entries, bitmap_state
+            return tokens
+
+        records = mapped_column(
+            index, "records_tokens", "records_offsets", tuple, int64=True
+        )
+        payloads = mapped_column(index, "payloads", "payload_offsets", decode_payload)
+        token_lists = mapped_column(
+            index, "token_lists", "token_list_offsets", decode_token_list
+        )
+        if not (len(records) == len(payloads) == len(token_lists) == index.n_entities):
+            raise SnapshotCorrupted(
+                path,
+                f"serving sections disagree: {len(records)} records,"
+                f" {len(payloads)} payloads, {len(token_lists)} token"
+                f" lists, {index.n_entities} indexed entities",
+            )
+    except BaseException:
+        index.close()
+        raise
+    return index, vocabulary, records, payloads, token_lists
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)

@@ -141,10 +141,6 @@ class SignatureStore:
     def entry(self, rid: int) -> tuple[int, int, int, float]:
         return self._entries[rid]
 
-    def signatures(self) -> list[int]:
-        """The raw signature ints, for snapshot persistence."""
-        return [entry[0] for entry in self._entries]
-
     def components_for(
         self, tokens, scores
     ) -> tuple[int, int, int, float]:
@@ -193,29 +189,6 @@ class SignatureStore:
                     max(bound.cached_score_vector(rid), default=0.0),
                 )
             )
-
-    @classmethod
-    def restore(cls, width: int, signatures: list[int], bound) -> "SignatureStore":
-        """Rebuild entries from persisted signatures (snapshot load).
-
-        Popcounts/sizes/max-scores are derived, not persisted — the
-        signature hashing pass is the part worth skipping. The caller
-        must have verified ``len(signatures) == len(bound.dataset)``.
-        """
-        store = cls(width)
-        dataset = bound.dataset
-        mask = (1 << width) - 1
-        for rid, sig in enumerate(signatures):
-            sig &= mask
-            store._entries.append(
-                (
-                    sig,
-                    sig.bit_count(),
-                    len(dataset[rid]),
-                    max(bound.cached_score_vector(rid), default=0.0),
-                )
-            )
-        return store
 
     # ------------------------------------------------------------------
     # The bound itself

@@ -3,7 +3,7 @@
 One :class:`BitmapPruner` serves one join execution (built in
 :meth:`SetJoinAlgorithm.join` / ``join_between``) or one
 :class:`~repro.core.service.SimilarityIndex` (grown on ``add``, rebuilt
-on ``rebind``, restored on ``load``). The positional filter's cascade
+on ``rebind`` and ``load``). The positional filter's cascade
 (:mod:`repro.core.positional_filter`) hands it each probe's candidate
 list once (:meth:`BitmapPruner.screen`);
 :func:`~repro.core.base.probe_kernel` and
@@ -57,7 +57,7 @@ class BitmapPruner:
 
     @classmethod
     def for_join(
-        cls, bound, config: BitmapFilterConfig, counters=None, saved=None
+        cls, bound, config: BitmapFilterConfig, counters=None
     ) -> "BitmapPruner | None":
         """Build a pruner over ``bound``'s dataset, or None when the
         predicate declares no soundness argument (the filter stays off).
@@ -67,20 +67,13 @@ class BitmapPruner:
         necessary bound on the common-token count (edit distance's
         q-gram lemma, ``bitmap_qgram_bound``). ``constant_threshold``
         predicates pay for the threshold once per run.
-
-        ``saved`` is a snapshot's ``{"width", "signatures"}`` state: its
-        signatures are reused when the width matches ``config``, which
-        skips the per-token hashing pass.
         """
         if not (
             bound.use_signature_prefilter
             or getattr(bound, "bitmap_qgram_bound", False)
         ):
             return None
-        if saved is not None and saved["width"] == config.width:
-            store = SignatureStore.restore(config.width, saved["signatures"], bound)
-        else:
-            store = SignatureStore.build(bound, config.width)
+        store = SignatureStore.build(bound, config.width)
         if counters is not None:
             extra = counters.extra
             extra["bitmap_signatures_built"] = (

@@ -36,7 +36,6 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import time
-from dataclasses import fields as dataclass_fields
 
 import multiprocessing
 
@@ -70,18 +69,6 @@ PARALLEL_ALGORITHMS = frozenset(
 # hard-terminating workers that failed to honour theirs.
 _DEADLINE_GRACE_SECONDS = 10.0
 _POLL_SECONDS = 0.05
-
-
-def _counters_from_dict(payload: dict) -> CostCounters:
-    """Rebuild CostCounters from the flat as_dict() wire form."""
-    restored = CostCounters()
-    known = {f.name for f in dataclass_fields(CostCounters)} - {"extra"}
-    for key, value in payload.items():
-        if key in known:
-            setattr(restored, key, value)
-        else:
-            restored.extra[key] = value
-    return restored
 
 
 def _mp_context():
@@ -264,7 +251,7 @@ def parallel_join(
                 if key not in pair_map:
                     pair_map[key] = MatchPair(rid_a, rid_b, similarity)
         elif kind == "done":
-            merged_counters.merge(_counters_from_dict(message[2]))
+            merged_counters.merge(CostCounters.from_dict(message[2]))
             infos[shard] = message[3]
             pending.discard(shard)
         elif kind == "error":

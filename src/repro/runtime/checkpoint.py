@@ -58,14 +58,7 @@ class CheckpointState:
         return [MatchPair(int(a), int(b), float(sim)) for a, b, sim in self.pairs]
 
     def cost_counters(self) -> CostCounters:
-        restored = CostCounters()
-        known = {f for f in vars(restored) if f != "extra"}
-        for key, value in self.counters.items():
-            if key in known:
-                setattr(restored, key, value)
-            else:
-                restored.extra[key] = value
-        return restored
+        return CostCounters.from_dict(self.counters)
 
 
 class JoinCheckpointer:

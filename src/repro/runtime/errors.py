@@ -102,7 +102,8 @@ class MemoryBudgetExceeded(JoinRuntimeError):
 
 
 class SnapshotCorrupted(JoinRuntimeError):
-    """A persisted snapshot failed validation (checksum, shape, version).
+    """A snapshot or saved index file failed validation (checksum,
+    shape, version).
 
     Carries the offending ``path`` and a human-readable ``detail``.
     """
@@ -280,8 +281,8 @@ class ReadOnlyIndex(JoinRuntimeError):
 
     An index opened with ``SimilarityIndex.load(..., mmap=True)`` serves
     queries straight off the write-once mapped file; ``add``/``rebind``
-    have nowhere to land. Build a mutable index (load without ``mmap``)
-    or write a new mapped snapshot from one.
+    have nowhere to land. Load the same file without ``mmap`` to get a
+    mutable index (and ``save`` it again).
     """
 
     def __init__(self, operation: str, path: str):

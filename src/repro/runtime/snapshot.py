@@ -12,8 +12,11 @@ new one, never a torn file. Reads validate the magic, version, kind,
 and payload checksum and raise a precise
 :class:`~repro.runtime.errors.SnapshotCorrupted` on any mismatch.
 
-All filesystem calls go through a small shim (:class:`RealFilesystem`)
-so tests can inject failures deterministically — see
+The temp-then-rename protocol is :class:`AtomicWrite`, shared with the
+one other durable writer, the mapped index file
+(:class:`~repro.storage.mmap_index.MappedIndexWriter`). All filesystem
+calls go through a small shim (:class:`RealFilesystem`) so tests can
+inject failures deterministically — see
 :class:`repro.runtime.faults.FailingFilesystem`.
 """
 
@@ -26,6 +29,7 @@ import os
 from repro.runtime.errors import SnapshotCorrupted, SnapshotEncodingError
 
 __all__ = [
+    "AtomicWrite",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "RealFilesystem",
@@ -41,13 +45,13 @@ SNAPSHOT_VERSION = 1
 class RealFilesystem:
     """Default filesystem shim; the fault-injection seam.
 
-    Every operation the snapshot writer needs, as an overridable
+    Every operation the durable writers need, as an overridable
     method. :class:`repro.runtime.faults.FailingFilesystem` subclasses
     this to fail deterministically at a chosen call.
     """
 
     def open(self, path: str, mode: str):
-        return open(path, mode, encoding="utf-8")
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
     def fsync(self, handle) -> None:
         handle.flush()
@@ -64,6 +68,52 @@ class RealFilesystem:
 
 
 REAL_FS = RealFilesystem()
+
+
+class AtomicWrite:
+    """A file written under ``<path>.tmp`` that lands at ``path`` only on
+    :meth:`commit`: fsync, close, atomic rename.
+
+    A crash at any point leaves ``path`` as it was. :meth:`discard`, a
+    failed commit, or an error inside the ``with`` block removes the
+    temp file (best-effort); a clean exit from the block commits.
+    """
+
+    def __init__(self, path: str, mode: str = "w", fs: RealFilesystem | None = None):
+        self.fs = fs if fs is not None else REAL_FS
+        self.path = path
+        self.tmp = path + ".tmp"
+        self.handle = self.fs.open(self.tmp, mode)
+
+    def commit(self) -> str:
+        try:
+            self.fs.fsync(self.handle)
+            self.handle.close()
+            self.fs.replace(self.tmp, self.path)
+        except BaseException:
+            self.discard()
+            raise
+        return self.path
+
+    def discard(self) -> None:
+        # BaseException paths land here too: a KeyboardInterrupt
+        # mid-write (an operator hammering Ctrl-C during a checkpoint
+        # flush) must not leak the temp file either.
+        self.handle.close()
+        try:
+            if self.fs.exists(self.tmp):
+                self.fs.remove(self.tmp)
+        except OSError:
+            pass
+
+    def __enter__(self) -> "AtomicWrite":
+        return self
+
+    def __exit__(self, exc_type, *_exc) -> None:
+        if exc_type is None:
+            self.commit()
+        else:
+            self.discard()
 
 
 def canonical_json(payload) -> str:
@@ -92,7 +142,6 @@ def write_snapshot(path: str, payload, *, kind: str, fs: RealFilesystem | None =
     The previous snapshot at ``path`` (if any) survives intact unless
     the final atomic rename succeeds.
     """
-    fs = fs if fs is not None else REAL_FS
     body = canonical_json(payload)
     envelope = {
         "magic": SNAPSHOT_MAGIC,
@@ -104,27 +153,8 @@ def write_snapshot(path: str, payload, *, kind: str, fs: RealFilesystem | None =
     # Encode the whole envelope before the temp file exists, so an
     # encoding failure can never leave a partial file behind.
     encoded = json.dumps(envelope, sort_keys=True)
-    tmp = path + ".tmp"
-    try:
-        handle = fs.open(tmp, "w")
-        try:
-            handle.write(encoded)
-            fs.fsync(handle)
-        finally:
-            handle.close()
-        fs.replace(tmp, path)
-    except BaseException:
-        # Cleanup of the partial temp file (best-effort); the real
-        # snapshot at `path` has not been touched. BaseException, not
-        # Exception: a KeyboardInterrupt mid-write (operator hammering
-        # Ctrl-C during a checkpoint flush) must not leak the temp
-        # file into the checkpoint directory either.
-        try:
-            if fs.exists(tmp):
-                fs.remove(tmp)
-        except OSError:
-            pass
-        raise
+    with AtomicWrite(path, "w", fs) as out:
+        out.handle.write(encoded)
 
 
 def read_snapshot(path: str, *, kind: str, fs: RealFilesystem | None = None):

@@ -240,10 +240,11 @@ class _QueueServer:
             except queue.Empty:
                 return
             if request is not _STOP and request.future.set_running_or_notify_cancel():
+                self._finish(shed=True)
                 request.future.set_exception(
                     ServerOverloaded(reason, self._queue.qsize(), self.queue_limit)
                 )
-                self._finish(shed=True)
+                self._settle()
 
     def __enter__(self):
         return self.start()
@@ -332,18 +333,20 @@ class _QueueServer:
                 return
             if not request.future.set_running_or_notify_cancel():
                 self._finish(shed=True)  # client cancelled while queued
+                self._settle()
                 continue
             with self._cond:
                 self._in_flight += 1
             try:
                 result = self._execute(request)
             except BaseException as exc:  # noqa: BLE001 — delivered via future
-                request.future.set_exception(exc)
                 self._finish(failed=True)
+                request.future.set_exception(exc)
             else:
                 self.latency.observe(self.clock() - request.enqueued_at)
-                request.future.set_result(result)
                 self._finish(completed=True)
+                request.future.set_result(result)
+            self._settle()
 
     def _execute(self, request: _Request):
         raise NotImplementedError
@@ -367,6 +370,8 @@ class _QueueServer:
     def _finish(
         self, completed: bool = False, failed: bool = False, shed: bool = False
     ) -> None:
+        """Tally a request's outcome, before its future resolves: a
+        caller woken by the future then finds it in ``health()``."""
         with self._cond:
             if completed:
                 self._completed += 1
@@ -376,6 +381,12 @@ class _QueueServer:
                 self._shed += 1
             if self._in_flight and not shed:
                 self._in_flight -= 1
+
+    def _settle(self) -> None:
+        """Retire a request whose future has resolved: ``drain`` waits
+        for ``pending == 0``, so it returns only once every admitted
+        request's future is done."""
+        with self._cond:
             self._pending -= 1
             self._cond.notify_all()
 

@@ -6,7 +6,7 @@
   (the §6 Heinz & Zobel direction), a write-once columnar format:
   :class:`MappedInvertedIndex` serves postings off a memory mapping —
   raw columns zero-copy (``index_backend='mmap'``,
-  ``SimilarityIndex.save(format='mmap')``) or varbyte skip blocks
+  ``SimilarityIndex.save``) or varbyte skip blocks
   decoded per touched block (``index_backend='mmap-varbyte'``).
   :func:`write_index` writes every such file from a built
   :class:`~repro.core.inverted_index.ScoredInvertedIndex` (through the

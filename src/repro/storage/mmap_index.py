@@ -23,7 +23,7 @@ clear error)::
                  compressed: [scores float64 x n]
                              [block_firsts int64 x b][block_offsets int64 x b]
                              [varbyte gap blocks]
-               named sections (serving snapshots: records, payloads,
+               named sections (a saved SimilarityIndex: records, payloads,
                vocabulary), 8-byte aligned, CRC'd
     directory  one JSON object: per-token parallel arrays
                (token, offset, byte length, count, max_score, crc32,
@@ -77,6 +77,7 @@ from repro.compression.varbyte import varbyte_decode_deltas, varbyte_encode
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.records import Dataset
 from repro.runtime.errors import SnapshotCorrupted
+from repro.runtime.snapshot import AtomicWrite, RealFilesystem
 from repro.utils.counters import CostCounters
 
 __all__ = [
@@ -133,9 +134,11 @@ class MappedIndexWriter:
     """Streams a write-once columnar index file.
 
     Postings must be added one whole token at a time (the format stores
-    each token's columns contiguously). The file materializes under a
-    temp name and lands at ``path`` atomically on :meth:`finish`, so a
-    crash mid-write never leaves a half-index where a reader looks.
+    each token's columns contiguously). The file materializes under
+    ``<path>.tmp`` and lands at ``path`` on :meth:`finish` through
+    :class:`~repro.runtime.snapshot.AtomicWrite` (fsync + atomic rename,
+    the JSON snapshots' protocol), so a crash mid-write never leaves a
+    half-index where a reader looks.
 
     Args:
         path: final file location.
@@ -144,23 +147,32 @@ class MappedIndexWriter:
         compressed: varbyte gap-compress the id column into skip blocks
             instead of a raw ``int64`` column — smaller file, lazy
             per-block decode on read instead of zero-copy.
+        fs: filesystem shim (fault injection in tests).
     """
 
     #: Land by write-to-temp + fsync + atomic rename (see
     #: :class:`_TempIndexWriter` for the one writer that does not).
     _durable = True
 
-    def __init__(self, path: str, *, scored: bool = True, compressed: bool = False):
+    def __init__(
+        self,
+        path: str,
+        *,
+        scored: bool = True,
+        compressed: bool = False,
+        fs: RealFilesystem | None = None,
+    ):
         self.path = path
         self.scored = scored
         self.compressed = compressed
         if self._durable:
-            self._tmp_path = f"{path}.tmp.{os.getpid()}"
-            self._handle = open(self._tmp_path, "wb")
+            self._landing = AtomicWrite(path, "wb", fs)
+            self._handle = self._landing.handle
         else:
-            self._tmp_path = path
+            self._landing = None
             self._handle = open(path, "r+b")
-        self._handle.write(bytes(_PREAMBLE_SIZE))
+        # The preamble is written last (finish); data starts past it.
+        self._handle.seek(_PREAMBLE_SIZE)
         self._tokens: list[int] = []
         self._offsets: list[int] = []
         self._lengths: list[int] = []
@@ -292,22 +304,21 @@ class MappedIndexWriter:
                 crc32(encoded),
             )
         )
-        self._handle.flush()
-        if self._durable:
-            os.fsync(self._handle.fileno())
-        self._handle.close()
-        if self._durable:
-            os.replace(self._tmp_path, self.path)
         self._finished = True
+        if self._landing is None:
+            self._handle.close()
+        else:
+            self._landing.commit()
         return self.path
 
     def abort(self) -> None:
         """Drop the temp file (error paths)."""
         if not self._finished:
-            self._handle.close()
-            if os.path.exists(self._tmp_path):
-                os.remove(self._tmp_path)
             self._finished = True
+            if self._landing is None:
+                self._handle.close()
+            else:
+                self._landing.discard()
 
     def __enter__(self) -> "MappedIndexWriter":
         return self
@@ -852,9 +863,11 @@ def write_index(
     compressed: bool = False,
     sections: Iterable[tuple[str, bytes]] = (),
     meta: dict | None = None,
+    fs: RealFilesystem | None = None,
 ) -> str:
     """Write a built :class:`ScoredInvertedIndex`, plus named
-    ``sections``, as an RPMX file landing atomically at ``path``.
+    ``sections``, as an RPMX file landing atomically at ``path``
+    (through the filesystem shim ``fs``).
 
     Every mapped index is written here, so the file holds exactly the
     columns, list maxima and ``min_norm`` that ``ScoredInvertedIndex.insert``
@@ -863,16 +876,16 @@ def write_index(
     (readers synthesize the constant), so unit-score predicates pay for
     ids only — the §4/§6 compressed footprint.
     """
-    return _write_index(path, index, compressed, sections, meta, MappedIndexWriter)
+    return _write_index(path, index, compressed, sections, meta, MappedIndexWriter, fs)
 
 
-def _write_index(path, index, compressed, sections, meta, writer_class) -> str:
+def _write_index(path, index, compressed, sections, meta, writer_class, fs=None) -> str:
     """:func:`write_index` through ``writer_class``."""
     postings = [(token, index.get(token)) for token in index.tokens()]
     scored = any(
         plist.min_score != 1.0 or plist.max_score != 1.0 for _, plist in postings
     )
-    with writer_class(path, scored=scored, compressed=compressed) as writer:
+    with writer_class(path, scored=scored, compressed=compressed, fs=fs) as writer:
         for token, plist in postings:
             writer.add_posting(token, plist.ids, plist.scores, plist.max_score)
         for name, data in sections:

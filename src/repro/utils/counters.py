@@ -139,6 +139,18 @@ class CostCounters:
         out.update(self.extra)
         return out
 
+    @classmethod
+    def from_dict(cls, values: dict) -> "CostCounters":
+        """The inverse of :meth:`as_dict`: known counters are set, every
+        other key goes to ``extra`` (checkpoints, worker reports)."""
+        counters = cls()
+        for key, value in values.items():
+            if key in _COUNTED:
+                setattr(counters, key, value)
+            else:
+                counters.extra[key] = value
+        return counters
+
     def total_work(self) -> int:
         """A single scalar summarizing merge work (used in bench tables)."""
         return (

@@ -156,6 +156,10 @@ class TestCrashSafePersistence:
             service.save(path, fs=fs)
         except InjectedFault:
             pass  # simulated crash; fall through to the load below
+        if fail_at_call == 1:
+            # The mapped writer opens, writes, fsyncs and renames once
+            # each at least: the first call of each always trips.
+            assert fs.faults_injected == 1
         # Whether or not the write survived, the snapshot must load.
         loaded = SimilarityIndex.load(path, OverlapPredicate(2))
         assert len(loaded) in (len(service) - 1, len(service))
@@ -174,10 +178,11 @@ class TestCrashSafePersistence:
     def test_corrupted_snapshot_is_rejected_not_misloaded(self, tmp_path):
         path = str(tmp_path / "index.snap")
         _service().save(path)
-        with open(path, "r+") as handle:
+        with open(path, "r+b") as handle:
             raw = handle.read()
+            assert b"w1" in raw
             handle.seek(0)
-            handle.write(raw.replace("w1", "wX", 1))
+            handle.write(raw.replace(b"w1", b"wX", 1))
         with pytest.raises(SnapshotCorrupted):
             SimilarityIndex.load(path, OverlapPredicate(2))
 

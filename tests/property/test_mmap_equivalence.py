@@ -6,8 +6,8 @@ id blocks (``"mmap-varbyte"``) — returns matches *bit-identical* to the
 in-memory index — same pairs, same similarities, same counted work —
 under every predicate, serially and sharded over workers, with the
 bitmap filter armed or not, and under both probe-merge engines. The
-mapped serving state (``SimilarityIndex.save(format='mmap')``) makes
-the same promise against snapshot-loaded services.
+saved serving state (``SimilarityIndex.save``) makes the same promise
+between its two loads: mapped (``mmap=True``) and read into memory.
 """
 
 import pytest
@@ -148,12 +148,10 @@ class TestServingEquivalence:
         service = SimilarityIndex(predicate, merge_backend=merge)
         for doc in docs:
             service.add(doc)
-        snap = str(tmp_path / "ix.snap")
         mpath = str(tmp_path / "ix.rpmx")
-        service.save(snap)
-        service.save(mpath, format="mmap")
+        service.save(mpath)
 
-        from_snapshot = SimilarityIndex.load(snap, predicate, merge_backend=merge)
+        in_memory = SimilarityIndex.load(mpath, predicate, merge_backend=merge)
         mapped = SimilarityIndex.load(
             mpath, predicate, merge_backend=merge, mmap=True
         )
@@ -161,7 +159,7 @@ class TestServingEquivalence:
             for query in queries:
                 expected = [
                     (p.rid_a, p.rid_b, p.similarity)
-                    for p in from_snapshot.query(query)
+                    for p in in_memory.query(query)
                 ]
                 got = [
                     (p.rid_a, p.rid_b, p.similarity) for p in mapped.query(query)

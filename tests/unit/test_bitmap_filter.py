@@ -124,13 +124,6 @@ class TestSignatureStore:
         assert len(store2) == len(RECORDS) - 3
         assert store2.entry(0) == before[3]
 
-    def test_restore_round_trip(self):
-        store, bound = self._store()
-        restored = SignatureStore.restore(64, store.signatures(), bound)
-        assert len(restored) == len(store)
-        for rid in range(len(RECORDS)):
-            assert restored.entry(rid) == store.entry(rid)
-
     @pytest.mark.parametrize("width", [8, 64, 128, 1000])
     @pytest.mark.parametrize("make_predicate", [JaccardPredicate, CosinePredicate])
     @pytest.mark.parametrize("seed", [3, 17])
@@ -146,8 +139,6 @@ class TestSignatureStore:
             store.components_for(data[rid], bound.cached_score_vector(rid))
             for rid in range(len(data))
         ]
-        restored = SignatureStore.restore(width, store.signatures(), bound)
-        assert [restored.entry(rid) for rid in range(len(restored))] == entries
 
 
 class TestAdapterDispatch:

@@ -46,6 +46,16 @@ class TestCostCounters:
         assert snapshot["probes"] == 2
         assert snapshot["batches"] == 3
 
+    def test_from_dict_round_trips_as_dict(self):
+        numeric = [f.name for f in fields(CostCounters) if f.name != "extra"]
+        counters = CostCounters(
+            **{name: i + 1 for i, name in enumerate(numeric)},
+            extra={"batches": 3, "bitmap_signatures_built": 7},
+        )
+        restored = CostCounters.from_dict(counters.as_dict())
+        assert restored == counters
+        assert restored.extra == {"batches": 3, "bitmap_signatures_built": 7}
+
     def test_total_work_sums_merge_quantities(self):
         counters = CostCounters(
             heap_pops=1, list_items_touched=2, binary_searches=3,

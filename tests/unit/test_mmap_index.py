@@ -6,7 +6,7 @@ corruption mode the format promises to catch as
 byte-order mismatch, mangled directory, flipped posting and section
 bytes), residency accounting against the memory-budget runtime, the
 ``index_backend`` knob's error surface, and the mapped serving state
-behind ``SimilarityIndex.save(format='mmap')`` / ``load(mmap=True)``.
+behind ``SimilarityIndex.save`` / ``load(mmap=True)``.
 """
 
 import hashlib
@@ -804,39 +804,38 @@ class TestMappedService:
 
     def test_mmap_load_equals_snapshot_load(self, tmp_path):
         service = self.build()
-        snap, mpath = str(tmp_path / "i.snap"), str(tmp_path / "i.rpmx")
-        service.save(snap)
-        service.save(mpath, format="mmap")
+        mpath = str(tmp_path / "i.rpmx")
+        service.save(mpath)
         queries = ["a b c", "c d e f", "zzz", "m n o"]
         predicate = JaccardPredicate(0.4)
-        from_snapshot = SimilarityIndex.load(snap, predicate, tokenizer=str.split)
+        in_memory = SimilarityIndex.load(mpath, predicate, tokenizer=str.split)
         mapped = SimilarityIndex.load(
             mpath, predicate, tokenizer=str.split, mmap=True
         )
         try:
             assert self.answers(mapped, queries) == self.answers(
-                from_snapshot, queries
+                in_memory, queries
             )
             assert mapped.payload(3) == {"doc": 3}
-            assert mapped.export_records() == from_snapshot.export_records()
+            assert mapped.export_records() == in_memory.export_records()
             assert len(mapped) == len(self.DOCS)
         finally:
             mapped.close()
 
     def test_unit_score_save_has_no_score_column(self, tmp_path):
         mpath = str(tmp_path / "i.rpmx")
-        self.build().save(mpath, format="mmap")
+        self.build().save(mpath)
         with MappedInvertedIndex.open(mpath) as index:
             assert not index.scored
             assert index.get(0).min_score == index.get(0).max_score == 1.0
         weighted = SimilarityIndex(CosinePredicate(0.4), tokenizer=str.split)
         for doc in self.DOCS:
             weighted.add(doc)
-        weighted.save(mpath, format="mmap")
+        weighted.save(mpath)
         with MappedInvertedIndex.open(mpath) as index:
             assert index.scored
 
-    #: sha256 of ``build()``'s ``save(format="mmap")`` file as written
+    #: sha256 of ``build()``'s ``save()`` file as written
     #: while serving files always carried a score column.
     SCORED_LAYOUT_SHA256 = (
         "537f1eadac337f7a9d033167c6bc79ebd2616fba9128eb48188b4fb5a9e89280"
@@ -845,7 +844,7 @@ class TestMappedService:
     def test_scored_layout_file_still_answers_like_live_index(self, tmp_path):
         service = self.build()
         unit_path, scored_path = str(tmp_path / "u.rpmx"), str(tmp_path / "s.rpmx")
-        service.save(unit_path, format="mmap")
+        service.save(unit_path)
         # Rewrite the unit-score file with an explicit 1.0 score column:
         # the layout earlier versions wrote for every serving file.
         with MappedInvertedIndex.open(unit_path) as unit:
@@ -880,7 +879,7 @@ class TestMappedService:
     def test_mapped_service_is_read_only(self, tmp_path):
         service = self.build()
         mpath = str(tmp_path / "i.rpmx")
-        service.save(mpath, format="mmap")
+        service.save(mpath)
         mapped = SimilarityIndex.load(
             mpath, JaccardPredicate(0.4), tokenizer=str.split, mmap=True
         )
@@ -895,7 +894,7 @@ class TestMappedService:
     def test_snapshot_written_from_mapped_service(self, tmp_path):
         service = self.build()
         mpath = str(tmp_path / "i.rpmx")
-        service.save(mpath, format="mmap")
+        service.save(mpath)
         mapped = SimilarityIndex.load(
             mpath, JaccardPredicate(0.4), tokenizer=str.split, mmap=True
         )
@@ -910,19 +909,84 @@ class TestMappedService:
         finally:
             mapped.close()
 
+    @staticmethod
+    def _cosine_with_stats():
+        from repro.text.tfidf import CorpusStats
+
+        vocabulary: dict[str, int] = {}
+        records = [
+            tuple(sorted({vocabulary.setdefault(t, len(vocabulary)) for t in doc.split()}))
+            for doc in TestMappedService.DOCS
+        ]
+        return CosinePredicate(0.3, stats=CorpusStats(records)), str.split, None
+
+    @staticmethod
+    def _edit_distance():
+        from repro import EditDistancePredicate
+        from repro.predicates.edit_distance import numbered_qgrams
+
+        return EditDistancePredicate(1), numbered_qgrams, None
+
+    class _SortedCodec:
+        def encode(self, payload):
+            return ",".join(sorted(payload))
+
+        def decode(self, text):
+            return frozenset(text.split(","))
+
+    @pytest.mark.parametrize(
+        "case", ["jaccard", "overlap", "cosine-stats", "edit-distance", "codec"]
+    )
+    def test_both_loads_of_one_file_answer_identically(self, tmp_path, case):
+        predicate, tokenizer, codec = {
+            "jaccard": lambda: (JaccardPredicate(0.4), str.split, None),
+            "overlap": lambda: (OverlapPredicate(2), str.split, None),
+            "cosine-stats": self._cosine_with_stats,
+            "edit-distance": self._edit_distance,
+            "codec": lambda: (JaccardPredicate(0.4), str.split, self._SortedCodec()),
+        }[case]()
+        if case == "edit-distance":
+            items = ["similarity", "similarly", "simularity", "simile", "dissimilar"]
+            queries = items + ["similarities", "xyz"]
+        else:
+            items = self.DOCS
+            queries = self.DOCS + ["a b c", "c d e f", "zzz", "m n o"]
+        service = SimilarityIndex(predicate, tokenizer=tokenizer)
+        for i, item in enumerate(items):
+            if case == "edit-distance":
+                payload = None  # verification reads the string payload
+            else:
+                payload = frozenset(item.split()) if codec else {"doc": i}
+            service.add(item, payload=payload)
+        service.rebind()
+        path = str(tmp_path / "i.rpmx")
+        service.save(path, codec=codec)
+        loaded = SimilarityIndex.load(path, predicate, tokenizer=tokenizer, codec=codec)
+        mapped = SimilarityIndex.load(
+            path, predicate, tokenizer=tokenizer, codec=codec, mmap=True
+        )
+        try:
+            expected = self.answers(service, queries)
+            assert any(expected)
+            assert self.answers(loaded, queries) == expected
+            assert self.answers(mapped, queries) == expected
+            assert loaded._vocabulary == mapped._vocabulary == service._vocabulary
+            assert [loaded.payload(rid) for rid in range(len(items))] == [
+                mapped.payload(rid) for rid in range(len(items))
+            ] == [service.payload(rid) for rid in range(len(items))]
+            assert loaded.export_records() == mapped.export_records()
+        finally:
+            mapped.close()
+        assert not os.path.exists(path + ".tmp")
+
     def test_bitmap_filter_rejected_with_mmap(self, tmp_path):
         service = self.build()
         mpath = str(tmp_path / "i.rpmx")
-        service.save(mpath, format="mmap")
+        service.save(mpath)
         with pytest.raises(ValueError, match="bitmap_filter"):
             SimilarityIndex.load(
                 mpath, JaccardPredicate(0.4), mmap=True, bitmap_filter=True
             )
-
-    def test_unknown_format_rejected(self, tmp_path):
-        service = self.build()
-        with pytest.raises(ValueError, match="unknown save format"):
-            service.save(str(tmp_path / "x"), format="pickle")
 
     def test_mmap_load_of_join_index_rejected(self, tmp_path):
         map_index(
@@ -946,7 +1010,7 @@ class TestMappedService:
         service = SimilarityIndex(JaccardPredicate(0.4), tokenizer=str.split)
         service.add("a b c", payload=frozenset({"tu", "ple"}))
         mpath = str(tmp_path / "i.rpmx")
-        service.save(mpath, codec=Codec(), format="mmap")
+        service.save(mpath, codec=Codec())
         mapped = SimilarityIndex.load(
             mpath, JaccardPredicate(0.4), tokenizer=str.split,
             codec=Codec(), mmap=True,
@@ -968,7 +1032,7 @@ class TestMappedService:
     def test_empty_service_roundtrip(self, tmp_path):
         service = SimilarityIndex(JaccardPredicate(0.4), tokenizer=str.split)
         mpath = str(tmp_path / "empty.rpmx")
-        service.save(mpath, format="mmap")
+        service.save(mpath)
         mapped = SimilarityIndex.load(
             mpath, JaccardPredicate(0.4), tokenizer=str.split, mmap=True
         )
@@ -995,7 +1059,7 @@ class TestMappedService:
         service = self.build()
         seed_path = str(tmp_path / "seed.rpmx")
         big_path = str(tmp_path / "big.rpmx")
-        service.save(seed_path, format="mmap")
+        service.save(seed_path)
         if shutil.disk_usage(str(tmp_path)).free < 2 * 300 * 1024 * 1024:
             pytest.skip("not enough free disk for a 240MB index")
 
@@ -1059,7 +1123,7 @@ class TestMappedService:
     def test_flipped_payload_byte_is_typed_error(self, tmp_path):
         service = self.build()
         mpath = str(tmp_path / "i.rpmx")
-        service.save(mpath, format="mmap")
+        service.save(mpath)
         with MappedInvertedIndex.open(mpath) as probe:
             offset, _length, _crc = probe._sections["payloads"]
         with open(mpath, "r+b") as handle:

@@ -258,6 +258,30 @@ class TestHealth:
             "saturation": 0.0,
         }
 
+    def test_a_resolved_request_is_already_tallied(self, monkeypatch):
+        # A slow tally must hold the future back, not lag behind it.
+        import time
+
+        scripted = _ScriptedIndex()
+        scripted.failures_left = 1
+        server = IndexServer(scripted, workers=1).start()
+        finish = server._finish
+
+        def slow_finish(**outcome):
+            time.sleep(0.05)
+            finish(**outcome)
+
+        monkeypatch.setattr(server, "_finish", slow_finish)
+        try:
+            with pytest.raises(OSError):
+                server.submit("a").result(timeout=WAIT)
+            assert server.health()["failed"] == 1
+            server.submit("b").result(timeout=WAIT)
+            health = server.health()
+            assert (health["completed"], health["in_flight"]) == (1, 0)
+        finally:
+            server.drain(timeout=WAIT)
+
     def test_pool_saturation_tracks_busy_workers(self):
         scripted = _ScriptedIndex()
         scripted.gate = threading.Event()

@@ -313,7 +313,7 @@ class TestQueryAfterAdd:
         for record in self.RECORDS:
             service.add(record)
         path = str(tmp_path / "index.rpmx")
-        service.save(path, format="mmap")
+        service.save(path)
         opened = SimilarityIndex.load(
             path, HammingPredicate(2), tokenizer=tokenize_words, mmap=True,
             merge_backend="accumulator",
