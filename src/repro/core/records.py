@@ -12,7 +12,19 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 
-__all__ = ["Dataset"]
+__all__ = ["Dataset", "record_ids"]
+
+
+def record_ids(tokens: Iterable[str], vocabulary: dict[str, int]) -> tuple[int, ...]:
+    """One record's sorted distinct token ids; a token ``vocabulary`` has
+    not seen gets the next id (the vocabulary is extended in place)."""
+    ids = set()
+    for token in tokens:
+        token_id = vocabulary.get(token)
+        if token_id is None:
+            token_id = vocabulary[token] = len(vocabulary)
+        ids.add(token_id)
+    return tuple(sorted(ids))
 
 
 class Dataset:
@@ -63,16 +75,7 @@ class Dataset:
         are dropped — the paper treats records as sets.
         """
         vocab = vocabulary if vocabulary is not None else {}
-        records = []
-        for tokens in token_lists:
-            ids = set()
-            for token in tokens:
-                token_id = vocab.get(token)
-                if token_id is None:
-                    token_id = len(vocab)
-                    vocab[token] = token_id
-                ids.add(token_id)
-            records.append(tuple(sorted(ids)))
+        records = [record_ids(tokens, vocab) for tokens in token_lists]
         return cls(records, vocabulary=vocab, payloads=payloads)
 
     @classmethod

@@ -30,7 +30,7 @@ from repro.core.accumulator import resolve_merge_backend
 from repro.core.base import PROBE_LAST, ProbePlan, probe_kernel
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.merge_opt import merge_opt  # noqa: F401
-from repro.core.records import Dataset
+from repro.core.records import Dataset, record_ids
 from repro.core.results import MatchPair
 from repro.filters.bitmap import resolve_bitmap_filter
 from repro.filters.pruner import BitmapPruner
@@ -55,15 +55,7 @@ __all__ = ["QueryAnswer", "SimilarityIndex"]
 
 #: ``meta["kind"]`` of a saved index file, and its serving sections.
 _SNAPSHOT_KIND = "similarity-index"
-_SECTIONS = (
-    "records_tokens",
-    "records_offsets",
-    "payloads",
-    "payload_offsets",
-    "token_lists",
-    "token_list_offsets",
-    "vocab",
-)
+_SECTIONS = ("records_tokens", "records_offsets", "payloads", "payload_offsets", "vocab")
 
 #: Every bind stamp in the process: no two binds, of one index or of
 #: two (a shard generation and its successor), ever share one.
@@ -272,8 +264,6 @@ class SimilarityIndex:
         self.predicate = predicate
         self.tokenizer = tokenizer
         self.merge_backend = resolve_merge_backend(merge_backend)
-        self._token_lists: list[list[str]] = []
-        self._payloads: list = []
         #: ``vocabulary=`` lets several indexes share one token-id space
         #: (mirroring ``Dataset.from_token_lists``): the sharded serving
         #: tier partitions records across indexes but needs one token to
@@ -308,6 +298,8 @@ class SimilarityIndex:
         #: the index *is* the write-once mapped file, so mutations raise
         #: :class:`~repro.runtime.errors.ReadOnlyIndex`.
         self._read_only = False
+        #: The file ``load`` read this index from; None when built.
+        self._source: str | None = None
 
     @property
     def binding(self) -> int:
@@ -370,17 +362,6 @@ class SimilarityIndex:
         if self.tokenizer is not None and isinstance(item, str):
             return list(self.tokenizer(item))
         return [str(token) for token in item]
-
-    def _record_of(self, tokens: Sequence[str]) -> tuple[int, ...]:
-        """Token ids for an *inserted* record, extending the vocabulary."""
-        ids = set()
-        for token in tokens:
-            token_id = self._vocabulary.get(token)
-            if token_id is None:
-                token_id = len(self._vocabulary)
-                self._vocabulary[token] = token_id
-            ids.add(token_id)
-        return tuple(sorted(ids))
 
     def _probe_record_of(
         self, tokens: Sequence[str], counters: CostCounters
@@ -481,10 +462,8 @@ class SimilarityIndex:
         if self._read_only:
             raise ReadOnlyIndex("add", self._index.path)
         with self._write_locked("add"):
-            tokens = self._tokens_of(item)
-            record = self._record_of(tokens)
+            record = record_ids(self._tokens_of(item), self._vocabulary)
             rid = len(self._dataset)
-            self._token_lists.append(tokens)
             self._dataset.records.append(record)
             self._dataset.payloads.append(payload if payload is not None else item)
             self._dataset._frequency = None  # invalidate cached stats
@@ -589,17 +568,33 @@ class SimilarityIndex:
         """Point-in-time copy of ``(tokens, payload)`` from ``start`` on.
 
         Taken under the read lock, so the slice is consistent against
-        concurrent ``add``s. Feeding each pair back through
-        ``add(tokens, payload=payload)`` reproduces the records exactly
-        (token lists bypass the tokenizer) — the seam the zero-downtime
+        concurrent ``add``s. A record's tokens are derived from its ids:
+        one token per distinct id, in id order. Feeding each pair back
+        through ``add(tokens, payload=payload)`` (token lists bypass the
+        tokenizer) rebuilds the records with the same token ids in an
+        index sharing this one's vocabulary — the seam the zero-downtime
         generation builder uses to snapshot a shard and to catch up the
-        adds that landed while it was building.
+        adds that landed while it was building. A loaded record naming
+        a token id outside the vocabulary raises
+        :class:`~repro.runtime.errors.SnapshotCorrupted`.
         """
         with self._read_locked("export"):
-            return [
-                (list(self._token_lists[rid]), self._dataset.payload(rid))
-                for rid in range(start, len(self._dataset))
-            ]
+            tokens_by_id = self._tokens_by_id()
+            exported = []
+            for rid in range(start, len(self._dataset)):
+                try:
+                    tokens = [tokens_by_id[tid] for tid in self._dataset[rid]]
+                except KeyError as exc:
+                    raise SnapshotCorrupted(
+                        self._source, f"record {rid} has no token for id {exc}"
+                    ) from None
+                exported.append((tokens, self._dataset.payload(rid)))
+            return exported
+
+    def _tokens_by_id(self) -> dict[int, str]:
+        # A copy: shards share one vocabulary, which another shard's
+        # ``add`` can grow while this index reads it.
+        return {tid: token for token, tid in self._vocabulary.copy().items()}
 
     def counters_snapshot(self) -> dict:
         """A consistent plain-dict copy of the cost counters.
@@ -641,7 +636,7 @@ class SimilarityIndex:
         """Crash-safely write the index to ``path`` as a mapped file.
 
         The file is the columnar :mod:`repro.storage.mmap_index` format:
-        the posting columns plus records, payloads, token lists, and the
+        the posting columns plus records (token ids), payloads and the
         vocabulary as named, checksummed sections. It materializes under
         ``<path>.tmp`` and lands by fsync + atomic rename, so a crash at
         any point leaves the previous file loadable. Postings come from
@@ -668,19 +663,14 @@ class SimilarityIndex:
             record_offsets = array("q", [0])
             payload_blob = bytearray()
             payload_offsets = array("q", [0])
-            token_list_blob = bytearray()
-            token_list_offsets = array("q", [0])
             for rid in range(n):
                 record_tokens.extend(self._dataset[rid])
                 record_offsets.append(len(record_tokens))
                 entry = self._tagged_payload(rid, self._dataset.payload(rid), codec)
                 payload_blob += _compact_json(entry)
                 payload_offsets.append(len(payload_blob))
-                token_list_blob += _compact_json(list(self._token_lists[rid]))
-                token_list_offsets.append(len(token_list_blob))
-            vocab_by_id = [None] * len(self._vocabulary)
-            for token, token_id in self._vocabulary.items():
-                vocab_by_id[token_id] = token
+            tokens_by_id = self._tokens_by_id()
+            vocab_by_id = [tokens_by_id[tid] for tid in range(len(tokens_by_id))]
             write_index(
                 path,
                 index,
@@ -689,8 +679,6 @@ class SimilarityIndex:
                     ("records_offsets", record_offsets.tobytes()),
                     ("payloads", bytes(payload_blob)),
                     ("payload_offsets", payload_offsets.tobytes()),
-                    ("token_lists", bytes(token_list_blob)),
-                    ("token_list_offsets", token_list_offsets.tobytes()),
                     ("vocab", _compact_json(vocab_by_id)),
                 ],
                 meta={"kind": _SNAPSHOT_KIND},
@@ -718,9 +706,10 @@ class SimilarityIndex:
         here (:class:`~repro.runtime.errors.SnapshotEncodingError`
         otherwise). Both loads read the file's sections through one
         reader, so they agree on every token id (the ``vocab`` section)
-        and answer every query bit-identically.
+        and answer every query bit-identically; neither reads the
+        ``token_lists`` sections of files earlier versions wrote.
 
-        By default the records, payloads, token lists and vocabulary are
+        By default the records, payloads (in one pass) and vocabulary are
         read into a mutable index, the mapping is closed, and the
         predicate is bound afresh over the records and the postings
         rebuilt. With ``bitmap_filter=`` the signatures are rebuilt from
@@ -745,7 +734,7 @@ class SimilarityIndex:
                 " signatures are not stored in the mapped file (load"
                 " without mmap to rebuild them)"
             )
-        index, vocabulary, records, payloads, token_lists = _open_saved(path, codec)
+        index, vocabulary, records, payloads = _open_saved(path, codec)
         try:
             service = cls(
                 predicate,
@@ -755,22 +744,21 @@ class SimilarityIndex:
                 merge_backend=merge_backend,
                 vocabulary=vocabulary,
             )
+            service._source = path
             if mmap:
                 service._dataset = MappedDataset(records, vocabulary, payloads)
-                service._token_lists = token_lists
                 service._index = index
                 service._read_only = True
                 service._rebind()
                 index.attach_counters(service.counters)
                 return service
             service._dataset.records.extend(records)
-            service._dataset.payloads.extend(payloads)
-            service._token_lists.extend(token_lists)
+            service._dataset.payloads.extend(_all_payloads(path, index, payloads, codec))
         except BaseException:
             index.close()
             raise
         # Drop the views into the mapping first, so closing it unmaps.
-        del records, payloads, token_lists
+        del records, payloads
         index.close()
         service._rebind()
         service._index = service._build_index(service._bound, service.counters)
@@ -801,10 +789,29 @@ def _json_entry(path: str, raw, what: str):
         raise SnapshotCorrupted(path, f"{what} is not valid JSON: {exc}") from exc
 
 
+def _all_payloads(path: str, index, payloads, codec) -> list:
+    """Every payload in one left-to-right parse of the section, each entry
+    ending at its offset (``save`` writes ASCII, where chars are bytes)."""
+    section = bytes(index.section("payloads"))
+    offsets = index.section("payload_offsets").cast("q")
+    if not section.isascii():
+        return list(payloads)
+    text, decode, entries = section.decode(), json.JSONDecoder().raw_decode, []
+    for rid in range(len(payloads)):
+        try:
+            entry, end = decode(text, offsets[rid])
+        except json.JSONDecodeError:
+            end = None
+        if end != offsets[rid + 1]:
+            raise SnapshotCorrupted(path, f"payload entry {rid} is not one JSON value")
+        entries.append(_untagged_payload(path, entry, codec))
+    return entries
+
+
 def _open_saved(path: str, codec):
     """Map a :meth:`SimilarityIndex.save` file and validate its serving
-    sections: ``(index, vocabulary, records, payloads, token_lists)``,
-    the last three lazy per-record columns over the mapping.
+    sections: ``(index, vocabulary, records, payloads)``, the last two
+    lazy per-record columns over the mapping; other sections are unread.
 
     The caller owns the returned index (and closes it); on any error it
     is closed here.
@@ -821,7 +828,9 @@ def _open_saved(path: str, codec):
         if missing:
             raise SnapshotCorrupted(path, f"missing serving sections {missing}")
         vocab_by_id = _json_entry(path, index.section("vocab"), "'vocab' section")
-        if not _is_str_list(vocab_by_id):
+        if not isinstance(vocab_by_id, list) or not all(
+            isinstance(token, str) for token in vocab_by_id
+        ):
             raise SnapshotCorrupted(path, "'vocab' section is not a list of strings")
         vocabulary = {token: tid for tid, token in enumerate(vocab_by_id)}
         if len(vocabulary) != len(vocab_by_id):
@@ -831,33 +840,17 @@ def _open_saved(path: str, codec):
             entry = _json_entry(path, raw, "payload entry")
             return _untagged_payload(path, entry, codec)
 
-        def decode_token_list(raw):
-            tokens = _json_entry(path, raw, "token-list entry")
-            if not _is_str_list(tokens):
-                raise SnapshotCorrupted(
-                    path, "token-list entry is not a list of strings"
-                )
-            return tokens
-
         records = mapped_column(
             index, "records_tokens", "records_offsets", tuple, int64=True
         )
         payloads = mapped_column(index, "payloads", "payload_offsets", decode_payload)
-        token_lists = mapped_column(
-            index, "token_lists", "token_list_offsets", decode_token_list
-        )
-        if not (len(records) == len(payloads) == len(token_lists) == index.n_entities):
+        if not (len(records) == len(payloads) == index.n_entities):
             raise SnapshotCorrupted(
                 path,
                 f"serving sections disagree: {len(records)} records,"
-                f" {len(payloads)} payloads, {len(token_lists)} token"
-                f" lists, {index.n_entities} indexed entities",
+                f" {len(payloads)} payloads, {index.n_entities} indexed entities",
             )
     except BaseException:
         index.close()
         raise
-    return index, vocabulary, records, payloads, token_lists
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+    return index, vocabulary, records, payloads

@@ -56,6 +56,7 @@ from __future__ import annotations
 import select
 import threading
 import time
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
@@ -581,8 +582,6 @@ class ShardedIndexServer(_QueueServer):
         )
         self._mutate_lock = threading.Lock()
         self._total = 0
-        #: global rid -> (shard id, shard-local rid)
-        self._locations: list[tuple[int, int]] = []
         self._heartbeat_stop = threading.Event()
         self._heartbeat_threads: list[threading.Thread] = []
         self._shards = []
@@ -737,9 +736,8 @@ class ShardedIndexServer(_QueueServer):
                     shard.name, f"quarantined: {shard.quarantined}"
                 )
             local = len(shard.global_rids)
-            # Mapping rows are appended before the insert: a probe that
-            # sees the new record always finds its global rid.
-            self._locations.append((shard.sid, local))
+            # The global rid is appended before the insert: a probe that
+            # sees the new record always finds it.
             shard.global_rids.append(rid)
             try:
                 with shard.rwlock.read_locked():
@@ -758,12 +756,10 @@ class ShardedIndexServer(_QueueServer):
                 # rid space no longer lines up with the global map, so
                 # stop routing anything to it.
                 shard.global_rids.pop()
-                self._locations.pop()
                 self._quarantine(shard, str(exc))
                 raise
             except BaseException:
                 shard.global_rids.pop()
-                self._locations.pop()
                 raise
             if got != local:
                 # The shard's local-rid space no longer lines up with
@@ -771,7 +767,6 @@ class ShardedIndexServer(_QueueServer):
                 # is suspect. Fail loudly and stop using it rather
                 # than serve wrongly-mapped pairs.
                 shard.global_rids.pop()
-                self._locations.pop()
                 reason = (
                     f"insert landed at shard-local rid {got},"
                     f" expected {local}"
@@ -791,11 +786,14 @@ class ShardedIndexServer(_QueueServer):
     def payload(self, rid: int):
         """The payload of global record ``rid`` (parity with the index).
 
-        Raises ``NotImplementedError`` when the record lives on a
-        remote shard — payloads are not served over the shard wire.
+        Raises ``IndexError`` for a rid no ``add`` returned, and
+        ``NotImplementedError`` when the record lives on a remote shard
+        — payloads are not served over the shard wire.
         """
-        sid, local = self._locations[rid]
-        shard = self._shards[sid]
+        shard = self._shards[self.router.shard_of(rid)]
+        local = bisect_left(shard.global_rids, rid)  # they increase
+        if local == len(shard.global_rids) or shard.global_rids[local] != rid:
+            raise IndexError(f"global rid {rid} out of range")
         with shard.rwlock.read_locked():
             return shard.index.payload(local)
 

@@ -979,8 +979,8 @@ def mapped_column(
 ) -> _MappedColumn:
     """Lazy per-record ``decode``-d view over a section sliced by an
     ``int64`` offsets section: record token tuples (``int64=True``,
-    ``decode=tuple``), payloads, token lists. Blob ``decode``s receive
-    a ``memoryview`` slice."""
+    ``decode=tuple``), payloads. Blob ``decode``s receive a
+    ``memoryview`` slice."""
     data = _int64_section(index, data_name) if int64 else index.section(data_name)
     offsets = _int64_section(index, offsets_name)
     if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(data):

@@ -10,6 +10,7 @@ behind ``SimilarityIndex.save`` / ``load(mmap=True)``.
 """
 
 import hashlib
+import json
 import math
 import os
 from array import array
@@ -845,8 +846,14 @@ class TestMappedService:
         service = self.build()
         unit_path, scored_path = str(tmp_path / "u.rpmx"), str(tmp_path / "s.rpmx")
         service.save(unit_path)
-        # Rewrite the unit-score file with an explicit 1.0 score column:
-        # the layout earlier versions wrote for every serving file.
+        # The token-list sections earlier versions wrote before "vocab".
+        token_lists, token_list_offsets = bytearray(), array("q", [0])
+        for tokens, _payload in service.export_records():
+            token_lists += json.dumps(tokens, separators=(",", ":")).encode()
+            token_list_offsets.append(len(token_lists))
+        # Rewrite the unit-score file with an explicit 1.0 score column
+        # and those sections: the layout earlier versions wrote for
+        # every serving file.
         with MappedInvertedIndex.open(unit_path) as unit:
             with MappedIndexWriter(scored_path, scored=True) as writer:
                 for token in unit.tokens():
@@ -855,6 +862,11 @@ class TestMappedService:
                         token, array("q", plist.ids), array("d", plist.scores)
                     )
                 for name in unit._sections:
+                    if name == "vocab":
+                        writer.add_section("token_lists", bytes(token_lists))
+                        writer.add_section(
+                            "token_list_offsets", token_list_offsets.tobytes()
+                        )
                     writer.add_section(name, bytes(unit.section(name)))
                 writer.finish(
                     min_norm=unit.min_norm,
@@ -873,6 +885,116 @@ class TestMappedService:
             assert mapped._index.scored
             assert self.answers(mapped, queries) == self.answers(service, queries)
             assert mapped.export_records() == service.export_records()
+        finally:
+            mapped.close()
+
+    @staticmethod
+    def rewritten(src, dst, **sections):
+        """Copy the saved file ``src`` to ``dst`` with the named sections
+        replaced, every section CRC-valid."""
+        with MappedInvertedIndex.open(src) as unit:
+            with MappedIndexWriter(dst, scored=True) as writer:
+                for token in unit.tokens():
+                    plist = unit.get(token)
+                    writer.add_posting(
+                        token, array("q", plist.ids), array("d", plist.scores)
+                    )
+                for name in unit._sections:
+                    writer.add_section(
+                        name, sections.get(name, bytes(unit.section(name)))
+                    )
+                writer.finish(
+                    min_norm=unit.min_norm,
+                    n_entities=unit.n_entities,
+                    meta=dict(unit.meta),
+                )
+
+    @pytest.mark.parametrize(
+        "position, bad_id",
+        [(3, "vocab-size"), (0, -1), (1, -1)],
+        ids=["past-vocab", "negative", "negative-mid-record"],
+    )
+    def test_record_id_outside_vocab_is_corrupt(self, tmp_path, position, bad_id):
+        service = self.build()
+        good, bad = str(tmp_path / "good.rpmx"), str(tmp_path / "bad.rpmx")
+        service.save(good)
+        # Record 0 ("a b c d") is ids (0, 1, 2, 3); rewrite one of them.
+        with MappedInvertedIndex.open(good) as unit:
+            records = array("q", bytes(unit.section("records_tokens")))
+        assert records[:4] == array("q", [0, 1, 2, 3])
+        records[position] = (
+            len(service._vocabulary) if bad_id == "vocab-size" else bad_id
+        )
+        self.rewritten(good, bad, records_tokens=records.tobytes())
+        for mmap in (False, True):
+            loaded = SimilarityIndex.load(
+                bad, JaccardPredicate(0.4), tokenizer=str.split, mmap=mmap
+            )
+            try:
+                with pytest.raises(SnapshotCorrupted, match="no token for id") as err:
+                    loaded.export_records()
+                assert err.value.path == bad
+                assert loaded.export_records(start=1) == service.export_records(1)
+            finally:
+                loaded.close()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [b'["json",0]', b'["json",1', b'["json",2]'],
+            [b'["json",0]', b'["text",1]', b'["json",2]'],
+            [b'["json",0]', b"", b'["json",2]'],
+            # A valid stream of entries, but not one per offset.
+            [b'["json",0]', b'["json",[1', b",2]]"],
+            # Three tagged entries once joined by commas into a list.
+            [b'["json",[[0]', b'["json",1]]', b'["json",2],["json",3]'],
+        ],
+        ids=[
+            "invalid-json", "untagged", "empty", "entry-past-its-offset",
+            "entries-that-join-into-a-list",
+        ],
+    )
+    def test_malformed_payload_entry_is_corrupt(self, tmp_path, entries):
+        service = SimilarityIndex(JaccardPredicate(0.4), tokenizer=str.split)
+        for doc in self.DOCS[:3]:
+            service.add(doc)
+        good, bad = str(tmp_path / "good.rpmx"), str(tmp_path / "bad.rpmx")
+        service.save(good)
+        offsets = array("q", [0])
+        for entry in entries:
+            offsets.append(offsets[-1] + len(entry))
+        self.rewritten(
+            good,
+            bad,
+            payloads=b"".join(entries),
+            payload_offsets=offsets.tobytes(),
+        )
+        with pytest.raises(SnapshotCorrupted, match="payload"):
+            SimilarityIndex.load(bad, JaccardPredicate(0.4))
+        mapped = SimilarityIndex.load(bad, JaccardPredicate(0.4), mmap=True)
+        try:
+            with pytest.raises(SnapshotCorrupted, match="payload"):
+                [mapped.payload(rid) for rid in range(len(entries))]
+        finally:
+            mapped.close()
+
+    def test_utf8_payload_entries_load_both_ways(self, tmp_path):
+        # save writes ASCII JSON; raw UTF-8 entries still decode.
+        service = SimilarityIndex(JaccardPredicate(0.4), tokenizer=str.split)
+        for doc in self.DOCS[:2]:
+            service.add(doc)
+        good, utf8 = str(tmp_path / "good.rpmx"), str(tmp_path / "utf8.rpmx")
+        service.save(good)
+        entries = ['["json","café"]'.encode(), '["json","naïve"]'.encode()]
+        offsets = array("q", [0, len(entries[0]), len(entries[0]) + len(entries[1])])
+        self.rewritten(
+            good, utf8, payloads=b"".join(entries), payload_offsets=offsets.tobytes()
+        )
+        loaded = SimilarityIndex.load(utf8, JaccardPredicate(0.4))
+        mapped = SimilarityIndex.load(utf8, JaccardPredicate(0.4), mmap=True)
+        try:
+            for index in (loaded, mapped):
+                assert [index.payload(0), index.payload(1)] == ["café", "naïve"]
         finally:
             mapped.close()
 

@@ -323,7 +323,7 @@ class TestIteratorItems:
             if tier == "sharded":
                 # The matches sit on both shards, so both probes must
                 # see the tokens.
-                sids = {server._locations[p[0]][0] for p in expected}
+                sids = {server.router.shard_of(p[0]) for p in expected}
                 assert sids == {0, 1}
             if cache:
                 server.drain()

@@ -99,6 +99,60 @@ class TestPersistence:
         assert len(restored.query("beta")) == 2
 
 
+class TestExportReplay:
+    """``export_records`` derives each record's tokens from its ids: one
+    token per distinct id, in id order. Replayed through ``add``, they
+    rebuild the same records with the same ids."""
+
+    TOKEN_LISTS = [
+        ["joins", "set", "joins", "efficient"],
+        ["similarity", "set", "predicates", "set"],
+        ["predicates", "efficient", "zeta", "alpha", "alpha"],
+        ["alpha", "joins", "omega", "similarity"],
+        ["omega", "omega", "zeta"],
+    ]
+    QUERIES = TOKEN_LISTS + [["alpha", "set", "unseen"], ["zeta", "joins"]]
+
+    @staticmethod
+    def answers(service, queries):
+        return [
+            [(p.rid_a, p.rid_b, p.similarity) for p in service.query(q)]
+            for q in queries
+        ]
+
+    @staticmethod
+    def records(service):
+        return [service._dataset[rid] for rid in range(len(service))]
+
+    @pytest.mark.parametrize(
+        "predicate", [JaccardPredicate(0.3), OverlapPredicate(1)],
+        ids=["jaccard", "overlap"],
+    )
+    def test_replay_rebuilds_the_same_records(self, predicate):
+        original = SimilarityIndex(predicate)
+        for i, tokens in enumerate(self.TOKEN_LISTS):
+            original.add(tokens, payload={"doc": i})
+        exported = original.export_records()
+        vocabulary = original._vocabulary
+        assert exported[0] == (["joins", "set", "efficient"], {"doc": 0})
+        for (tokens, _payload), given in zip(exported, self.TOKEN_LISTS):
+            assert tokens == sorted(set(given), key=vocabulary.__getitem__)
+        size = len(vocabulary)
+        shared = SimilarityIndex(predicate, vocabulary=vocabulary)
+        own = SimilarityIndex(predicate)
+        for replica in (shared, own):
+            for tokens, payload in exported:
+                replica.add(tokens, payload=payload)
+            assert self.records(replica) == self.records(original)
+            assert replica._vocabulary == vocabulary
+            assert replica.export_records() == exported
+            assert self.answers(replica, self.QUERIES) == self.answers(
+                original, self.QUERIES
+            )
+        assert shared._vocabulary is vocabulary and len(vocabulary) == size
+        assert own._vocabulary is not vocabulary
+
+
 class TestMergeBackend:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):

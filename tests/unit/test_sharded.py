@@ -94,15 +94,27 @@ class TestRoutingAndExactness:
             server.drain(timeout=WAIT)
 
     def test_payload_roundtrip_and_len(self):
-        server = ShardedIndexServer(
-            OverlapPredicate(2), shards=3, tokenizer=tokenize_words
-        )
-        rids = [server.add(text, payload=f"p{i}") for i, text in enumerate(TEXTS)]
+        def tokenizer(text):
+            if text == "rejected":
+                raise ValueError("tokenizer rejects the item")
+            return tokenize_words(text)
+
+        server = ShardedIndexServer(OverlapPredicate(2), shards=3, tokenizer=tokenizer)
+        rids = []
+        for i, text in enumerate(TEXTS):
+            if i == 2:
+                # A failed add rolls back: the next add reuses its rid.
+                with pytest.raises(ValueError, match="rejects"):
+                    server.add("rejected", payload="lost")
+            rids.append(server.add(text, payload=f"p{i}"))
         assert rids == list(range(len(TEXTS)))
         assert len(server) == len(TEXTS)
         assert [server.payload(rid) for rid in rids] == [
             f"p{i}" for i in range(len(TEXTS))
         ]
+        for rid in (len(server), -1):
+            with pytest.raises(IndexError):
+                server.payload(rid)
 
     def test_more_shards_than_records_still_exact(self):
         server = _server(shards=7, texts=TEXTS[:3])
